@@ -182,8 +182,12 @@ def _root_number_from_overlap(ctx: AnalyticContext, s0: float = 4.0) -> int:
     s0 = mp.mpf(s0)
     factor = ctx.sqrtN_mp**s0 * (2 * mp.pi) ** (-s0) * mp.gamma(s0)
     direct = factor * l_dir
-    lam_plus = _lambda_series(ctx, s0, 1)
-    lam_minus = _lambda_series(ctx, s0, -1)
+    # the two candidate signs share both half-sums, so evaluate each once
+    first = second = mp.mpf(0)
+    for a_n, p, q in _lambda_terms(ctx, s0):
+        first += a_n * p
+        second += a_n * q
+    lam_plus, lam_minus = first + second, first - second
     d_plus, d_minus = abs(lam_plus - direct), abs(lam_minus - direct)
     separation = abs(lam_plus - lam_minus)
     noise = factor * (tail + 1e-12)
@@ -197,9 +201,8 @@ def _root_number_from_overlap(ctx: AnalyticContext, s0: float = 4.0) -> int:
 # -- Lambda, L, and derivatives -------------------------------------------------
 
 
-def _lambda_series(ctx: AnalyticContext, s, w: int):
-    """sum a_n [A^s Gamma(s,x) + w A^{2-s} Gamma(2-s,x)] at working precision."""
-    total = mp.mpf(0)
+def _lambda_terms(ctx: AnalyticContext, s):
+    """(a_n, A^s Gamma(s,x), A^{2-s} Gamma(2-s,x)) for each nonzero a_n, n <= n_max."""
     coeffs = ctx.coefficients(ctx.n_max)
     two_pi = 2 * mp.pi
     for n in range(1, ctx.n_max + 1):
@@ -208,8 +211,14 @@ def _lambda_series(ctx: AnalyticContext, s, w: int):
             continue
         A = ctx.sqrtN_mp / (two_pi * n)
         x = 1 / A
-        term = A**s * mp.gammainc(s, x) + w * A ** (2 - s) * mp.gammainc(2 - s, x)
-        total += a_n * term
+        yield a_n, A**s * mp.gammainc(s, x), A ** (2 - s) * mp.gammainc(2 - s, x)
+
+
+def _lambda_series(ctx: AnalyticContext, s, w: int):
+    """sum a_n [A^s Gamma(s,x) + w A^{2-s} Gamma(2-s,x)] at working precision."""
+    total = mp.mpf(0)
+    for a_n, p, q in _lambda_terms(ctx, s):
+        total += a_n * (p + w * q)
     return total
 
 
@@ -217,18 +226,8 @@ def _lambda_scale(ctx: AnalyticContext, s) -> mp.mpf:
     """Absolute-value version of the series, for relative comparisons."""
     sigma = mp.mpf(abs(complex(s).real))
     total = mp.mpf(0)
-    coeffs = ctx.coefficients(ctx.n_max)
-    two_pi = 2 * mp.pi
-    for n in range(1, ctx.n_max + 1):
-        a_n = abs(coeffs[n])
-        if not a_n:
-            continue
-        A = ctx.sqrtN_mp / (two_pi * n)
-        x = 1 / A
-        total += a_n * (
-            A**sigma * mp.gammainc(sigma, x)
-            + A ** (2 - sigma) * mp.gammainc(2 - sigma, x)
-        )
+    for a_n, p, q in _lambda_terms(ctx, sigma):
+        total += abs(a_n) * (p + q)
     return total
 
 
@@ -268,7 +267,7 @@ def lambda_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
             logA = mp.log(A)
             inner = mp.mpf(0)
             for i in range(k + 1):
-                inner += mp.binomial(k, i) * logA ** (k - i) * _incgamma_deriv(
+                inner += math.comb(k, i) * logA ** (k - i) * _incgamma_deriv(
                     ctx, i, n
                 )
             total += a_n * A * inner
@@ -342,9 +341,14 @@ def _incgamma_deriv(ctx: AnalyticContext, i: int, n: int):
 def incgamma_upper_deriv_at_1(i: int, x):
     """d^i/da^i Gamma(a, x) at a = 1 for real x > 0.
 
-    i = 0: e^{-x}.  i = 1: e^{-x} log x + E1(x).  Higher orders go through
-    the lower incomplete gamma's log-weighted series, with extra working
-    digits against the alternating-series cancellation (~ x/ln 10 digits).
+    i = 0: e^{-x}.  i = 1: e^{-x} log x + E1(x).  Higher orders are
+    Gamma^(i)(1) minus the lower incomplete gamma's log-weighted series
+    sum_m (-1)^m x^{m+1}/m! sum_j c_j u^{j+1}, u = 1/(m+1), with
+    c_j = (-1)^j i!/(i-j)! (log x)^{i-j} computed once.  Each term is a
+    recurrence step: the weight x^{m+1}/m! advances by x/m and the inner sum
+    is Horner's rule in u.  The working precision (x/ln 10 + 10 extra digits,
+    against the alternating-series cancellation) and the stopping rule
+    (m > 4x + 20 and |term| < 10^{-(dps+5)}) are those of the direct sum.
     """
     if i == 0:
         return mp.e ** (-x)
@@ -354,32 +358,25 @@ def incgamma_upper_deriv_at_1(i: int, x):
     with mp.workdps(target_dps + int(float(x) / math.log(10)) + 10):
         x = mp.mpf(x)
         logx = mp.log(x)
-        # d^i/da [x^{a+m}/(a+m)] at a=1:
-        #   x^{1+m} * sum_j C(i,j) (log x)^{i-j} (-1)^j j! / (1+m)^{j+1}
+        # c_i first, the order Horner's rule consumes them in
+        coeffs = [(-1) ** j * math.perm(i, j) * logx ** (i - j) for j in range(i, -1, -1)]
+        m_min = 4 * float(x) + 20
+        threshold = mp.mpf(10) ** (-(target_dps + 5))
         total = mp.mpf(0)
+        weight = x  # x^{m+1}/m! at m = 0
         m = 0
-        factorial_m = mp.mpf(1)
         while True:
-            xp = x ** (m + 1)
-            inner = mp.mpf(0)
-            for j in range(i + 1):
-                inner += (
-                    mp.binomial(i, j)
-                    * logx ** (i - j)
-                    * (-1) ** j
-                    * mp.factorial(j)
-                    / mp.mpf(m + 1) ** (j + 1)
-                )
-            term = (-1) ** m / factorial_m * xp * inner
-            total += term
+            u = mp.mpf(1) / (m + 1)
+            inner = coeffs[0]
+            for c in coeffs[1:]:
+                inner = inner * u + c
+            term = weight * inner * u
+            total += -term if m & 1 else term
             m += 1
-            factorial_m *= m
-            if m > 4 * float(x) + 20 and abs(term) < mp.mpf(10) ** (
-                -(target_dps + 5)
-            ):
+            weight *= x / m
+            if m > m_min and abs(term) < threshold:
                 break
-        gamma_lower_deriv = total
-        result = _gamma_deriv_at_1(i) - gamma_lower_deriv
+        result = _gamma_deriv_at_1(i) - total
     return +result
 
 

@@ -58,6 +58,25 @@ def _parse_complex(text: str) -> complex:
     return complex(cleaned)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _read_file(path: str) -> str:
+    """Contents of an input file; an unreadable one is a parse error."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _parse_gen(text: str) -> CurvePoint:
     parts = text.split(",")
     if len(parts) != 2:
@@ -232,8 +251,7 @@ def cmd_zetacheck(args) -> int:
 
 
 def cmd_motive(args) -> int:
-    with open(args.file) as handle:
-        data = json.load(handle)
+    data = json.loads(_read_file(args.file))
     payload: dict = {}
     lines: list[str] = []
     if "hodge" in data or "weight" in data:
@@ -282,8 +300,7 @@ def cmd_motive(args) -> int:
 
 def cmd_snf(args) -> int:
     if args.file:
-        with open(args.file) as handle:
-            matrix = intlinalg.matrix_from_json(handle.read())
+        matrix = intlinalg.matrix_from_json(_read_file(args.file))
     else:
         matrix = intlinalg.matrix_from_json(args.matrix)
     U, D, V = intlinalg.smith_normal_form(matrix)
@@ -317,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("coefficients", nargs="+",
                            help="a1 a2 a3 a4 a6 (or one JSON array of five strings)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--prec", type=int, default=30, help="working precision digits")
+        p.add_argument("--prec", type=_positive_int, default=30,
+                       help="working precision digits")
         p.add_argument("--nmax", type=int, default=None, help="Dirichlet truncation")
         p.add_argument("--pmax", type=int, default=20, help="Euler-product truncation")
 

@@ -104,15 +104,19 @@ class TestDerivatives:
         assert abs(analytic_val - fd) < 1e-12
 
     def test_incgamma_derivatives_match_numerical(self):
-        with mp.workdps(35):
-            for x in (mp.mpf("0.7"), mp.mpf(3), mp.mpf(11)):
-                for order in (1, 2, 3):
-                    series_val = incgamma_upper_deriv_at_1(order, x)
-                    numeric = mp.diff(
-                        lambda a: mp.gammainc(a, x), mp.mpf(1), n=order,
-                        h=mp.mpf(10) ** -6, method="step",
+        # oracle: d^i/da^i Gamma(a, x) at a = 1 is int_x^oo log(t)^i e^{-t} dt,
+        # by quadrature with 40 extra digits; x = 75 is about x_{n_max} for 389a
+        dps = 45
+        for x in ("0.05", "0.7", "3", "11", "40", "75"):
+            for order in (1, 2, 3, 4):
+                with mp.workdps(dps):
+                    series_val = incgamma_upper_deriv_at_1(order, mp.mpf(x))
+                with mp.workdps(dps + 40):
+                    xq = mp.mpf(x)
+                    oracle = mp.e ** (-xq) * mp.quad(
+                        lambda u: mp.log(xq + u) ** order * mp.e ** (-u), [0, mp.inf]
                     )
-                    assert abs(series_val - numeric) < mp.mpf(10) ** -12
+                    assert abs(series_val - oracle) < mp.mpf(10) ** -(dps - 2), (x, order)
 
 
 class TestAnalyticRank:

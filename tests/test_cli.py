@@ -82,6 +82,12 @@ class TestValues:
         code, _ = run_cli(["bsd", "0", "0", "1", "-1", "0", "--gen", "5,5"])
         assert code == 5
 
+    def test_nonpositive_precision_is_parse_error(self, capsys):
+        for prec in ("0", "-5"):
+            code, out = run_cli(["lvalue", "0", "0", "1", "-1", "0", "--prec", prec])
+            assert (code, out) == (2, "")
+            assert "positive integer" in capsys.readouterr().err
+
 
 class TestBsd:
     def test_report(self):
@@ -144,6 +150,11 @@ class TestMotive:
         code, _ = run_cli(["motive", "--file", str(path)])
         assert code == 2
 
+    def test_missing_file_is_parse_error(self, tmp_path, capsys):
+        code, out = run_cli(["motive", "--file", str(tmp_path / "absent.json")])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("parse error: cannot read")
+
 
 class TestSnf:
     def test_inline_matrix(self):
@@ -158,6 +169,11 @@ class TestSnf:
         path.write_text('[["2","4"],["6","8"]]')
         code, out = run_cli(["snf", "--json", "--file", str(path)])
         assert json.loads(out)["elementary_divisors"] == [2, 4]
+
+    def test_missing_file_is_parse_error(self, tmp_path, capsys):
+        code, out = run_cli(["snf", "--file", str(tmp_path / "absent.json")])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("parse error: cannot read")
 
 
 class TestInstalledEntryPoint:
