@@ -8,6 +8,8 @@ coefficients mod p, smooth or not.
 
 from __future__ import annotations
 
+from .numtheory import legendre_symbol, sqrt_mod_prime
+
 IMPLEMENTATION = "python"
 
 
@@ -56,39 +58,6 @@ def ap_sweep(
 
 
 # -- baby-step giant-step order finding (large good primes) -------------------
-
-
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def _sqrt_mod(a: int, p: int) -> int:
-    """Square root of a QR mod odd prime p (Tonelli-Shanks)."""
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while _legendre(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 class _Short:
@@ -170,7 +139,7 @@ def ap_bsgs(c4: int, c6: int, p: int, seed: int = 0) -> int:
     A, B = (-27 * c4) % p, (-54 * c6) % p
     E = _Short(A, B, p)
     g = 2
-    while _legendre(g, p) != -1:
+    while legendre_symbol(g, p) != -1:
         g += 1
     tw = _Short(A * g * g % p, B * pow(g, 3, p) % p, p)
     w = _isqrt(4 * p)
@@ -191,8 +160,9 @@ def ap_bsgs(c4: int, c6: int, p: int, seed: int = 0) -> int:
         while True:
             x = next_x()
             rhs = (x * x % p * x + curve.A * x + curve.B) % p
-            if _legendre(rhs, p) >= 0:
-                P = (x, _sqrt_mod(rhs, p))
+            y = sqrt_mod_prime(rhs, p)
+            if y is not None:
+                P = (x, y)
                 break
         matches = _bsgs_all_matches(curve, P, lo, hi)
         if use_twist:

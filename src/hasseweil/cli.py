@@ -58,14 +58,22 @@ def _parse_complex(text: str) -> complex:
     return complex(cleaned)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type for an integer >= low, described as `what`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
 
 
 def _read_file(path: str) -> str:
@@ -99,7 +107,7 @@ def _curve_from_args(args) -> WeierstrassCurve:
 
 def _context(args, curve) -> analytic.AnalyticContext:
     ctx = analytic.AnalyticContext(curve, digits=args.prec)
-    if getattr(args, "nmax", None):
+    if args.nmax:
         ctx.n_max = max(ctx.n_max, args.nmax)
     return ctx
 
@@ -336,8 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--prec", type=_positive_int, default=30,
                        help="working precision digits")
-        p.add_argument("--nmax", type=int, default=None, help="Dirichlet truncation")
-        p.add_argument("--pmax", type=int, default=20, help="Euler-product truncation")
+
+    def add_nmax(p):
+        p.add_argument("--nmax", type=_positive_int, default=None,
+                       help="least Dirichlet truncation")
 
     p = sub.add_parser("analyze", help="invariants, minimal model, local data")
     add_common(p)
@@ -345,16 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lvalue", help="L(E, s)")
     add_common(p)
+    add_nmax(p)
     p.add_argument("--s", default="1", help="complex evaluation point a+bi")
     p.set_defaults(func=cmd_lvalue)
 
     p = sub.add_parser("lambda", help="completed Lambda(E, s)")
     add_common(p)
+    add_nmax(p)
     p.add_argument("--s", default="1", help="complex evaluation point a+bi")
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("rank", help="analytic rank")
     add_common(p)
+    add_nmax(p)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("bsd", help="BSD consistency report")
@@ -364,7 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zetacheck", help="trace-formula and zeta factorization checks")
     add_common(p)
-    p.add_argument("--kmax", type=int, default=3, help="check N_{p^k} for k <= kmax")
+    p.add_argument("--pmax", type=_int_at_least(2, "an integer >= 2"), default=20,
+                   help="check good primes p <= pmax")
+    p.add_argument("--kmax", type=_positive_int, default=3,
+                   help="check N_{p^k} for k <= kmax")
     p.set_defaults(func=cmd_zetacheck)
 
     p = sub.add_parser("motive", help="gamma factors / local factors from JSON data")

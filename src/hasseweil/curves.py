@@ -118,7 +118,14 @@ class IsomorphismData:
 
 
 class WeierstrassCurve:
-    """Immutable nonsingular Weierstrass model with exact invariants."""
+    """Immutable nonsingular Weierstrass model with exact invariants.
+
+    Derived facts are computed on first use and kept on the instance: the
+    invariants, the minimal model, and the per-prime data that `localdata`
+    attaches as `_local`.  They live and die with the curve.
+    """
+
+    _local = None
 
     def __init__(self, a1, a2, a3, a4, a6):
         self.a1, self.a2, self.a3, self.a4, self.a6 = (
@@ -149,7 +156,11 @@ class WeierstrassCurve:
         return all(a.denominator == 1 for a in self.ainvs())
 
     def invariants(self) -> InvariantSet:
-        """b-, c-invariants, discriminant and j, all exact."""
+        """b-, c-invariants, discriminant and j, all exact (computed once)."""
+        return self._inv
+
+    @cached_property
+    def _inv(self) -> InvariantSet:
         a1, a2, a3, a4, a6 = self.ainvs()
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3
@@ -160,10 +171,6 @@ class WeierstrassCurve:
         disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         j = c4**3 / disc if disc != 0 else Fraction(0)
         return InvariantSet(b2, b4, b6, b8, c4, c6, disc, j)
-
-    @cached_property
-    def _inv(self) -> InvariantSet:
-        return self.invariants()
 
     @property
     def discriminant(self) -> Fraction:
@@ -259,7 +266,11 @@ class WeierstrassCurve:
         return iso.apply(self), iso
 
     def minimal_model(self) -> tuple["WeierstrassCurve", IsomorphismData]:
-        """Global minimal model and the transformation reaching it."""
+        """Global minimal model and the transformation reaching it (computed once)."""
+        return self._minimal
+
+    @cached_property
+    def _minimal(self) -> tuple["WeierstrassCurve", IsomorphismData]:
         integral, iso0 = self.integral_model()
         inv = integral.invariants()
         c4, c6, disc = int(inv.c4), int(inv.c6), int(inv.disc)
@@ -513,29 +524,6 @@ def _torsion_of_minimal(
     cyc = {curve.mul(k, gen) for k in range(max_order)}
     extra = next(P for P in pts if orders[P] == 2 and P not in cyc)
     return f"Z/2 x Z/{max_order}", [gen, extra], 2 * max_order
-
-
-# -- module-level operation aliases ------------------------------------------
-
-
-def invariants(curve: WeierstrassCurve) -> InvariantSet:
-    return curve.invariants()
-
-
-def minimal_model(curve: WeierstrassCurve):
-    return curve.minimal_model()
-
-
-def add(curve: WeierstrassCurve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-    return curve.add(P, Q)
-
-
-def torsion_subgroup(curve: WeierstrassCurve):
-    return curve.torsion_subgroup()
-
-
-def point_search(curve: WeierstrassCurve, height_bound: int) -> list[CurvePoint]:
-    return curve.point_search(height_bound)
 
 
 def parse_curve(tokens: Iterable[str] | str) -> WeierstrassCurve:

@@ -210,6 +210,11 @@ def torsion_order_minors(presentation: IntMatrix) -> int:
 
 
 def matrix_from_json(text: str) -> IntMatrix:
-    """Parse a JSON array of arrays of integer strings (or ints)."""
-    data = json.loads(text)
-    return [[int(x) for x in row] for row in data]
+    """Parse a JSON array of equal-length arrays of integer strings (or ints)."""
+    try:
+        rows = [[int(x) for x in row] for row in json.loads(text)]
+    except TypeError:
+        raise ValueError("matrix must be a JSON array of arrays of integers") from None
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("matrix rows must all have the same length")
+    return rows

@@ -7,12 +7,16 @@ geometric component count m), and the global conductor.
 Counting strategy: exhaustive enumeration through the kernel module for
 p^k up to ENUM_LIMIT, baby-step giant-step order finding inside the Hasse
 interval for larger primes (k = 1, good reduction).
+
+Each curve's facts here (bad primes, Tate's algorithm per prime, the
+conductor, the a_p table) are computed once and kept on the curve.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
-import threading
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +24,7 @@ from . import kernels
 from .curves import WeierstrassCurve
 from .errors import BadReduction
 from .finitefield import GaloisField
-from .numtheory import factorize, legendre_symbol, require_prime, valuation
+from .numtheory import factorize, legendre_symbol, primes_up_to, require_prime, valuation
 
 ENUM_LIMIT = 10**6
 
@@ -68,15 +72,33 @@ class LocalData:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-# -- caches -------------------------------------------------------------------
-
-_ap_cache: dict[tuple, int] = {}
-_ap_lock = threading.Lock()
+# -- per-curve facts ----------------------------------------------------------
 
 
-def _minimal_int_coeffs(curve: WeierstrassCurve) -> tuple[int, int, int, int, int]:
-    minimal, _ = curve.minimal_model()
-    return tuple(int(a) for a in minimal.ainvs())
+class _CurveData:
+    """Facts about one curve's minimal model, kept on the curve as `_local`.
+
+    `local` memoizes Tate's algorithm per prime.  `primes` and `aps` are the
+    a_p table: every prime up to `bound`, in order, and its a_p.
+    """
+
+    def __init__(self, curve: WeierstrassCurve):
+        minimal, _ = curve.minimal_model()
+        inv = minimal.invariants()
+        self.coeffs = tuple(int(a) for a in minimal.ainvs())
+        self.disc, self.c4, self.c6 = int(inv.disc), int(inv.c4), int(inv.c6)
+        self.bad = sorted(factorize(self.disc))
+        self.conductor: int | None = None
+        self.local: dict[int, LocalData] = {}
+        self.bound = 1
+        self.primes: list[int] = []
+        self.aps: list[int] = []
+
+
+def _data(curve: WeierstrassCurve) -> _CurveData:
+    if curve._local is None:
+        curve._local = _CurveData(curve)
+    return curve._local
 
 
 # -- point counting -----------------------------------------------------------
@@ -91,22 +113,22 @@ def count_points(curve: WeierstrassCurve, p: int, k: int = 1) -> int:
     require_prime(p)
     if k < 1:
         raise ValueError("k must be >= 1")
-    coeffs = _minimal_int_coeffs(curve)
     if k == 1:
-        return _count_points_k1(curve, coeffs, p)
+        return _count_points_k1(curve, p)
     if reduction_type(curve, p) is not ReductionType.GOOD:
         raise BadReduction(f"good reduction required at {p} for k > 1")
     if p**k > ENUM_LIMIT:
         raise ValueError(f"field size {p}^{k} exceeds enumeration limit")
-    return _count_points_gf(coeffs, p, k)
+    return _count_points_gf(_data(curve).coeffs, p, k)
 
 
-def _count_points_k1(curve, coeffs, p: int) -> int:
+def _count_points_k1(curve, p: int) -> int:
+    data = _data(curve)
     if p <= ENUM_LIMIT:
-        return kernels.count_points_mod_p(*coeffs, p)
+        return kernels.count_points_mod_p(*data.coeffs, p)
     red = reduction_type(curve, p)
     if red is ReductionType.GOOD:
-        return _count_points_bsgs(curve, p)
+        return p + 1 - kernels.ap_bsgs(data.c4, data.c6, p)
     # singular reductions have p - 1, p + 1, or p nonsingular points,
     # plus the one singular point
     if red is ReductionType.SPLIT_MULTIPLICATIVE:
@@ -130,16 +152,6 @@ def _count_points_gf(coeffs, p: int, k: int, seed: int = 0) -> int:
         b = gf.add(gf.mul(A1, x), A3)
         count += gf.solve_quadratic_y(b, rhs)
     return count
-
-
-# -- baby-step giant-step for one large good prime ----------------------------
-
-
-def _count_points_bsgs(curve: WeierstrassCurve, p: int) -> int:
-    """Group order at a large good prime via the kernel's BSGS order finder."""
-    minimal, _ = curve.minimal_model()
-    inv = minimal.invariants()
-    return p + 1 - kernels.ap_bsgs(int(inv.c4), int(inv.c6), p)
 
 
 # -- mod-p polynomial helpers for Tate's algorithm ----------------------------
@@ -467,116 +479,105 @@ def _val(x: int, p: int) -> int:
 # -- public per-prime operations -----------------------------------------------
 
 
+_BAD_AP = {
+    ReductionType.SPLIT_MULTIPLICATIVE: 1,
+    ReductionType.NONSPLIT_MULTIPLICATIVE: -1,
+    ReductionType.ADDITIVE: 0,
+}
+
+
 def tate_local(curve: WeierstrassCurve, p: int) -> LocalData:
     """Kodaira type, f_p, c_p, and component count at p via Tate's algorithm."""
-    require_prime(p)
-    coeffs = _minimal_int_coeffs(curve)
-    kodaira, f, c, m, red, n, restarts = _tate_at_prime(coeffs, p)
-    if restarts:
-        raise AssertionError("global minimal model was not p-minimal")
-    if red is ReductionType.GOOD:
-        a_p = ap(curve, p)
-    elif red is ReductionType.SPLIT_MULTIPLICATIVE:
-        a_p = 1
-    elif red is ReductionType.NONSPLIT_MULTIPLICATIVE:
-        a_p = -1
-    else:
-        a_p = 0
-    return LocalData(
-        p=p,
-        reduction=red,
-        kodaira=kodaira,
-        a_p=a_p,
-        f_p=f,
-        c_p=c,
-        m=m,
-        ord_disc=n,
-    )
+    data = _data(curve)
+    if p not in data.local:
+        require_prime(p)
+        kodaira, f, c, m, red, n, restarts = _tate_at_prime(data.coeffs, p)
+        if restarts:
+            raise AssertionError("global minimal model was not p-minimal")
+        a_p = ap(curve, p) if red is ReductionType.GOOD else _BAD_AP[red]
+        data.local[p] = LocalData(p, red, kodaira, a_p, f, c, m, n)
+    return data.local[p]
 
 
 def reduction_type(curve: WeierstrassCurve, p: int) -> ReductionType:
     """Classification by minimal discriminant, c4, and nonsingular counts."""
     require_prime(p)
-    minimal, _ = curve.minimal_model()
-    inv = minimal.invariants()
-    disc, c4 = int(inv.disc), int(inv.c4)
-    if disc % p != 0:
+    data = _data(curve)
+    if data.disc % p != 0:
         return ReductionType.GOOD
-    if c4 % p == 0:
+    if data.c4 % p == 0:
         return ReductionType.ADDITIVE
     # multiplicative: the singular reduction has p - a_p nonsingular points,
     # a_p = +1 split / -1 non-split; total count (with the node) is p or p+2
     if p <= ENUM_LIMIT:
-        total = kernels.count_points_mod_p(*(int(x) for x in minimal.ainvs()), p)
+        total = kernels.count_points_mod_p(*data.coeffs, p)
         return (
             ReductionType.SPLIT_MULTIPLICATIVE
             if total == p
             else ReductionType.NONSPLIT_MULTIPLICATIVE
         )
     # large p: fall back on the tangent-direction test inside Tate
-    coeffs = _minimal_int_coeffs(curve)
-    red = _tate_at_prime(coeffs, p)[4]
-    return red
+    return tate_local(curve, p).reduction
 
 
 def ap(curve: WeierstrassCurve, p: int) -> int:
     """Trace of Frobenius at good p; the standard {1, -1, 0} at bad p."""
     require_prime(p)
-    key = (curve.ainvs(), p)
-    with _ap_lock:
-        if key in _ap_cache:
-            return _ap_cache[key]
-    red = reduction_type(curve, p)
-    if red is ReductionType.GOOD:
-        value = p + 1 - count_points(curve, p, 1)
-    elif red is ReductionType.SPLIT_MULTIPLICATIVE:
-        value = 1
-    elif red is ReductionType.NONSPLIT_MULTIPLICATIVE:
-        value = -1
-    else:
-        value = 0
-    with _ap_lock:
-        _ap_cache[key] = value
-    return value
+    if p in _data(curve).bad:
+        return tate_local(curve, p).a_p
+    return p + 1 - count_points(curve, p, 1)
 
 
 BSGS_SWEEP_THRESHOLD = 10**4
 
 
-def ap_sweep(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
-    """a_p for many primes at once.
+def ap_table(curve: WeierstrassCurve, p_max: int) -> tuple[list[int], list[int]]:
+    """Every prime p <= p_max, in order, and the list of their a_p.
 
-    Good primes go through the enumeration kernel up to
-    BSGS_SWEEP_THRESHOLD and through BSGS order finding above it (the
-    Mestre twist argument needs p > 457, amply satisfied); bad primes come
-    from the reduction tables.
+    Read from the curve's a_p table, which covers every prime up to the
+    largest bound asked so far; a larger bound sweeps only the primes above
+    the current one.  Good primes go through the enumeration kernel up to
+    BSGS_SWEEP_THRESHOLD and through BSGS order finding above it (the Mestre
+    twist argument needs p > 457, amply satisfied); bad primes come from
+    Tate's algorithm.
     """
-    coeffs = _minimal_int_coeffs(curve)
-    minimal, _ = curve.minimal_model()
-    inv = minimal.invariants()
-    disc, c4, c6 = int(inv.disc), int(inv.c4), int(inv.c6)
-    small = [p for p in primes if disc % p != 0 and p <= BSGS_SWEEP_THRESHOLD]
-    out = dict(zip(small, kernels.ap_sweep(*coeffs, small)))
-    for p in primes:
-        if disc % p == 0:
-            out[p] = ap(curve, p)
-        elif p > BSGS_SWEEP_THRESHOLD:
-            out[p] = kernels.ap_bsgs(c4, c6, p)
-    return out
+    data = _data(curve)
+    if p_max > data.bound:
+        new = primes_up_to(p_max)
+        del new[: len(data.primes)]
+        small = [p for p in new if data.disc % p and p <= BSGS_SWEEP_THRESHOLD]
+        swept = iter(kernels.ap_sweep(*data.coeffs, small))
+        aps = []
+        for p in new:
+            if data.disc % p == 0:
+                aps.append(tate_local(curve, p).a_p)
+            elif p <= BSGS_SWEEP_THRESHOLD:
+                aps.append(next(swept))
+            else:
+                aps.append(kernels.ap_bsgs(data.c4, data.c6, p))
+        data.primes += new
+        data.aps += aps
+        data.bound = p_max
+    cut = bisect.bisect_right(data.primes, p_max)
+    return data.primes[:cut], data.aps[:cut]
+
+
+def ap_sweep(curve: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
+    """a_p for many primes at once, read from the curve's a_p table.
+
+    A non-prime in `primes` raises NotPrime.
+    """
+    table = dict(zip(*ap_table(curve, max(primes, default=1))))
+    return {p: table[p] for p in map(require_prime, primes)}
 
 
 def bad_primes(curve: WeierstrassCurve) -> list[int]:
-    minimal, _ = curve.minimal_model()
-    return sorted(factorize(int(minimal.discriminant)))
+    return list(_data(curve).bad)
 
 
 def conductor(curve: WeierstrassCurve) -> int:
     """N = product of p^{f_p} over bad primes of the minimal model."""
-    N = 1
-    for p in bad_primes(curve):
-        N *= p ** tate_local(curve, p).f_p
-    return N
-
-
-def local_data(curve: WeierstrassCurve, p: int) -> LocalData:
-    return tate_local(curve, p)
+    data = _data(curve)
+    if data.conductor is None:
+        data.conductor = math.prod(p ** tate_local(curve, p).f_p for p in data.bad)
+    return data.conductor

@@ -8,7 +8,6 @@ point appears.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import json
 import math
@@ -21,7 +20,8 @@ from .errors import BadReduction, OutsideConvergenceRegion
 from .localdata import (
     LocalData,
     ReductionType,
-    ap_sweep,
+    ap,
+    ap_table,
     bad_primes,
     conductor,
     count_points,
@@ -46,28 +46,16 @@ class EulerFactor:
 
 
 def local_euler_factor(local: LocalData) -> EulerFactor:
-    """1 - a_p T + p T^2 at good p; 1 -/+ T multiplicative; 1 additive."""
-    if local.reduction is ReductionType.GOOD:
-        return EulerFactor(local.p, (1, -local.a_p, local.p))
-    if local.reduction is ReductionType.SPLIT_MULTIPLICATIVE:
-        return EulerFactor(local.p, (1, -1))
-    if local.reduction is ReductionType.NONSPLIT_MULTIPLICATIVE:
-        return EulerFactor(local.p, (1, 1))
-    return EulerFactor(local.p, (1,))
+    """1 - a_p T + eps(p) p T^2, with eps = 1 at good p and 0 at bad p.
 
-
-def euler_factor_at(curve: WeierstrassCurve, p: int) -> EulerFactor:
-    """Euler factor without running the full Tate algorithm."""
-    red = reduction_type(curve, p)
-    if red is ReductionType.GOOD:
-        from .localdata import ap
-
-        return EulerFactor(p, (1, -ap(curve, p), p))
-    if red is ReductionType.SPLIT_MULTIPLICATIVE:
-        return EulerFactor(p, (1, -1))
-    if red is ReductionType.NONSPLIT_MULTIPLICATIVE:
-        return EulerFactor(p, (1, 1))
-    return EulerFactor(p, (1,))
+    At bad p, a_p in {1, -1, 0} leaves 1 - T (split), 1 + T (non-split) or
+    1 (additive); trailing zero coefficients are dropped.
+    """
+    eps = 1 if local.reduction is ReductionType.GOOD else 0
+    coeffs = [1, -local.a_p, eps * local.p]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    return EulerFactor(local.p, tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -102,8 +90,8 @@ def dirichlet_coefficients(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    primes = primes_up_to(n_max)
-    ap_map = ap_sweep(curve, primes)
+    primes, aps = ap_table(curve, n_max)
+    ap_map = dict(zip(primes, aps))
     bad = set(bad_primes(curve))
     a = [0] * (n_max + 1)
     a[1] = 1
@@ -151,43 +139,20 @@ def _require_convergent(s: complex) -> complex:
     return s
 
 
-_euler_data_cache: dict = {}
-
-
-def _euler_data(curve: WeierstrassCurve, p_max: int):
-    """(primes, a_p list, bad-prime factor kinds), cached per curve.
-
-    A sweep for a smaller p_max reuses the prefix of a larger cached one.
-    """
-    key = curve.ainvs()
-    cached = _euler_data_cache.get(key)
-    if cached is None or cached[0][-1] < p_max:
-        primes = primes_up_to(p_max)
-        ap_map = ap_sweep(curve, primes)
-        bad_kind = {p: reduction_type(curve, p) for p in bad_primes(curve)}
-        cached = (primes, [ap_map[p] for p in primes], bad_kind)
-        _euler_data_cache[key] = cached
-    primes, aps, bad_kind = cached
-    cut = bisect.bisect_right(primes, p_max)
-    return primes[:cut], aps[:cut], bad_kind
-
-
 def eval_euler(curve: WeierstrassCurve, s: complex, p_max: int) -> complex:
-    """Truncated Euler product of L(E, s), for Re(s) > 3/2."""
+    """Truncated Euler product of L(E, s), for Re(s) > 3/2.
+
+    Each factor is 1 - a_p t + eps(p) p t^2 with t = p^{-s}, as in
+    `local_euler_factor`.
+    """
     s = _require_convergent(s)
     result = 1.0 + 0.0j
-    primes, aps, bad_kind = _euler_data(curve, p_max)
-    for p, a in zip(primes, aps):
+    bad = set(bad_primes(curve))
+    for p, a in zip(*ap_table(curve, p_max)):
         t = cmath.exp(-s * math.log(p))
-        kind = bad_kind.get(p)
-        if kind is None:
-            den = 1 - a * t + p * t * t
-        elif kind is ReductionType.SPLIT_MULTIPLICATIVE:
-            den = 1 - t
-        elif kind is ReductionType.NONSPLIT_MULTIPLICATIVE:
-            den = 1 + t
-        else:
-            den = 1
+        den = 1 - a * t
+        if p not in bad:
+            den += p * t * t
         result /= den
     return result
 
@@ -246,8 +211,6 @@ def weil_zeta_from_counts(counts: list[int], k: int) -> list[Fraction]:
 def _good_ap(curve: WeierstrassCurve, p: int) -> int:
     if reduction_type(curve, p) is not ReductionType.GOOD:
         raise BadReduction(f"{p} is a prime of bad reduction")
-    from .localdata import ap
-
     return ap(curve, p)
 
 

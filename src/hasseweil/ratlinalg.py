@@ -53,14 +53,6 @@ def mat_scale(a: Matrix, c) -> Matrix:
     return [[c * x for x in row] for row in a]
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
     m = [row[:] for row in a]

@@ -310,15 +310,6 @@ def wd_local_factor(wd: WeilDeligneRep) -> tuple[int, ...]:
     return tuple(out)
 
 
-def wd_local_factor_value(wd: WeilDeligneRep, s) -> mp.mpc:
-    """1 / det(1 - p^{-s} phi | invariants ∩ ker N), numerically."""
-    coeffs = wd_local_factor(wd)
-    t = mp.mpmathify(wd.p) ** (-mp.mpmathify(s))
-    den = sum(mp.mpmathify(float(c) if isinstance(c, Fraction) else c) * t**j
-              for j, c in enumerate(coeffs))
-    return 1 / den
-
-
 def frobenius_semisimplify(wd: WeilDeligneRep) -> WeilDeligneRep:
     """Replace phi by the semisimple factor of its Jordan decomposition.
 

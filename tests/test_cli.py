@@ -88,6 +88,29 @@ class TestValues:
             assert (code, out) == (2, "")
             assert "positive integer" in capsys.readouterr().err
 
+    def test_truncation_options_validated(self, capsys):
+        e37 = ["0", "0", "1", "-1", "0"]
+        for argv in (
+            ["zetacheck", *e37, "--pmax", "-3"],
+            ["zetacheck", *e37, "--pmax", "1"],
+            ["zetacheck", *e37, "--kmax", "0"],
+            ["lvalue", *e37, "--nmax", "-5"],
+            ["rank", *e37, "--nmax", "0"],
+        ):
+            code, out = run_cli(argv)
+            assert (code, out) == (2, ""), argv
+            assert "must be" in capsys.readouterr().err
+
+    def test_truncation_options_only_where_read(self):
+        e37 = ["0", "0", "1", "-1", "0"]
+        for argv in (
+            ["analyze", *e37, "--pmax", "5"],
+            ["bsd", *e37, "--nmax", "100"],
+            ["lvalue", *e37, "--kmax", "2"],
+            ["zetacheck", *e37, "--nmax", "100"],
+        ):
+            assert run_cli(argv)[0] == 2, argv
+
 
 class TestBsd:
     def test_report(self):
@@ -169,6 +192,13 @@ class TestSnf:
         path.write_text('[["2","4"],["6","8"]]')
         code, out = run_cli(["snf", "--json", "--file", str(path)])
         assert json.loads(out)["elementary_divisors"] == [2, 4]
+
+    def test_ragged_matrix_is_parse_error(self, capsys):
+        for matrix in ("[[1,2],[3]]", "[[1,2],3]"):
+            code, out = run_cli(["snf", matrix])
+            assert (code, out) == (2, "")
+            err = capsys.readouterr().err
+            assert err.startswith("parse error:") and err.count("\n") == 1
 
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         code, out = run_cli(["snf", "--file", str(tmp_path / "absent.json")])

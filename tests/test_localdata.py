@@ -276,6 +276,19 @@ class TestConductor:
             assert conductor(WeierstrassCurve(*ai)) == N
 
 
+class TestPerCurveFacts:
+    def test_facts_computed_once_per_curve(self):
+        curve = WeierstrassCurve(0, 0, 0, 0, 64)  # u = 2 image of y^2 = x^3 + 1
+        assert curve.minimal_model() is curve.minimal_model()
+        assert curve.invariants() is curve.invariants()
+        assert tate_local(curve, 3) is tate_local(curve, 3)
+        assert conductor(curve) == conductor(curve.minimal_model()[0]) == 36
+
+    def test_sweep_rejects_composites(self, e11):
+        with pytest.raises(NotPrime):
+            ap_sweep(e11, [2, 3, 4])
+
+
 class TestLocalDataSerialization:
     def test_json_roundtrip(self, e11):
         d = tate_local(e11, 11)

@@ -1,10 +1,14 @@
+import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from hasseweil import kernels
 from hasseweil import powerseries as ps
+from hasseweil.curves import WeierstrassCurve
 from hasseweil.errors import BadReduction, OutsideConvergenceRegion
 from hasseweil.localdata import tate_local
 from hasseweil.lseries import (
@@ -193,6 +197,60 @@ class TestZetaFactorization:
     def test_bad_prime_rejected(self, e37):
         with pytest.raises(BadReduction):
             zeta_factorization_check(e37, 37, 2)
+
+
+class TestPerCurveApTable:
+    E37 = (0, 0, 1, -1, 0)
+
+    def test_extending_sweeps_each_prime_once(self, monkeypatch):
+        seen = []
+        sweep, bsgs = kernels.ap_sweep, kernels.ap_bsgs
+
+        def counting_sweep(*args):
+            seen.extend(args[5])
+            return sweep(*args)
+
+        def counting_bsgs(c4, c6, p, *rest):
+            seen.append(p)
+            return bsgs(c4, c6, p, *rest)
+
+        monkeypatch.setattr(kernels, "ap_sweep", counting_sweep)
+        monkeypatch.setattr(kernels, "ap_bsgs", counting_bsgs)
+        curve = WeierstrassCurve(*self.E37)
+        warm = [
+            dirichlet_coefficients(curve, 600),
+            dirichlet_coefficients(curve, 10**4),
+            eval_euler(curve, 2.5, 10**3),
+            eval_euler(curve, 2.5, 10**5),
+        ]
+        assert len(seen) == len(set(seen)) == len(primes_up_to(10**5)) - 1
+        monkeypatch.undo()
+        cold = [
+            dirichlet_coefficients(WeierstrassCurve(*self.E37), 600),
+            dirichlet_coefficients(WeierstrassCurve(*self.E37), 10**4),
+            eval_euler(WeierstrassCurve(*self.E37), 2.5, 10**3),
+            eval_euler(WeierstrassCurve(*self.E37), 2.5, 10**5),
+        ]
+        assert warm == cold
+
+    def test_table_dies_with_the_curve(self, monkeypatch):
+        # constant a_p keep the sweep cheap under tracemalloc; what the curve
+        # retains does not depend on the values
+        monkeypatch.setattr(kernels, "ap_sweep", lambda *args: [0] * len(args[5]))
+        monkeypatch.setattr(kernels, "ap_bsgs", lambda c4, c6, p, seed=0: 0)
+        eval_euler(WeierstrassCurve(*self.E37), 2.0, 100)  # warm the code paths
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            curve = WeierstrassCurve(0, -1, 1, -10, -20)
+            eval_euler(curve, 2.0, 10**5)
+            del curve
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
 
 
 class TestPowerSeries:
