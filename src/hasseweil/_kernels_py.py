@@ -8,6 +8,8 @@ coefficients mod p, smooth or not.
 
 from __future__ import annotations
 
+import math
+
 from .numtheory import legendre_symbol, sqrt_mod_prime
 
 IMPLEMENTATION = "python"
@@ -101,7 +103,7 @@ class _Short:
 def _bsgs_all_matches(curve: _Short, P, lo: int, hi: int) -> list[int]:
     """All m in [lo, hi] with mP = O."""
     width = hi - lo
-    s = _isqrt(width) + 1
+    s = math.isqrt(width) + 1
     baby = {}
     R = None
     for i in range(s):
@@ -120,15 +122,6 @@ def _bsgs_all_matches(curve: _Short, P, lo: int, hi: int) -> list[int]:
     return sorted(set(out))
 
 
-def _isqrt(n: int) -> int:
-    x = int(n**0.5)
-    while x * x > n:
-        x -= 1
-    while (x + 1) * (x + 1) <= n:
-        x += 1
-    return x
-
-
 def ap_bsgs(c4: int, c6: int, p: int, seed: int = 0) -> int:
     """a_p at a good prime p >= 5 from the short model y^2=x^3-27c4 x-54c6.
 
@@ -142,7 +135,7 @@ def ap_bsgs(c4: int, c6: int, p: int, seed: int = 0) -> int:
     while legendre_symbol(g, p) != -1:
         g += 1
     tw = _Short(A * g * g % p, B * pow(g, 3, p) % p, p)
-    w = _isqrt(4 * p)
+    w = math.isqrt(4 * p)
     lo, hi = p + 1 - w, p + 1 + w
     state = (seed * 0x9E3779B97F4A7C15 + p) & 0xFFFFFFFFFFFFFFFF
 

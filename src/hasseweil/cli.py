@@ -151,39 +151,21 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_lvalue(args) -> int:
+def cmd_value(args) -> int:
+    """`lvalue` or `lambda`: args.evaluate(ctx, s), reported under args.key."""
     curve = _curve_from_args(args)
     ctx = _context(args, curve)
     s = _parse_complex(args.s)
-    value = analytic.l_value(ctx, s)
+    value = args.evaluate(ctx, s)
     payload = {
         "s": _fmt_complex(s),
-        "L": {"value": _fmt_complex(value.value, args.prec),
-              "err": _fmt(value.bound, 3)},
-        "conductor": ctx.N,
-        "root_number": ctx.w,
-    }
-    _emit(args, payload, [
-        f"L(E, {_fmt_complex(s)}) = {_fmt_complex(value.value, args.prec)} "
-        f"+- {_fmt(value.bound, 3)}"
-    ])
-    return 0
-
-
-def cmd_lambda(args) -> int:
-    curve = _curve_from_args(args)
-    ctx = _context(args, curve)
-    s = _parse_complex(args.s)
-    value = analytic.lambda_value(ctx, s)
-    payload = {
-        "s": _fmt_complex(s),
-        "Lambda": {"value": _fmt_complex(value.value, args.prec),
+        args.key: {"value": _fmt_complex(value.value, args.prec),
                    "err": _fmt(value.bound, 3)},
         "conductor": ctx.N,
         "root_number": ctx.w,
     }
     _emit(args, payload, [
-        f"Lambda(E, {_fmt_complex(s)}) = {_fmt_complex(value.value, args.prec)} "
+        f"{args.key}(E, {_fmt_complex(s)}) = {_fmt_complex(value.value, args.prec)} "
         f"+- {_fmt(value.bound, 3)}"
     ])
     return 0
@@ -282,16 +264,7 @@ def cmd_motive(args) -> int:
                                       "value": _fmt_complex(val, args.prec)}
             lines.append(f"L_oo({_fmt_complex(s)}) = {_fmt_complex(val, args.prec)}")
     if "wd" in data:
-        wd = realizations.WeilDeligneRep.make(
-            int(data["wd"]["p"]),
-            [[Fraction(x) for x in row] for row in data["wd"]["phi"]],
-            [[Fraction(x) for x in row] for row in data["wd"]["N"]]
-            if data["wd"].get("N")
-            else None,
-            [[Fraction(x) for x in row] for row in data["wd"]["inertia_invariants"]]
-            if data["wd"].get("inertia_invariants") is not None
-            else None,
-        )
+        wd = realizations.WeilDeligneRep.from_dict(data["wd"])
         coeffs = realizations.wd_local_factor(wd)
         payload["local_factor_denominator"] = [str(c) for c in coeffs]
         payload["compatibility"] = realizations.check_compatibility(wd)
@@ -357,13 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_nmax(p)
     p.add_argument("--s", default="1", help="complex evaluation point a+bi")
-    p.set_defaults(func=cmd_lvalue)
+    p.set_defaults(func=cmd_value, evaluate=analytic.l_value, key="L")
 
     p = sub.add_parser("lambda", help="completed Lambda(E, s)")
     add_common(p)
     add_nmax(p)
     p.add_argument("--s", default="1", help="complex evaluation point a+bi")
-    p.set_defaults(func=cmd_lambda)
+    p.set_defaults(func=cmd_value, evaluate=analytic.lambda_value, key="Lambda")
 
     p = sub.add_parser("rank", help="analytic rank")
     add_common(p)

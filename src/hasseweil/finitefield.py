@@ -2,7 +2,9 @@
 
 Elements are tuples of ints (coefficients of 1, t, t^2, ... mod the modulus
 polynomial).  Only what point counting over small prime-power fields needs:
-multiplication, quadratic-character tests, and absolute traces.
+multiplication, absolute traces, and the dense polynomial arithmetic over
+F_p (products and powers mod a monic modulus, remainders, gcds) that the
+field and Tate's algorithm share.
 """
 
 from __future__ import annotations
@@ -44,16 +46,37 @@ def _poly_pow_mod(base, e, modulus, p):
     return result
 
 
-def _poly_divides(g, f, p):
-    """Does monic g divide f over F_p? (dense low-to-high coefficient lists)"""
-    r = list(f)
+def _poly_trim(h, p):
+    """h reduced mod p with its zero leading coefficients dropped."""
+    h = [c % p for c in h]
+    while h and h[-1] == 0:
+        h.pop()
+    return h
+
+
+def _poly_rem(f, g, p):
+    """f mod g over F_p (dense low-to-high; g trimmed, so its leading
+    coefficient is a unit), trimmed."""
+    r = [c % p for c in f]
     dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
     for i in range(len(r) - 1, dg - 1, -1):
-        c = r[i]
+        c = r[i] * inv % p
         if c:
             for j in range(dg + 1):
                 r[i - dg + j] = (r[i - dg + j] - c * g[j]) % p
-    return all(c == 0 for c in r)
+    return _poly_trim(r[:dg], p)
+
+
+def _poly_gcd_mod(f, g, p):
+    """Monic gcd of dense low-to-high polynomials over F_p ([] for 0, 0)."""
+    f, g = _poly_trim(f, p), _poly_trim(g, p)
+    while g:
+        f, g = g, _poly_rem(f, g, p)
+    if not f:
+        return []
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
 
 
 def _is_irreducible(coeffs, p):
@@ -62,7 +85,7 @@ def _is_irreducible(coeffs, p):
     for d in range(1, k // 2 + 1):
         for lower in itertools.product(range(p), repeat=d):
             g = list(lower) + [1]
-            if _poly_divides(g, coeffs, p):
+            if not _poly_rem(coeffs, g, p):
                 return False
     return True
 
@@ -96,7 +119,7 @@ class GaloisField:
         self.one = tuple([1] + [0] * (k - 1))
 
     def elements(self):
-        return (tuple(c) for c in itertools.product(range(self.p), repeat=self.k))
+        return itertools.product(range(self.p), repeat=self.k)
 
     def from_int(self, n: int):
         return tuple([n % self.p] + [0] * (self.k - 1))
@@ -110,10 +133,6 @@ class GaloisField:
     def pow(self, a, e: int):
         return _poly_pow_mod(a, e, self.modulus, self.p)
 
-    def is_square(self, a) -> bool:
-        """Quadratic-character test (odd q); a must be nonzero."""
-        return self.pow(a, (self.q - 1) // 2) == self.one
-
     def trace_to_prime_field(self, a) -> int:
         """Absolute trace a + a^p + ... + a^{p^{k-1}}, as an element of F_p."""
         total = self.zero
@@ -125,13 +144,7 @@ class GaloisField:
         return total[0]
 
     def solve_quadratic_y(self, b, c) -> int:
-        """Number of y in F_q with y^2 + b y = c."""
-        if self.p != 2:
-            # complete the square: discriminant b^2 + 4c
-            disc = self.add(self.mul(b, b), self.mul(self.from_int(4), c))
-            if disc == self.zero:
-                return 1
-            return 2 if self.is_square(disc) else 0
+        """Number of y in F_q with y^2 + b y = c, for q a power of 2."""
         if b == self.zero:
             return 1  # squaring is a bijection in characteristic 2
         # substitute y = b z: z^2 + z = c / b^2; solvable iff trace is 0

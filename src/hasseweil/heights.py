@@ -26,6 +26,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .curves import CurvePoint, WeierstrassCurve
+from .intlinalg import det
 from .numtheory import factorize, valuation
 
 GUARD_DIGITS = 10
@@ -71,28 +72,7 @@ def _poly_resultant_int(f: list[int], g: list[int]) -> int:
         for j, c in enumerate(reversed(g)):
             row[i + j] = c
         rows.append(row)
-    return _int_det(rows)
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    """Exact determinant by Bareiss elimination."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return det(rows)
 
 
 def naive_height(x: Fraction) -> float:

@@ -1,4 +1,5 @@
-"""Exact integer lattice machinery: Smith normal form and friends.
+"""Exact integer lattice machinery: the integer determinant (Bareiss),
+Smith normal form and friends.
 
 Elementary row/column reduction with smallest-pivot selection keeps the
 coefficients tame at desk scale; U and V are accumulated so that
@@ -9,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from fractions import Fraction
 from math import gcd
 
 from .errors import SingularBasis
 from .ratlinalg import det as _rat_det
-from .ratlinalg import mat_inv, mat_mul, to_matrix
+from .ratlinalg import mat_inv, mat_mul, rank, to_matrix
 
 IntMatrix = list[list[int]]
 
@@ -115,8 +117,29 @@ def elementary_divisors(a: IntMatrix) -> list[int]:
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
 
+def det(m: IntMatrix) -> int:
+    """Exact determinant of a square integer matrix by Bareiss elimination."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
 def is_unimodular(m: IntMatrix) -> bool:
-    return abs(_rat_det(to_matrix(m))) == 1
+    return abs(det(m)) == 1
 
 
 def torsion_order(presentation: IntMatrix) -> int:
@@ -164,7 +187,7 @@ def cokernel_order_enumeration(presentation: IntMatrix) -> int:
     """
     rows = len(presentation)
     a = to_matrix(presentation)
-    if len(presentation[0]) != rows or _rat_det(a) == 0:
+    if len(presentation[0]) != rows or det(presentation) == 0:
         raise ValueError("enumeration oracle needs a square nonsingular matrix")
     ainv = mat_inv(a)
     generators = [
@@ -193,28 +216,33 @@ def torsion_order_minors(presentation: IntMatrix) -> int:
     d_1 ... d_k = gcd of all k x k minors with k the rank, so the product
     of the nonzero elementary divisors needs no Smith reduction.
     """
-    from .ratlinalg import rank as _rank
-
     rows = len(presentation)
     cols = len(presentation[0]) if rows else 0
-    a = to_matrix(presentation)
-    k = _rank(a)
+    k = rank(to_matrix(presentation))
     if k == 0:
         return 1
     g = 0
     for rsel in itertools.combinations(range(rows), k):
         for csel in itertools.combinations(range(cols), k):
-            minor = _rat_det([[a[i][j] for j in csel] for i in rsel])
-            g = gcd(g, abs(int(minor)))
+            g = gcd(g, det([[presentation[i][j] for j in csel] for i in rsel]))
     return g
 
 
+def _int_entry(x) -> int:
+    """A JSON integer (not a boolean) or a base-10 integer string, as int."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+", x):
+        return int(x)
+    raise ValueError(f"matrix entry {json.dumps(x)} is not an integer")
+
+
 def matrix_from_json(text: str) -> IntMatrix:
-    """Parse a JSON array of equal-length arrays of integer strings (or ints)."""
-    try:
-        rows = [[int(x) for x in row] for row in json.loads(text)]
-    except TypeError:
-        raise ValueError("matrix must be a JSON array of arrays of integers") from None
+    """Parse a JSON array of equal-length arrays of integers or integer strings."""
+    rows = json.loads(text)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("matrix must be a JSON array of arrays of integers")
+    rows = [[_int_entry(x) for x in row] for row in rows]
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("matrix rows must all have the same length")
     return rows

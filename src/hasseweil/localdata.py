@@ -4,9 +4,11 @@ Point counts over F_{p^k}, traces a_p, reduction classification, the full
 Tate algorithm (Kodaira type, conductor exponent f_p, Tamagawa number c_p,
 geometric component count m), and the global conductor.
 
-Counting strategy: exhaustive enumeration through the kernel module for
-p^k up to ENUM_LIMIT, baby-step giant-step order finding inside the Hasse
-interval for larger primes (k = 1, good reduction).
+Counting rule: a_p at a good prime comes from the kernel's enumeration sweep
+up to BSGS_SWEEP_THRESHOLD and from baby-step giant-step order finding in
+the Hasse interval above it; at a bad prime it comes from Tate's algorithm.
+#E(F_p) is p + 1 - a_p at every prime.  #E(F_{p^k}) for k > 1 enumerates
+the field, up to p^k = ENUM_LIMIT.
 
 Each curve's facts here (bad primes, Tate's algorithm per prime, the
 conductor, the a_p table) are computed once and kept on the curve.
@@ -17,16 +19,17 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 from . import kernels
 from .curves import WeierstrassCurve
 from .errors import BadReduction
-from .finitefield import GaloisField
+from .finitefield import GaloisField, _poly_gcd_mod, _poly_pow_mod
 from .numtheory import factorize, legendre_symbol, primes_up_to, require_prime, valuation
 
-ENUM_LIMIT = 10**6
+ENUM_LIMIT = 10**6  # largest field counted by enumerating its elements
 
 
 class ReductionType(str, Enum):
@@ -107,84 +110,65 @@ def _data(curve: WeierstrassCurve) -> _CurveData:
 def count_points(curve: WeierstrassCurve, p: int, k: int = 1) -> int:
     """#E(F_{p^k}) of the reduced minimal model, point at infinity included.
 
-    k = 1 counts the (possibly singular) reduction as-is; k > 1 requires
-    good reduction.
+    k = 1 is p + 1 - a_p at every prime, which at a bad prime counts the
+    singular reduction as-is (p, p + 2 or p + 1 for split, non-split and
+    additive reduction); k > 1 requires good reduction and p^k <= ENUM_LIMIT.
     """
     require_prime(p)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
-        return _count_points_k1(curve, p)
-    if reduction_type(curve, p) is not ReductionType.GOOD:
+        return p + 1 - ap(curve, p)
+    if p in _data(curve).bad:
         raise BadReduction(f"good reduction required at {p} for k > 1")
     if p**k > ENUM_LIMIT:
         raise ValueError(f"field size {p}^{k} exceeds enumeration limit")
     return _count_points_gf(_data(curve).coeffs, p, k)
 
 
-def _count_points_k1(curve, p: int) -> int:
-    data = _data(curve)
-    if p <= ENUM_LIMIT:
-        return kernels.count_points_mod_p(*data.coeffs, p)
-    red = reduction_type(curve, p)
-    if red is ReductionType.GOOD:
-        return p + 1 - kernels.ap_bsgs(data.c4, data.c6, p)
-    # singular reductions have p - 1, p + 1, or p nonsingular points,
-    # plus the one singular point
-    if red is ReductionType.SPLIT_MULTIPLICATIVE:
-        return p
-    if red is ReductionType.NONSPLIT_MULTIPLICATIVE:
-        return p + 2
-    return p + 1
-
-
 def _count_points_gf(coeffs, p: int, k: int, seed: int = 0) -> int:
-    a1, a2, a3, a4, a6 = coeffs
+    """#E(F_{p^k}) by enumerating the field.
+
+    Odd p: y^2 + (a1 x + a3) y = x^3 + a2 x^2 + a4 x + a6 has 1 + chi(D)
+    solutions y, with D = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic
+    character, read from a q-byte table of squares indexed by the base-p
+    code of an element.  p = 2: the trace test of `solve_quadratic_y`.
+    """
     gf = GaloisField(p, k, seed)
-    A1, A2, A3, A4, A6 = (gf.from_int(a) for a in coeffs)
+    a1, a2, a3, a4, a6 = coeffs
+    if p == 2:
+        A1, A2, A3, A4, A6 = (gf.from_int(a) for a in coeffs)
+        count = 1
+        for x in gf.elements():
+            x2 = gf.mul(x, x)
+            rhs = gf.add(
+                gf.add(gf.mul(x2, x), gf.mul(A2, x2)),
+                gf.add(gf.mul(A4, x), A6),
+            )
+            count += gf.solve_quadratic_y(gf.add(gf.mul(A1, x), A3), rhs)
+        return count
+    b2 = (a1 * a1 + 4 * a2) % p
+    b4x2 = (4 * a4 + 2 * a1 * a3) % p
+    b6 = (a3 * a3 + 4 * a6) % p
+    weights = [p**i for i in range(k)]
+
+    def code(a) -> int:
+        return sum(map(operator.mul, a, weights))
+
+    square = bytearray(gf.q)
+    for y in gf.elements():
+        square[code(gf.mul(y, y))] = 1
     count = 1
     for x in gf.elements():
         x2 = gf.mul(x, x)
-        rhs = gf.add(
-            gf.add(gf.mul(x2, x), gf.mul(A2, x2)),
-            gf.add(gf.mul(A4, x), A6),
-        )
-        b = gf.add(gf.mul(A1, x), A3)
-        count += gf.solve_quadratic_y(b, rhs)
+        d = [(4 * u + b2 * v + b4x2 * w) % p for u, v, w in zip(gf.mul(x2, x), x2, x)]
+        d[0] = (d[0] + b6) % p
+        c = code(d)
+        count += 1 if c == 0 else 2 * square[c]
     return count
 
 
-# -- mod-p polynomial helpers for Tate's algorithm ----------------------------
-
-
-def _poly_gcd_mod(f: list[int], g: list[int], p: int) -> list[int]:
-    """Monic gcd of dense low-to-high polynomials over F_p."""
-
-    def norm(h):
-        while h and h[-1] % p == 0:
-            h.pop()
-        return h
-
-    f, g = norm([x % p for x in f]), norm([x % p for x in g])
-    while g:
-        inv = pow(g[-1], p - 2, p)
-        # f mod g
-        f = f[:]
-        while len(f) >= len(g):
-            c = f[-1] * inv % p
-            if c:
-                off = len(f) - len(g)
-                for i, gc in enumerate(g):
-                    f[off + i] = (f[off + i] - c * gc) % p
-            f.pop()
-            f = norm(f)
-            if not f:
-                break
-        f, g = g, f
-    if not f:
-        return []
-    inv = pow(f[-1], p - 2, p)
-    return [c * inv % p for c in f]
+# -- cubics and quadratics mod p for Tate's algorithm -------------------------
 
 
 def _count_roots_cubic(c2: int, c1: int, c0: int, p: int) -> int:
@@ -193,46 +177,11 @@ def _count_roots_cubic(c2: int, c1: int, c0: int, p: int) -> int:
         return sum(
             1 for x in range(p) if (((x + c2) * x + c1) * x + c0) % p == 0
         )
-    # gcd(x^p - x, f) degree
-    f = [c0 % p, c1 % p, c2 % p, 1]
-    xp = _poly_powmod_x(p, f, p)
-    xp_minus_x = xp[:]
-    while len(xp_minus_x) < 2:
-        xp_minus_x.append(0)
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
+    # degree of gcd(x^p - x, f)
+    f = (c0 % p, c1 % p, c2 % p, 1)
+    xp_minus_x = list(_poly_pow_mod((0, 1, 0), p, f, p))
+    xp_minus_x[1] -= 1
     return max(0, len(_poly_gcd_mod(xp_minus_x, f, p)) - 1)
-
-
-def _poly_powmod_x(e: int, modpoly: list[int], p: int) -> list[int]:
-    """x^e mod (modpoly, p), dense low-to-high."""
-
-    def mulmod(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        # reduce
-        k = len(modpoly) - 1
-        inv = pow(modpoly[-1], p - 2, p)
-        for i in range(len(out) - 1, k - 1, -1):
-            c = out[i] * inv % p
-            if c:
-                for j in range(k + 1):
-                    out[i - k + j] = (out[i - k + j] - c * modpoly[j]) % p
-        out = out[:k]
-        while len(out) < k:
-            out.append(0)
-        return out
-
-    result = [1] + [0] * (len(modpoly) - 2)
-    base = [0, 1] + [0] * (len(modpoly) - 3) if len(modpoly) > 3 else [0, 1]
-    while e:
-        if e & 1:
-            result = mulmod(result, base)
-        base = mulmod(base, base)
-        e >>= 1
-    return result
 
 
 def _cubic_analysis(c2: int, c1: int, c0: int, p: int):
@@ -254,9 +203,7 @@ def _cubic_analysis(c2: int, c1: int, c0: int, p: int):
                     return ("triple", r)
                 return ("double", r)
         return ("distinct", len(roots))
-    f = [c0, c1, c2, 1]
-    fp = [c1 % p, 2 * c2 % p, 3 % p]
-    g = _poly_gcd_mod(f, fp, p)
+    g = _poly_gcd_mod([c0, c1, c2, 1], [c1, 2 * c2, 3], p)
     if len(g) <= 1:
         return ("distinct", _count_roots_cubic(c2, c1, c0, p))
     if len(g) == 2:  # linear: one double root
@@ -523,40 +470,40 @@ def reduction_type(curve: WeierstrassCurve, p: int) -> ReductionType:
 def ap(curve: WeierstrassCurve, p: int) -> int:
     """Trace of Frobenius at good p; the standard {1, -1, 0} at bad p."""
     require_prime(p)
-    if p in _data(curve).bad:
+    data = _data(curve)
+    if p in data.bad:
         return tate_local(curve, p).a_p
-    return p + 1 - count_points(curve, p, 1)
+    return _good_aps(data, [p])[0]
 
 
 BSGS_SWEEP_THRESHOLD = 10**4
+
+
+def _good_aps(data: _CurveData, primes: list[int]) -> list[int]:
+    """a_p at good primes, given in increasing order: the enumeration sweep
+    up to BSGS_SWEEP_THRESHOLD, BSGS order finding above it (the Mestre
+    twist argument needs p > 457, amply satisfied)."""
+    cut = bisect.bisect_right(primes, BSGS_SWEEP_THRESHOLD)
+    swept = kernels.ap_sweep(*data.coeffs, primes[:cut]) if cut else []
+    return swept + [kernels.ap_bsgs(data.c4, data.c6, p) for p in primes[cut:]]
 
 
 def ap_table(curve: WeierstrassCurve, p_max: int) -> tuple[list[int], list[int]]:
     """Every prime p <= p_max, in order, and the list of their a_p.
 
     Read from the curve's a_p table, which covers every prime up to the
-    largest bound asked so far; a larger bound sweeps only the primes above
-    the current one.  Good primes go through the enumeration kernel up to
-    BSGS_SWEEP_THRESHOLD and through BSGS order finding above it (the Mestre
-    twist argument needs p > 457, amply satisfied); bad primes come from
-    Tate's algorithm.
+    largest bound asked so far; a larger bound counts only the primes above
+    the current one.  Good primes are counted by `_good_aps`; bad primes
+    come from Tate's algorithm.
     """
     data = _data(curve)
     if p_max > data.bound:
         new = primes_up_to(p_max)
         del new[: len(data.primes)]
-        small = [p for p in new if data.disc % p and p <= BSGS_SWEEP_THRESHOLD]
-        swept = iter(kernels.ap_sweep(*data.coeffs, small))
-        aps = []
-        for p in new:
-            if data.disc % p == 0:
-                aps.append(tate_local(curve, p).a_p)
-            elif p <= BSGS_SWEEP_THRESHOLD:
-                aps.append(next(swept))
-            else:
-                aps.append(kernels.ap_bsgs(data.c4, data.c6, p))
+        good = iter(_good_aps(data, [p for p in new if data.disc % p]))
+        data.aps += [next(good) if data.disc % p else tate_local(curve, p).a_p
+                     for p in new]
         data.primes += new
-        data.aps += aps
         data.bound = p_max
     cut = bisect.bisect_right(data.primes, p_max)
     return data.primes[:cut], data.aps[:cut]

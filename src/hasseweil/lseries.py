@@ -25,7 +25,6 @@ from .localdata import (
     bad_primes,
     conductor,
     count_points,
-    reduction_type,
 )
 from .numtheory import primes_up_to
 
@@ -209,7 +208,7 @@ def weil_zeta_from_counts(counts: list[int], k: int) -> list[Fraction]:
 
 
 def _good_ap(curve: WeierstrassCurve, p: int) -> int:
-    if reduction_type(curve, p) is not ReductionType.GOOD:
+    if p in bad_primes(curve):
         raise BadReduction(f"{p} is a prime of bad reduction")
     return ap(curve, p)
 

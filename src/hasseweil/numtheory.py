@@ -113,15 +113,6 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of |n|."""
-    fac = factorize(n)
-    out = [1]
-    for p, e in fac.items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def sigma0(n: int) -> int:
     """Number of positive divisors."""
     result = 1

@@ -113,11 +113,6 @@ def mat_inv(a: Matrix) -> Matrix:
     return [row[n:] for row in red]
 
 
-def solve(a: Matrix, rhs: Matrix) -> Matrix:
-    """Solve a @ X = rhs exactly (a square invertible)."""
-    return mat_mul(mat_inv(a), rhs)
-
-
 def nullspace(a: Matrix) -> Matrix:
     """Basis of the kernel, as a list of column vectors (each a list)."""
     if not a:

@@ -19,6 +19,7 @@ from .ratlinalg import (
     Matrix,
     charpoly,
     column_space_basis,
+    det,
     identity,
     intersect_spans,
     is_nilpotent,
@@ -30,6 +31,7 @@ from .ratlinalg import (
     mat_vec,
     nullspace,
     rank,
+    rref,
     span_contains,
     subspace_eq,
     to_matrix,
@@ -181,8 +183,6 @@ class WeilDeligneRep:
         phi_m = to_matrix(phi)
         d = len(phi_m)
         N_m = to_matrix(N) if N is not None else zeros(d, d)
-        from .ratlinalg import det
-
         if det(phi_m) == 0:
             raise ValueError("phi must be invertible")
         if not is_nilpotent(N_m):
@@ -260,32 +260,36 @@ def tate_twist_wd(wd: WeilDeligneRep, k: int) -> WeilDeligneRep:
         wd.p,
         phi,
         wd.n_matrix(),
-        [list(r) for r in wd.inertia_invariants]
-        if wd.inertia_invariants is not None
-        else None,
+        wd.inertia_invariants,
     )
 
 
-def _restrict(matrix: Matrix, basis: list[list[Fraction]]) -> Matrix:
-    """Matrix of the action on span(basis), which must be stable."""
-    if not basis:
-        return []
-    cols = [[basis[j][i] for j in range(len(basis))] for i in range(len(basis[0]))]
-    images = [mat_vec(matrix, list(v)) for v in basis]
-    # solve basis^T * X = images^T  (coefficients of images in the basis)
-    bt = [list(col) for col in zip(*[list(b) for b in basis])]
-    it = [list(col) for col in zip(*images)]
-    # least-structure exact solve via RREF on the stacked system
-    k = len(basis)
-    aug = [row[:] + irow[:] for row, irow in zip(bt, it)]
-    from .ratlinalg import rref
+def _quotient_action(matrix: Matrix, basis_k, basis_below) -> Matrix:
+    """Action induced on span(basis_k) / span(basis_below).
 
+    span(basis_k) must be stable under the matrix and basis_below must be
+    independent and inside it; with basis_below empty this is the
+    restriction to span(basis_k).
+    """
+    # extend basis_below to a basis of span(basis_k) by a complement
+    current = [list(v) for v in basis_below]
+    complement = []
+    for v in basis_k:
+        if not span_contains(current, v):
+            complement.append(list(v))
+            current.append(list(v))
+    if not complement:
+        return []
+    # coefficients of the complement's images in basis_below + complement
+    images = [mat_vec(matrix, v) for v in complement]
+    nb = len(current)
+    aug = [list(brow) + list(irow) for brow, irow in zip(zip(*current), zip(*images))]
     red, pivots = rref(aug)
-    if len(pivots) != k or any(pc >= k for pc in pivots):
+    if len(pivots) != nb or any(pc >= nb for pc in pivots):
         raise ValueError("subspace not stable under the matrix")
-    sol = [row[k:] for row in red[:k]]
-    # sol is X with basis^T X = images^T, i.e. restricted matrix transposed
-    return [list(row) for row in zip(*sol)]
+    # the complement block of the solution is the quotient action, transposed
+    block = [row[nb:] for row in red[len(basis_below):nb]]
+    return [list(row) for row in zip(*block)]
 
 
 def wd_local_factor(wd: WeilDeligneRep) -> tuple[int, ...]:
@@ -299,7 +303,7 @@ def wd_local_factor(wd: WeilDeligneRep) -> tuple[int, ...]:
     space = intersect_spans([list(b) for b in inv_basis], ker)
     if not space:
         return (1,)
-    restricted = _restrict(wd.phi_matrix(), space)
+    restricted = _quotient_action(wd.phi_matrix(), space, [])
     cp = charpoly(restricted)  # X^k + c1 X^{k-1} + ... + ck
     k = len(cp) - 1
     # det(1 - T phi) = T^k * charpoly(1/T) = sum_j c_j T^j with c_0 = 1
@@ -332,9 +336,7 @@ def frobenius_semisimplify(wd: WeilDeligneRep) -> WeilDeligneRep:
         wd.p,
         X,
         wd.n_matrix(),
-        [list(r) for r in wd.inertia_invariants]
-        if wd.inertia_invariants is not None
-        else None,
+        wd.inertia_invariants,
     )
 
 
@@ -369,7 +371,6 @@ def _poly_gcd_q(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
             for i in range(len(g)):
                 f[i] -= c * g[i]
             f = norm(f[1:] if f and f[0] == 0 else f)
-            f = norm(f)
             if len(f) < len(g):
                 break
         f, g = g, f
@@ -552,8 +553,6 @@ def check_filtration_properties(N_matrix, filtration: MonodromyFiltration) -> bo
             img = mat_vec(N, v)
             if any(img) and (not target or not span_contains(target, img)):
                 return False
-            if not any(img):
-                continue
     for k in range(1, d + 1):
         if filtration.graded_dimension(k) != filtration.graded_dimension(-k):
             return False
@@ -563,7 +562,6 @@ def check_filtration_properties(N_matrix, filtration: MonodromyFiltration) -> bo
         if gk == 0:
             continue
         basis_k = filtration.basis(k)
-        belowupper = filtration.basis(k - 1)
         lower = filtration.basis(-k - 1)
         Nk = mat_pow(N, k)
         images = [mat_vec(Nk, v) for v in basis_k]
@@ -656,37 +654,3 @@ def check_purity(wd: WeilDeligneRep, n: int, tol: float = 1e-9) -> bool:
                 if abs(m - target) > tol * max(1, target):
                     return False
     return True
-
-
-def _quotient_action(matrix: Matrix, basis_k, basis_below) -> Matrix:
-    """Action induced on span(basis_k) / span(basis_below)."""
-    full = ([list(v) for v in basis_below]) + [
-        v for v in basis_k if not span_contains(basis_below, v)
-    ] if basis_below else [list(v) for v in basis_k]
-    # choose complement vectors extending basis_below to basis_k
-    complement = []
-    current = [list(v) for v in basis_below] if basis_below else []
-    for v in basis_k:
-        if not current or not span_contains(current, v):
-            complement.append(list(v))
-            current.append(list(v))
-    if not complement:
-        return []
-    k = len(complement)
-    # express images of complement vectors in basis_below + complement
-    span_basis = ([list(v) for v in basis_below] if basis_below else []) + complement
-    bt = [list(col) for col in zip(*span_basis)]
-    images = [mat_vec(matrix, v) for v in complement]
-    it = [list(col) for col in zip(*images)]
-    from .ratlinalg import rref
-
-    nb = len(span_basis)
-    aug = [row[:] + irow[:] for row, irow in zip(bt, it)]
-    red, pivots = rref(aug)
-    if len(pivots) < nb or any(pc >= nb for pc in pivots[:nb]):
-        raise ValueError("filtration step not stable under the matrix")
-    sol = [row[nb:] for row in red[:nb]]
-    lower_count = len(basis_below) if basis_below else 0
-    # restrict to the complement block (quotient by the lower part)
-    block = [sol[lower_count + i] for i in range(k)]
-    return [list(row) for row in zip(*block)]

@@ -200,6 +200,15 @@ class TestSnf:
             err = capsys.readouterr().err
             assert err.startswith("parse error:") and err.count("\n") == 1
 
+    def test_non_integer_entries_are_parse_errors(self, capsys):
+        for matrix in ('[[1.5,2],[3,true]]', '[[1,2],[3,true]]', '[[2.0]]',
+                       '[["1.5"]]', '[["0x10"]]', '[[" 7"]]', '[[null]]', '"12"'):
+            code, out = run_cli(["snf", "--json", matrix])
+            assert (code, out) == (2, ""), matrix
+            assert capsys.readouterr().err.startswith("parse error:")
+        code, out = run_cli(["snf", "--json", '[["-12", "+3"], [4, 0]]'])
+        assert code == 0 and json.loads(out)["torsion_order"] == 12
+
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         code, out = run_cli(["snf", "--file", str(tmp_path / "absent.json")])
         assert (code, out) == (2, "")

@@ -1,0 +1,109 @@
+"""Dead-definition guard for the package.
+
+Every top-level function and class in `src/hasseweil/*.py` must be loaded by
+name, imported, reached as an attribute, or named by a string (as `getattr`
+and the benchmark's tracer do) somewhere in the package, its tests or the
+benchmark.  A load of a name that the enclosing function binds itself is
+the local, not the module-level definition.  Class bodies and
+comprehensions are not treated as scopes, so a local there can hide a dead
+definition, but a used one is never reported.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hasseweil"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _locals(fn) -> set[str]:
+    """Names a function or lambda binds in its own scope."""
+    a = fn.args
+    names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+    names |= {arg.arg for arg in (a.vararg, a.kwarg) if arg}
+    declared_global: set[str] = set()
+    stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Global):
+            declared_global.update(node.names)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return names - declared_global
+
+
+class _Uses(ast.NodeVisitor):
+    """Every name a module refers to other than through a local binding."""
+
+    def __init__(self):
+        self.used: set[str] = set()
+        self.scopes: list[set[str]] = []
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and not any(node.id in s for s in self.scopes):
+            self.used.add(node.id)
+
+    def visit_Attribute(self, node):
+        self.used.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        self.used.add(node.name)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str):
+            self.used.add(node.value)
+
+    def _scope(self, fn, body):
+        # decorators, defaults and annotations belong to the enclosing scope
+        for decorator in getattr(fn, "decorator_list", []):
+            self.visit(decorator)
+        self.visit(fn.args)
+        if getattr(fn, "returns", None):
+            self.visit(fn.returns)
+        self.scopes.append(_locals(fn))
+        for node in body:
+            self.visit(node)
+        self.scopes.pop()
+
+    def visit_FunctionDef(self, node):
+        self._scope(node, node.body)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        self._scope(node, [node.body])
+
+
+def _used_names() -> set[str]:
+    uses = _Uses()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "tests").rglob("*.py"),
+                 *(ROOT / "perfbench").rglob("*.py")]:
+        uses.visit(_parse(path))
+    return uses.used
+
+
+def test_every_top_level_definition_is_used():
+    used = _used_names()
+    dead = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in _parse(path).body
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and node.name not in used
+    ]
+    assert dead == []

@@ -8,17 +8,20 @@ from hasseweil.curves import WeierstrassCurve
 from hasseweil.errors import BadReduction, NotPrime
 from hasseweil.finitefield import GaloisField, irreducible_polynomial
 from hasseweil.localdata import (
+    BSGS_SWEEP_THRESHOLD,
     ReductionType,
     _count_points_gf,
     _tate_at_prime,
     ap,
     ap_sweep,
+    ap_table,
     bad_primes,
     conductor,
     count_points,
     reduction_type,
     tate_local,
 )
+from hasseweil.lseries import frobenius_power_sums
 from hasseweil.numtheory import primes_up_to
 
 
@@ -57,6 +60,10 @@ class TestCounting:
         assert count_points(e37, 2, 3) == 5
         assert count_points(e37, 3, 3) == 28
         assert count_points(e37, 5, 2) == 32
+        for p in (5, 7):
+            s3 = frobenius_power_sums(ap(e37, p), p, 3)[2]
+            for seed in (0, 1, 2):
+                assert _count_points_gf((0, 0, 1, -1, 0), p, 3, seed) == p**3 + 1 - s3
 
     def test_extension_field_requires_good_reduction(self, e37):
         with pytest.raises(BadReduction):
@@ -114,6 +121,21 @@ class TestAp:
         for p in primes:
             assert swept[p] == ap(e11, p)
 
+    def test_pointwise_uses_the_table_rule_above_threshold(self, monkeypatch):
+        # one counting rule: above BSGS_SWEEP_THRESHOLD, ap() uses BSGS just
+        # as the a_p table does, and never enumerates the prime field
+        curve = WeierstrassCurve(0, 0, 1, -1, 0)
+        p = next(q for q in primes_up_to(2 * BSGS_SWEEP_THRESHOLD)
+                 if q > BSGS_SWEEP_THRESHOLD)
+
+        def refuse(*args):
+            raise AssertionError("enumerated F_p above the switch point")
+
+        monkeypatch.setattr(kernels, "count_points_mod_p", refuse)
+        value = ap(curve, p)
+        primes, aps = ap_table(WeierstrassCurve(0, 0, 1, -1, 0), p)
+        assert primes[-1] == p and aps[-1] == value
+
 
 class TestReductionType:
     def test_e37(self, e37):
@@ -128,10 +150,13 @@ class TestReductionType:
         assert reduction_type(e36, 2) is ReductionType.ADDITIVE
 
     def test_nonsingular_count_convention(self, reference_curves):
-        # split <=> p points total, nonsplit <=> p + 2, additive <=> p + 1
+        # split <=> p points total, nonsplit <=> p + 2, additive <=> p + 1,
+        # and each total matches a direct count on the minimal model
         for curve in reference_curves.values():
+            minimal = [int(a) for a in curve.minimal_model()[0].ainvs()]
             for p in bad_primes(curve):
                 total = count_points(curve, p)
+                assert total == _kernels_py.count_points_mod_p(*minimal, p)
                 red = reduction_type(curve, p)
                 if red is ReductionType.SPLIT_MULTIPLICATIVE:
                     assert total == p

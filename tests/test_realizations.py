@@ -12,6 +12,7 @@ from hasseweil.numtheory import primes_up_to
 from hasseweil.realizations import (
     HodgeData,
     WeilDeligneRep,
+    _quotient_action,
     check_compatibility,
     check_filtration_properties,
     check_purity,
@@ -157,6 +158,12 @@ class TestWeilDeligne:
     def test_invertibility_enforced(self):
         with pytest.raises(ValueError):
             WeilDeligneRep.make(2, [[1, 0], [0, 0]])
+
+    def test_unstable_subspace_rejected(self):
+        swap = [[0, 1], [1, 0]]
+        with pytest.raises(ValueError):
+            _quotient_action(swap, [(1, 0)], [])
+        assert _quotient_action(swap, [(1, 1)], []) == [[1]]
 
     def test_twist_shifts_local_factor(self):
         wd = WeilDeligneRep.make(3, [[0, -3], [1, -1]])
