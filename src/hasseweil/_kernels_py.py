@@ -1,9 +1,9 @@
-"""Pure-Python point-counting kernel.
+"""The point-counting kernel, in pure Python (reached through `kernels`).
 
-Same contract as the compiled `_kernels` extension; used as the fallback
-when the extension is unavailable.  Counts are projective (the point at
-infinity is included) and are taken on the reduction of the given integer
-coefficients mod p, smooth or not.
+Counts are projective (the point at infinity is included) and are taken on
+the reduction of the given integer coefficients mod p, smooth or not.
+Enumeration serves small primes; baby-step giant-step order finding serves
+the primes above Mestre's bound 457.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 
 from .numtheory import legendre_symbol, sqrt_mod_prime
-
-IMPLEMENTATION = "python"
 
 
 def count_points_mod_p(a1: int, a2: int, a3: int, a4: int, a6: int, p: int) -> int:
@@ -81,14 +79,11 @@ class _Short:
         if x1 == x2:
             if (y1 + y2) % p == 0:
                 return None
-            lam = (3 * x1 * x1 + self.A) * pow(2 * y1, p - 2, p) % p
+            lam = (3 * x1 * x1 + self.A) * pow(2 * y1, -1, p) % p
         else:
-            lam = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
         x3 = (lam * lam - x1 - x2) % p
         return (x3, (lam * (x1 - x3) - y1) % p)
-
-    def neg(self, P):
-        return None if P is None else (P[0], (-P[1]) % self.p)
 
     def mul(self, n, P):
         R, add = None, P
@@ -101,25 +96,48 @@ class _Short:
 
 
 def _bsgs_all_matches(curve: _Short, P, lo: int, hi: int) -> list[int]:
-    """All m in [lo, hi] with mP = O."""
-    width = hi - lo
-    s = math.isqrt(width) + 1
-    baby = {}
-    R = None
-    for i in range(s):
-        baby.setdefault(R, []).append(i)
-        R = curve.add(R, P)
-    Q = curve.mul(lo, P)
+    """All m in [lo, hi] with mP = O, in increasing order.
+
+    Shanks-Mestre matching on x-coordinates (Cohen, GTM 138, Alg. 7.4.12):
+    baby steps iP, i = 1..s, are keyed by x(iP); the giant steps visit cP
+    for centers c spaced 2s + 1 apart, and x(cP) = x(iP) means cP = iP
+    (so m = c - i) or cP = -iP (m = c + i), told apart by y; when
+    y(iP) = 0 both hold.  If iP = O, or x(jP) = x(iP) for some i < j
+    (then jP = -iP), the baby steps have found the order n of P, and the
+    answer is the multiples of n in [lo, hi].
+    """
+    s = math.isqrt((hi - lo) // 2) + 1
+    baby: dict[int, tuple[int, int]] = {}
+    R = P
+    for i in range(1, s + 1):
+        if R is None:
+            return _multiples(i, lo, hi)
+        x, y = R
+        if x in baby:
+            return _multiples(baby[x][0] + i, lo, hi)
+        baby[x] = (i, y)
+        last, R = R, curve.add(R, P)
+    stride = curve.add(last, R)  # (2s + 1)P
+    p = curve.p
     out = []
-    k = 0
-    while k * s <= width:
-        for i in baby.get(curve.neg(Q), []):
-            m = lo + k * s + i
-            if lo <= m <= hi:
-                out.append(m)
-        Q = curve.add(Q, R)
-        k += 1
-    return sorted(set(out))
+    c = lo + s
+    Q = curve.mul(c, P)
+    while c - s <= hi:
+        if Q is None:
+            out.append(c)
+        elif (hit := baby.get(Q[0])) is not None:
+            i, y = hit
+            if y == Q[1]:
+                out.append(c - i)
+            if (y + Q[1]) % p == 0:
+                out.append(c + i)
+        Q = curve.add(Q, stride)
+        c += 2 * s + 1
+    return [m for m in out if m <= hi]
+
+
+def _multiples(n: int, lo: int, hi: int) -> list[int]:
+    return list(range(-(-lo // n) * n, hi + 1, n))
 
 
 def ap_bsgs(c4: int, c6: int, p: int, seed: int = 0) -> int:
@@ -127,7 +145,8 @@ def ap_bsgs(c4: int, c6: int, p: int, seed: int = 0) -> int:
 
     Deterministic order finding: random points on the curve and its
     quadratic twist shrink the set of admissible orders in the Hasse
-    interval until one remains.
+    interval until one remains.  By Mestre's theorem one always remains
+    for p > 457; below that the search may end in ArithmeticError.
     """
     A, B = (-27 * c4) % p, (-54 * c6) % p
     E = _Short(A, B, p)

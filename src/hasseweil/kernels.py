@@ -1,28 +1,15 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The point-counting kernel: the hot loops of the a_p computation.
 
-`backend()` reports which twin is active; both expose
-`count_points_mod_p` and `ap_sweep` with identical semantics.
+The implementation lives in `_kernels_py`; this module is the name the rest
+of the package calls through, so that a caller (or a test) can replace one
+kernel entry point without touching the others.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels_py
-
-if os.environ.get("HASSEWEIL_PURE_PYTHON"):
-    _impl = _kernels_py
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_py
-
-count_points_mod_p = _impl.count_points_mod_p
-ap_sweep = _impl.ap_sweep
-ap_bsgs = _impl.ap_bsgs
+from ._kernels_py import ap_bsgs, ap_sweep, count_points_mod_p
 
 
 def backend() -> str:
-    """Name of the active kernel implementation ("cython" or "python")."""
-    return _impl.IMPLEMENTATION
+    """Name of the kernel implementation; there is one, in pure Python."""
+    return "python"

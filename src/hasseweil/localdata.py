@@ -81,8 +81,9 @@ class LocalData:
 class _CurveData:
     """Facts about one curve's minimal model, kept on the curve as `_local`.
 
-    `local` memoizes Tate's algorithm per prime.  `primes` and `aps` are the
-    a_p table: every prime up to `bound`, in order, and its a_p.
+    `local` memoizes Tate's algorithm per prime and `counts` the field
+    counts #E(F_{p^k}), k > 1, by (p, k).  `primes` and `aps` are the a_p
+    table: every prime up to `bound`, in order, and its a_p.
     """
 
     def __init__(self, curve: WeierstrassCurve):
@@ -93,6 +94,7 @@ class _CurveData:
         self.bad = sorted(factorize(self.disc))
         self.conductor: int | None = None
         self.local: dict[int, LocalData] = {}
+        self.counts: dict[tuple[int, int], int] = {}
         self.bound = 1
         self.primes: list[int] = []
         self.aps: list[int] = []
@@ -119,11 +121,14 @@ def count_points(curve: WeierstrassCurve, p: int, k: int = 1) -> int:
         raise ValueError("k must be >= 1")
     if k == 1:
         return p + 1 - ap(curve, p)
-    if p in _data(curve).bad:
+    data = _data(curve)
+    if p in data.bad:
         raise BadReduction(f"good reduction required at {p} for k > 1")
     if p**k > ENUM_LIMIT:
         raise ValueError(f"field size {p}^{k} exceeds enumeration limit")
-    return _count_points_gf(_data(curve).coeffs, p, k)
+    if (p, k) not in data.counts:
+        data.counts[p, k] = _count_points_gf(data.coeffs, p, k)
+    return data.counts[p, k]
 
 
 def _count_points_gf(coeffs, p: int, k: int, seed: int = 0) -> int:
@@ -209,7 +214,7 @@ def _cubic_analysis(c2: int, c1: int, c0: int, p: int):
     if len(g) == 2:  # linear: one double root
         return ("double", (-g[0]) % p)
     # g quadratic: triple root, g = (x - r)^2
-    r = (-g[1] * pow(2, p - 2, p)) % p
+    r = (-g[1] * pow(2, -1, p)) % p
     return ("triple", r)
 
 
@@ -232,7 +237,7 @@ def _quad_double_root(alpha: int, beta: int, gamma: int, p: int) -> int:
     if p == 2:
         # beta even: alpha Y^2 + gamma = alpha (Y^2 + gamma/alpha)
         return (gamma * alpha) % 2
-    return (-beta) * pow(2 * alpha, p - 2, p) % p
+    return (-beta) * pow(2 * alpha, -1, p) % p
 
 
 # -- Tate's algorithm ----------------------------------------------------------
@@ -447,23 +452,10 @@ def tate_local(curve: WeierstrassCurve, p: int) -> LocalData:
 
 
 def reduction_type(curve: WeierstrassCurve, p: int) -> ReductionType:
-    """Classification by minimal discriminant, c4, and nonsingular counts."""
+    """GOOD when p does not divide the minimal discriminant, else Tate's."""
     require_prime(p)
-    data = _data(curve)
-    if data.disc % p != 0:
+    if _data(curve).disc % p != 0:
         return ReductionType.GOOD
-    if data.c4 % p == 0:
-        return ReductionType.ADDITIVE
-    # multiplicative: the singular reduction has p - a_p nonsingular points,
-    # a_p = +1 split / -1 non-split; total count (with the node) is p or p+2
-    if p <= ENUM_LIMIT:
-        total = kernels.count_points_mod_p(*data.coeffs, p)
-        return (
-            ReductionType.SPLIT_MULTIPLICATIVE
-            if total == p
-            else ReductionType.NONSPLIT_MULTIPLICATIVE
-        )
-    # large p: fall back on the tangent-direction test inside Tate
     return tate_local(curve, p).reduction
 
 
@@ -476,13 +468,18 @@ def ap(curve: WeierstrassCurve, p: int) -> int:
     return _good_aps(data, [p])[0]
 
 
-BSGS_SWEEP_THRESHOLD = 10**4
+BSGS_SWEEP_THRESHOLD = 457
+"""Largest prime whose a_p is counted by enumerating F_p.
+
+457 is Mestre's bound, not a tuning: for p > 457 the curve or its quadratic
+twist has a point whose order has exactly one multiple in the Hasse
+interval, which is what lets `kernels.ap_bsgs` isolate #E(F_p).
+"""
 
 
 def _good_aps(data: _CurveData, primes: list[int]) -> list[int]:
     """a_p at good primes, given in increasing order: the enumeration sweep
-    up to BSGS_SWEEP_THRESHOLD, BSGS order finding above it (the Mestre
-    twist argument needs p > 457, amply satisfied)."""
+    up to BSGS_SWEEP_THRESHOLD, BSGS order finding above it."""
     cut = bisect.bisect_right(primes, BSGS_SWEEP_THRESHOLD)
     swept = kernels.ap_sweep(*data.coeffs, primes[:cut]) if cut else []
     return swept + [kernels.ap_bsgs(data.c4, data.c6, p) for p in primes[cut:]]

@@ -140,6 +140,30 @@ class TestZetacheck:
         assert payload["all_ok"] is True
         assert [c["p"] for c in payload["checks"]] == [2, 3, 5, 7]
 
+    def test_counts_each_extension_field_once(self, monkeypatch):
+        # the trace-formula and zeta-factorization checks read the same
+        # #E(F_{p^k}); the curve keeps it, so each field is enumerated once
+        from hasseweil import localdata
+
+        calls = []
+        count = localdata._count_points_gf
+
+        def counting(coeffs, p, k, *rest):
+            calls.append((p, k))
+            return count(coeffs, p, k, *rest)
+
+        monkeypatch.setattr(localdata, "_count_points_gf", counting)
+        code, out = run_cli(
+            ["zetacheck", "0", "0", "1", "-1", "0", "--pmax", "7", "--kmax", "3", "--json"]
+        )
+        assert code == 0
+        assert sorted(calls) == [(p, k) for p in (2, 3, 5, 7) for k in (2, 3)]
+        checks = ", ".join(
+            f'{{"p": {p}, "trace_formula": true, "zeta_factorization": true}}'
+            for p in (2, 3, 5, 7)
+        )
+        assert out == f'{{"all_ok": true, "checks": [{checks}], "kmax": 3}}\n'
+
 
 class TestMotive:
     def test_gamma_triples(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from hasseweil.localdata import (
     tate_local,
 )
 from hasseweil.lseries import frobenius_power_sums
-from hasseweil.numtheory import primes_up_to
+from hasseweil.numtheory import is_prime, primes_up_to, sqrt_mod_prime
 
 
 class TestCounting:
@@ -70,12 +71,25 @@ class TestCounting:
             count_points(e37, 37, 2)
 
     def test_bsgs_matches_enumeration(self, e37):
-        inv = e37.invariants()
-        for p in primes_up_to(400):
-            if p < 5 or p == 37:
+        # BSGS serves every good p > BSGS_SWEEP_THRESHOLD; enumerating F_p
+        # is the oracle, on 37a from p = 5 and on random curves above 457
+        curves = [(e37, 5)]
+        rng = random.Random(11)
+        while len(curves) < 4:
+            try:
+                curve = WeierstrassCurve(*(rng.randint(-20, 20) for _ in range(5)))
+            except Exception:
                 continue
-            enum = count_points(e37, p)
-            assert p + 1 - kernels.ap_bsgs(int(inv.c4), int(inv.c6), p) == enum
+            curves.append((curve, BSGS_SWEEP_THRESHOLD + 1))
+        for curve, p_min in curves:
+            minimal = curve.minimal_model()[0]
+            ai = [int(a) for a in minimal.ainvs()]
+            inv = minimal.invariants()
+            for p in primes_up_to(3000):
+                if p < p_min or p in bad_primes(curve):
+                    continue
+                enum = kernels.count_points_mod_p(*ai, p)
+                assert p + 1 - kernels.ap_bsgs(int(inv.c4), int(inv.c6), p) == enum, (ai, p)
 
     def test_large_prime_count(self, e37):
         p = 1000003
@@ -83,23 +97,70 @@ class TestCounting:
         assert (p + 1 - n) ** 2 <= 4 * p
 
 
-class TestKernelTwins:
-    def test_count_agreement(self):
-        rng = random.Random(1)
-        for p in primes_up_to(60):
-            ai = [rng.randint(-5, 5) for _ in range(5)]
-            assert kernels.count_points_mod_p(
-                *ai, p
-            ) == _kernels_py.count_points_mod_p(*ai, p)
+def _random_point(curve, rng):
+    p = curve.p
+    while True:
+        x = rng.randrange(p)
+        y = sqrt_mod_prime((x * x * x + curve.A * x + curve.B) % p, p)
+        if y is not None:
+            return (x, y)
 
-    def test_ap_bsgs_agreement(self, e37):
-        inv = e37.invariants()
-        c4, c6 = int(inv.c4), int(inv.c6)
-        for p in (101, 1009, 4001):
-            assert kernels.ap_bsgs(c4, c6, p) == _kernels_py.ap_bsgs(c4, c6, p)
 
+def _order(curve, P):
+    n, Q = 1, P
+    while Q is not None:
+        Q = curve.add(Q, P)
+        n += 1
+    return n
+
+
+class TestKernel:
     def test_backend_name(self):
-        assert kernels.backend() in ("cython", "python")
+        assert kernels.backend() == "python"
+
+    def test_bsgs_all_matches_brute_force(self):
+        # every m in [lo, hi] with mP = O, against trying each m; the
+        # multiples (n/d)P of a random point of order n give every order d
+        # dividing n, among them orders below 2s (the early exits of the
+        # baby steps) and the order 2s, where the baby step sP has y = 0
+        Short, matches = _kernels_py._Short, _kernels_py._bsgs_all_matches
+        rng = random.Random(3)
+        cases = []
+        for p in rng.sample([q for q in primes_up_to(3000) if q > 460], 12):
+            while True:
+                A, B = rng.randrange(p), rng.randrange(p)
+                if (4 * A**3 + 27 * B * B) % p:
+                    break
+            E = Short(A, B, p)
+            P = _random_point(E, rng)
+            n = _order(E, P)
+            cases += [(E, E.mul(n // d, P)) for d in range(1, n + 1) if n % d == 0]
+        # 37a's short model at 1777: s = 10 and P has order 20 = 2s
+        E = Short(-27 * 48, 54 * 216, 1777)
+        assert _order(E, (25, 1419)) == 20
+        cases.append((E, (25, 1419)))
+        for E, P in cases:
+            w = math.isqrt(4 * E.p)
+            lo, hi = E.p + 1 - w, E.p + 1 + w
+            brute = [m for m in range(lo, hi + 1) if E.mul(m, P) is None]
+            assert matches(E, P, lo, hi) == brute, (E.p, E.A, E.B, P)
+
+    def test_bsgs_above_31_bits(self, e37):
+        # above 2^31 - 1: a_p obeys Hasse, p + 1 - a_p kills points of the
+        # short model and p + 1 + a_p kills points of its quadratic twist
+        p = next(q for q in range(2**31, 2**31 + 100) if is_prime(q))
+        a_p = ap(e37, p)
+        assert a_p * a_p <= 4 * p
+        inv = e37.invariants()
+        A, B = -27 * int(inv.c4), -54 * int(inv.c6)
+        g = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
+        rng = random.Random(5)
+        for curve, order in (
+            (_kernels_py._Short(A, B, p), p + 1 - a_p),
+            (_kernels_py._Short(A * g * g, B * g**3, p), p + 1 + a_p),
+        ):
+            for _ in range(4):
+                assert curve.mul(order, _random_point(curve, rng)) is None
 
 
 class TestAp:
@@ -228,6 +289,13 @@ class TestTate:
                     assert d.f_p <= (8 if p == 2 else 5 if p == 3 else 2)
 
     def test_tate_agrees_with_reduction_type(self):
+        # Tate's split / non-split / additive against a direct count on the
+        # minimal model: p, p + 2 and p + 1 points, the singular one included
+        expected = {
+            ReductionType.SPLIT_MULTIPLICATIVE: 0,
+            ReductionType.NONSPLIT_MULTIPLICATIVE: 2,
+            ReductionType.ADDITIVE: 1,
+        }
         rng = random.Random(29)
         seen = 0
         while seen < 25:
@@ -237,8 +305,12 @@ class TestTate:
             except Exception:
                 continue
             seen += 1
+            minimal = [int(a) for a in curve.minimal_model()[0].ainvs()]
             for p in bad_primes(curve):
-                assert tate_local(curve, p).reduction is reduction_type(curve, p)
+                red = tate_local(curve, p).reduction
+                assert reduction_type(curve, p) is red
+                total = _kernels_py.count_points_mod_p(*minimal, p)
+                assert total == p + expected[red], (ai, p, red)
 
     def test_nonminimal_input_restarts(self):
         kodaira, f, c, m, red, n, restarts = _tate_at_prime((0, 0, 0, 0, 64), 2)
