@@ -9,6 +9,14 @@ the two halves of the cusp-form integral split at 1/sqrt(N); the relative
 sign of the second half is exactly the functional-equation sign w, which is
 measured numerically (involution ratio) rather than assumed.
 
+At non-integer s every term comes from one engine: all x_n share s, so
+e^{-x} times the lower-gamma series at 0 is a single polynomial in
+x/x_max whose coefficients are built once per s and summed by integer
+Horner in fixed point, at a precision sized to the cancellation against
+Gamma(s) x^{-s}.  At integer s (the root number's s0 = 4, s = 1 in the
+BSD report and the rank scale) mpmath's gammainc is called per term: it
+has closed forms there, and 2 - s <= 0 is a pole of the lower series.
+
 Derivatives at s = 1 are taken termwise: d/da Gamma(a, x) at a = 1 brings
 in exponential integrals, higher orders a convergent log-weighted series.
 Finite differences are used only as a test oracle, never here.
@@ -55,12 +63,13 @@ class AnalyticContext:
         self._coeffs = dirichlet_coefficients(self.curve, self.n_max)
         self._w: int | None = None
         self._g_cache: dict = {}
+        self._x_table: tuple | None = None  # (n_max, bits, rows) of `_x_rows`
 
     # coefficient access, extending on demand -------------------------------
 
     def coefficient(self, n: int) -> int:
         if n > self._coeffs.n_max:
-            self._coeffs = dirichlet_coefficients(self.curve, max(n, 2 * self._coeffs.n_max))
+            self._coeffs = dirichlet_coefficients(self.curve, n, self._coeffs)
         return self._coeffs[n]
 
     def coefficients(self, n: int) -> list[int]:
@@ -202,7 +211,24 @@ def _root_number_from_overlap(ctx: AnalyticContext, s0: float = 4.0) -> int:
 
 
 def _lambda_terms(ctx: AnalyticContext, s):
-    """(a_n, A^s Gamma(s,x), A^{2-s} Gamma(2-s,x)) for each nonzero a_n, n <= n_max."""
+    """(a_n, A^s Gamma(s,x), A^{2-s} Gamma(2-s,x)) for each nonzero a_n, n <= n_max.
+
+    Non-integer s goes through `_upper_gamma_terms`.  On Re s = 1,
+    2 - s = conj(s) exactly, so the second half of each term is the
+    conjugate of the first: Im Lambda(1+it) is then exactly 0 when w = +1,
+    and Re Lambda(1+it) exactly 0 when w = -1.  Integer s calls mpmath per
+    term: mpmath has closed forms there, and 2 - s <= 0 is a pole of the
+    lower series the engine sums.
+    """
+    s = mp.mpmathify(s)
+    if not mp.isint(s):
+        first = _upper_gamma_terms(ctx, s)
+        if mp.re(s) == 1:
+            second = [mp.conj(p) for p in first]
+        else:
+            second = _upper_gamma_terms(ctx, mp.fsub(2, s, exact=True))
+        yield from zip([row[1] for row in _x_rows(ctx, 0)], first, second)
+        return
     coeffs = ctx.coefficients(ctx.n_max)
     two_pi = 2 * mp.pi
     for n in range(1, ctx.n_max + 1):
@@ -212,6 +238,112 @@ def _lambda_terms(ctx: AnalyticContext, s):
         A = ctx.sqrtN_mp / (two_pi * n)
         x = 1 / A
         yield a_n, A**s * mp.gammainc(s, x), A ** (2 - s) * mp.gammainc(2 - s, x)
+
+
+# -- the Lambda-series terms at non-integer s ----------------------------------
+
+GUARD_BITS = 24
+
+
+def _upper_gamma_terms(ctx: AnalyticContext, a) -> list:
+    """A_n^a Gamma(a, x_n) for each nonzero a_n, n <= n_max, at non-integer a.
+
+    With A = 1/x, Gamma(a, x) = Gamma(a) - x^a e^{-x} sum_k x^k/(a)_{k+1}
+    gives A^a Gamma(a, x) = e^{-a log x} Gamma(a) - e^{-x} S(x), where
+    S(x) = sum_k c_k u^k, u = x/x_max <= 1 and c_k = x_max^k/(a)_{k+1}
+    (the series at 0 of Dokchitser, math/0207280).  Every x_n shares a, so
+    the c_k and Gamma(a) are built once per call, and S(x_n) is integer
+    Horner in fixed point at P bits.  u = n/n_max is exact, so each Horner
+    step is a product and a quotient by small integers, and scaling by x_max
+    keeps the rounding of the c_k from being amplified by x^k.
+
+    Precision: S is summed to about 2^-(prec + guard) absolute, where prec
+    is the ambient precision; the terms stop at k > 2 x + |Re a| (past
+    there each is at most half the one before) once they fall below that.  In
+    fixed point each c_k and each Horner step costs one unit of 2^-P, and a
+    relative error in a c_k costs that much of e^{-x} |c_k| u^k, so P adds
+    to prec log2 of what the difference cancels against: the larger of
+    max_x e^{-x} sum_k |c_k| u^k (x^k e^{-x} peaks at x = k) and the term
+    itself.  It adds log2 |a| for the error of a log x and 2 log2 K for
+    K coefficients and steps.  The c_k, Gamma(a) and the cached log x_n
+    and e^{-x_n} carry P bits or more, and each result is rounded to the
+    ambient precision.
+    """
+    prec = mp.mp.prec
+    stop = -(prec + GUARD_BITS)
+    sigma = float(mp.re(a))
+    x_hi = 2 * math.pi * ctx.n_max / ctx.sqrtN
+    x_lo = x_hi / ctx.n_max
+    # the term itself: at most e^{-x}/x for Re a <= 1, Gamma(Re a) x^{-Re a} above
+    size = -math.log2(x_lo)
+    if sigma > 1:
+        size = max(size, math.lgamma(sigma) / math.log(2) - sigma * math.log2(x_lo))
+    work = prec + GUARD_BITS + 64
+    while True:
+        with mp.workprec(work):
+            x_max = 2 * mp.pi * ctx.n_max / mp.sqrt(ctx.N)
+            limit = 2 * x_max + abs(sigma)
+            coeffs = [1 / a]
+            while len(coeffs) <= limit or mp.mag(coeffs[-1]) >= stop:
+                coeffs.append(coeffs[-1] * x_max / (a + len(coeffs)))
+        mags = [mp.mag(c) for c in coeffs]
+        peak = mags[0]
+        for k in range(1, len(mags)):
+            x = min(k, x_hi)
+            peak = max(peak, mags[k] + k * math.log2(x / x_hi) - x / math.log(2))
+        steps = len(coeffs).bit_length()
+        bits = (prec + max(math.ceil(max(peak + steps, size)), 0) + max(mp.mag(a), 0)
+                + 2 * steps + GUARD_BITS)
+        if work >= bits + steps:
+            break
+        work = bits + steps + 8
+    with mp.workprec(bits):
+        gamma_a = mp.gamma(a)
+    re_fixed = [int(mp.ldexp(mp.re(c), bits)) for c in coeffs]
+    im_fixed = [int(mp.ldexp(mp.im(c), bits)) for c in coeffs] if mp.im(a) else None
+    rows = _x_rows(ctx, bits)
+    out = []
+    degree = 0
+    with mp.workprec(bits):
+        for n, _, log_x, exp_x in rows:
+            # the first degree past 2x + |Re a| whose term is below 2^stop; grows with n
+            log2_u = math.log2(n / ctx.n_max)
+            degree = max(degree, min(math.ceil(2 * x_lo * n + abs(sigma)), len(coeffs) - 1))
+            while degree < len(coeffs) - 1 and mags[degree] + degree * log2_u >= stop:
+                degree += 1
+            series = mp.ldexp(_horner(re_fixed, degree, n, ctx.n_max), -bits)
+            if im_fixed is not None:
+                series = mp.mpc(series, mp.ldexp(_horner(im_fixed, degree, n, ctx.n_max), -bits))
+            out.append(mp.exp(-a * log_x) * gamma_a - exp_x * series)
+    return [+term for term in out]
+
+
+def _horner(fixed: list[int], degree: int, num: int, den: int) -> int:
+    """sum_{k <= degree} fixed[k] (num/den)^k, each step floored to an integer."""
+    acc = 0
+    for c in fixed[degree::-1]:
+        acc = acc * num // den + c
+    return acc
+
+
+def _x_rows(ctx: AnalyticContext, bits: int) -> list:
+    """(n, a_n, log x_n, e^{-x_n}) for each nonzero a_n, n <= n_max.
+
+    Kept on the context at `bits` or more, and rebuilt when n_max has
+    changed (the CLI's --nmax raises it after construction) or more bits
+    are asked for; the 64 bits of headroom let nearby s share one table.
+    """
+    cached = ctx._x_table
+    if cached is not None and cached[0] == ctx.n_max and cached[1] >= bits:
+        return cached[2]
+    bits += 64
+    coeffs = ctx.coefficients(ctx.n_max)
+    with mp.workprec(bits):
+        step = 2 * mp.pi / mp.sqrt(ctx.N)
+        rows = [(n, coeffs[n], mp.log(step * n), mp.exp(-step * n))
+                for n in range(1, ctx.n_max + 1) if coeffs[n]]
+    ctx._x_table = (ctx.n_max, bits, rows)
+    return rows
 
 
 def _lambda_series(ctx: AnalyticContext, s, w: int):

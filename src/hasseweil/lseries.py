@@ -8,6 +8,7 @@ point appears.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import json
 import math
@@ -80,50 +81,45 @@ class DirichletCoefficients:
 
 
 def dirichlet_coefficients(
-    curve: WeierstrassCurve, n_max: int
+    curve: WeierstrassCurve, n_max: int, known: DirichletCoefficients | None = None
 ) -> DirichletCoefficients:
     """a_n for n <= n_max via the Hecke recurrences.
 
     a_{p^{k+1}} = a_p a_{p^k} - eps(p) p a_{p^{k-1}} with eps = 1 at good p
     and 0 at bad p (so a_{p^k} = a_p^k there), extended multiplicatively.
+    Each a_n is read off smaller n, so `known`, a table of the same curve,
+    is extended past its n_max without recomputing any of its entries.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    a = list(known.coeffs) if known is not None else [0, 1]
+    start = len(a)
     primes, aps = ap_table(curve, n_max)
-    ap_map = dict(zip(primes, aps))
     bad = set(bad_primes(curve))
-    a = [0] * (n_max + 1)
-    a[1] = 1
-    # smallest prime factor sieve
-    spf = list(range(n_max + 1))
+    # smallest prime factor of each new n
+    spf = list(range(start, n_max + 1))
     for p in primes:
-        for m in range(p * p, n_max + 1, p):
-            if spf[m] == m:
-                spf[m] = p
-    prime_power: dict[tuple[int, int], int] = {}
-
-    def a_prime_power(p: int, k: int) -> int:
-        if k == 0:
-            return 1
-        if k == 1:
-            return ap_map[p]
-        key = (p, k)
-        if key not in prime_power:
-            eps = 0 if p in bad else 1
-            prev, cur = 1, ap_map[p]
-            for _ in range(k - 1):
-                prev, cur = cur, ap_map[p] * cur - eps * p * prev
-            prime_power[key] = cur
-        return prime_power[key]
-
-    for n in range(2, n_max + 1):
-        p = spf[n]
-        m, k = n, 0
+        if p * p > n_max:
+            break
+        for m in range(max(p * p, -(-start // p) * p), n_max + 1, p):
+            if spf[m - start] == m:
+                spf[m - start] = p
+    new = bisect.bisect_left(primes, start)
+    new_aps = dict(zip(primes[new:], aps[new:]))
+    for n in range(start, n_max + 1):
+        p = spf[n - start]
+        if p == n:
+            a.append(new_aps[p])
+            continue
+        m, q = n // p, p
         while m % p == 0:
             m //= p
-            k += 1
-        a[n] = a_prime_power(p, k) * a[m]
-    return DirichletCoefficients(tuple(a), conductor(curve), tuple(sorted(bad)))
+            q *= p
+        if m > 1:
+            a.append(a[q] * a[m])
+        else:  # n = p^k, k >= 2
+            a.append(a[p] * a[n // p] - (0 if p in bad else p * a[n // (p * p)]))
+    return DirichletCoefficients(tuple(a[: n_max + 1]), conductor(curve), tuple(sorted(bad)))
 
 
 # -- region-of-convergence evaluators ------------------------------------------

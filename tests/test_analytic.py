@@ -1,8 +1,13 @@
+import random
+
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hasseweil.analytic import (
     AnalyticContext,
+    _lambda_terms,
     analytic_rank,
     f_on_imaginary_axis,
     incgamma_upper_deriv_at_1,
@@ -171,3 +176,134 @@ class TestPrecisionControl:
     def test_f_series_positive_near_cusp(self, ctx11):
         # f(iy) > 0 for y above the involution fixed point on this curve
         assert f_on_imaginary_axis(ctx11, 1.0 / ctx11.sqrtN) > 0
+
+
+E389 = (0, 1, 1, -2, 0)
+E11 = (0, -1, 1, -10, -20)
+
+# non-integer s: Re s and Im s over a box, plus points next to the poles of
+# Gamma(2 - s) at 0 and -1, where the engine's difference cancels 50 to 100 bits
+ENGINE_BOX = [
+    complex(re, im)
+    for re in (-1.5, -0.5, 0.5, 1, 1.3, 2.5, 4.7)
+    for im in (0, 1e-15, 1 / 32, 3.7, 20)
+    if (re, im) != (1, 0)
+] + [2 + 1e-15j, 3 + 1e-12j, 2 + 1e-30j]
+
+
+class TestSharedSeriesEngine:
+    """`_lambda_terms` at non-integer s against mp.gammainc with 40 extra digits."""
+
+    @pytest.mark.parametrize("ainvs", [E11, E389], ids=["11a", "389a"])
+    @pytest.mark.parametrize("digits", [30, 60])
+    def test_terms_match_gammainc_oracle(self, ainvs, digits):
+        from hasseweil.curves import WeierstrassCurve
+
+        ctx = AnalyticContext(WeierstrassCurve(*ainvs), digits=digits)
+        ns = [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
+        # the smallest and largest x_n and a few between
+        picks = sorted({0, len(ns) - 1, *range(0, len(ns), max(1, len(ns) // 4))})
+        tol = mp.mpf(10) ** -(ctx.dps - 5)
+        for s in ENGINE_BOX:
+            with mp.workdps(ctx.dps):
+                terms = list(_lambda_terms(ctx, s))
+            assert [t[0] for t in terms] == [ctx.coefficient(n) for n in ns]
+            with mp.workdps(ctx.dps + 40):
+                s_exact = mp.mpmathify(s)
+                for i in picks:
+                    A = mp.sqrt(ctx.N) / (2 * mp.pi * ns[i])
+                    first = A**s_exact * mp.gammainc(s_exact, 1 / A)
+                    second = A ** (2 - s_exact) * mp.gammainc(2 - s_exact, 1 / A)
+                    err = max(abs(terms[i][1] - first), abs(terms[i][2] - second))
+                    assert err <= tol, (s, ns[i], mp.nstr(err, 3))
+
+    def test_integer_s_keeps_mpmath_path(self, ctx11, monkeypatch):
+        calls = []
+        gammainc = mp.gammainc
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return gammainc(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "gammainc", counting)
+        with mp.workdps(ctx11.dps):
+            list(_lambda_terms(ctx11, complex(2, 0)))
+            assert len(calls) == 2 * sum(1 for n in range(1, ctx11.n_max + 1)
+                                         if ctx11.coefficient(n))
+            calls.clear()
+            list(_lambda_terms(ctx11, mp.mpc(1, 0.5)))
+            list(_lambda_terms(ctx11, 1.3))
+        assert calls == []
+
+
+def _random_curve(seed: int, max_conductor: int = 3000):
+    """A nonsingular curve with small a-invariants and conductor <= max_conductor."""
+    from hasseweil.curves import WeierstrassCurve
+    from hasseweil.errors import SingularCurve
+    from hasseweil.localdata import conductor
+
+    rng = random.Random(seed)
+    while True:
+        ai = [rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
+              rng.randint(-12, 12), rng.randint(-12, 12)]
+        try:
+            curve = WeierstrassCurve(*ai)
+        except SingularCurve:
+            continue
+        if conductor(curve) <= max_conductor:
+            return curve
+
+
+class TestLambdaSymmetries:
+    """Properties of Lambda at non-integer s on seeded random curves."""
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(-1.0, 3.0),
+        st.floats(0.01, 6.0),
+    )
+    def test_conjugate_and_functional_equation(self, seed, re, im):
+        ctx = AnalyticContext(_random_curve(seed))
+        s = mp.mpc(re, im)
+        with mp.workdps(ctx.dps):  # conj and 2 - s round to the ambient precision
+            value = lambda_value(ctx, s).value
+            tol = mp.mpf(10) ** -(ctx.digits - 5) * (1 + abs(value))
+            assert abs(lambda_value(ctx, mp.conj(s)).value - mp.conj(value)) < tol
+            assert abs(value - ctx.w * lambda_value(ctx, 2 - s).value) < tol
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.01, 8.0))
+    def test_critical_line_exactly_real_or_imaginary(self, seed, t):
+        ctx = AnalyticContext(_random_curve(seed))
+        value = lambda_value(ctx, mp.mpc(1, t)).value
+        assert (value.imag if ctx.w == 1 else value.real) == 0
+
+    def test_critical_line_on_both_signs(self, ctx11, ctx37):
+        for t in (1 / 32, 3.7, 8):
+            assert lambda_value(ctx11, mp.mpc(1, t)).value.imag == 0
+            assert lambda_value(ctx37, mp.mpc(1, t)).value.real == 0
+
+
+class TestCoefficientTable:
+    def test_growing_context_computes_each_n_once(self, monkeypatch):
+        from hasseweil import analytic
+        from hasseweil.curves import WeierstrassCurve
+        from hasseweil.lseries import dirichlet_coefficients
+
+        asked = []
+        build = analytic.dirichlet_coefficients
+
+        def recording(curve, n_max, known=None):
+            asked.append((known.n_max if known is not None else 0, n_max))
+            return build(curve, n_max, known)
+
+        monkeypatch.setattr(analytic, "dirichlet_coefficients", recording)
+        ctx = AnalyticContext(WeierstrassCurve(*E389))
+        for n in (600, 601, 1200, 5000, 10**4):
+            ctx.coefficient(n)
+        grown = ctx.coefficients(10**4)
+        computed = [n for lo, hi in asked for n in range(lo + 1, hi + 1)]
+        assert sorted(computed) == list(range(1, 10**4 + 1))
+        monkeypatch.undo()
+        assert grown == list(dirichlet_coefficients(WeierstrassCurve(*E389), 10**4).coeffs)

@@ -107,3 +107,32 @@ def test_every_top_level_definition_is_used():
         if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and node.name not in used
     ]
     assert dead == []
+
+
+def _gammainc_owners(tree: ast.Module) -> list[str]:
+    """The innermost enclosing function of each reference to `gammainc`."""
+    owners = []
+
+    def walk(node, owner):
+        if isinstance(node, (*FUNCTIONS, ast.Lambda)):
+            owner = getattr(node, "name", "<lambda>")
+        if (isinstance(node, ast.Name) and node.id == "gammainc"
+                or isinstance(node, ast.Attribute) and node.attr == "gammainc"
+                or isinstance(node, ast.alias) and "gammainc" in (node.name, node.asname)
+                or isinstance(node, ast.Constant) and node.value == "gammainc"):
+            owners.append(owner)
+        for child in ast.iter_child_nodes(node):
+            walk(child, owner)
+
+    walk(tree, "<module>")
+    return owners
+
+
+def test_gammainc_only_in_lambda_terms():
+    # one home for incomplete-gamma code: the integer-s branch of the Lambda series
+    owners = {
+        f"{path.stem}.{owner}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner in _gammainc_owners(_parse(path))
+    }
+    assert owners == {"analytic._lambda_terms"}
