@@ -17,9 +17,12 @@ Gamma(s) x^{-s}.  At integer s (the root number's s0 = 4, s = 1 in the
 BSD report and the rank scale) mpmath's gammainc is called per term: it
 has closed forms there, and 2 - s <= 0 is a pole of the lower series.
 
-Derivatives at s = 1 are taken termwise: d/da Gamma(a, x) at a = 1 brings
-in exponential integrals, higher orders a convergent log-weighted series.
-Finite differences are used only as a test oracle, never here.
+Derivatives at s = 1 are taken termwise from one table per context: the
+same series at 0, expanded in a - 1, gives every d^i/da^i Gamma(a, x_n) at
+a = 1, i <= r, from coefficient columns built once and summed by integer
+Horner per x_n.  The log-weighted series of `incgamma_upper_deriv_at_1` is
+kept as the tests' oracle, and finite differences are a test oracle too,
+never used here.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ class AnalyticContext:
         self.n_max = tail_cutoff(self.N, self.target_log10 + 2)
         self._coeffs = dirichlet_coefficients(self.curve, self.n_max)
         self._w: int | None = None
-        self._g_cache: dict = {}
         self._x_table: tuple | None = None  # (n_max, bits, rows) of `_x_rows`
+        self._deriv_table: tuple | None = None  # (order, n_max, prec, rows)
 
     # coefficient access, extending on demand -------------------------------
 
@@ -127,12 +130,15 @@ def f_on_imaginary_axis(ctx: AnalyticContext, y) -> mp.mpf:
             (ctx.target_log10 + 4) * math.log(10) / (2 * math.pi * float(y))
         ) + 8
         coeffs = ctx.coefficients(n_needed)
-        two_pi_y = 2 * mp.pi * y
+        # q^n by one product per term: relative error at most n 2^-prec
+        q = mp.exp(-2 * mp.pi * y)
+        q_n = mp.mpf(1)
         total = mp.mpf(0)
         for n in range(1, n_needed + 1):
+            q_n *= q
             a_n = coeffs[n]
             if a_n:
-                total += a_n * mp.e ** (-two_pi_y * n)
+                total += a_n * q_n
         return total
 
 
@@ -387,22 +393,13 @@ def lambda_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
         parity = 1 + ctx.w * (-1) ** k
         if parity == 0:
             return ValueWithBound(mp.mpf(0), mp.mpf(0))
-        coeffs = ctx.coefficients(ctx.n_max)
-        two_pi = 2 * mp.pi
         total = mp.mpf(0)
-        for n in range(1, ctx.n_max + 1):
-            a_n = coeffs[n]
-            if not a_n:
-                continue
-            A = ctx.sqrtN_mp / (two_pi * n)
-            x = 1 / A
-            logA = mp.log(A)
+        for a_n, log_x, derivs in _incgamma_derivs(ctx, k):
+            log_A = -log_x
             inner = mp.mpf(0)
             for i in range(k + 1):
-                inner += math.comb(k, i) * logA ** (k - i) * _incgamma_deriv(
-                    ctx, i, n
-                )
-            total += a_n * A * inner
+                inner += math.comb(k, i) * log_A ** (k - i) * derivs[i]
+            total += a_n * mp.exp(log_A) * inner
         total *= parity
         bound = mp.mpf(ctx.tail_bound()) * (1 + mp.log(ctx.n_max)) ** k + mp.mpf(
             10
@@ -459,15 +456,111 @@ def analytic_rank(ctx: AnalyticContext, tol: float = 1e-10) -> RankEstimate:
 # -- derivatives of the upper incomplete gamma at a = 1 -------------------------
 
 
-def _incgamma_deriv(ctx: AnalyticContext, i: int, n: int):
-    """d^i/da^i Gamma(a, x_n) at a = 1, cached per (i, n)."""
-    key = (i, n, ctx.dps)
-    if key in ctx._g_cache:
-        return ctx._g_cache[key]
-    x = 1 / (ctx.sqrtN_mp / (2 * mp.pi * n))
-    value = incgamma_upper_deriv_at_1(i, x)
-    ctx._g_cache[key] = value
-    return value
+def _incgamma_derivs(ctx: AnalyticContext, order: int) -> list:
+    """(a_n, log x_n, [d^i/da^i Gamma(a, x_n) at a = 1 for i <= order]) per nonzero a_n.
+
+    With a = 1 + e, the lower-gamma series at 0 of `_upper_gamma_terms`
+    reads Gamma(a, x) = Gamma(a) - e^{-x} x^e sum_{k>=1} x^k/(1+e)_k.  Its
+    expansion in e has columns S_j(x) = sum_k D_{j,k} u^k, u = x/x_max =
+    n/n_max and D_{j,k} = j! [e^j] x_max^k/(1+e)_k, so that
+
+        Gamma^(i)(1, x) = Gamma^(i)(1) - e^{-x} sum_{j<=i} C(i,j) (log x)^{i-j} S_j(x).
+
+    The D_{j,k} come from the recurrence of `_upper_gamma_terms` run over
+    power series in e truncated at e^order, once per build.  S_0 = e^x - 1
+    exactly, and each S_j, j >= 1, is one integer Horner pass per x_n.
+
+    Precision: D_{j,k} has the sign (-1)^j, so each S_j sums without
+    cancellation; the difference with Gamma^(i)(1) is what cancels.  With
+    w_j = sum_{i>=j} C(i,j) l^{i-j}, l the largest |log x_n|, a term of
+    column j weighs at most e^{-x} w_j |D_{j,k}| u^k in any result, and
+    |D_{j,k+1}| <= |D_{j,k}| x_max/k, so past k = 2x each term is at most half
+    the one before.  The columns stop at the first k past 2 x_max whose
+    weighted term at x_max is below 2^-(prec + guard), and each x_n stops
+    the same way at its own first degree past 2 x_n.  P adds to prec log2
+    of what the difference cancels against, the larger of
+    max_x e^{-x} sum_j w_j sum_k |D_{j,k}| u^k and |Gamma^(i)(1)| <= 2 i!,
+    plus 2 log2 K for K coefficients and steps and the guard bits.
+
+    Kept on the context as `_deriv_table` = (order, n_max, prec, rows), and
+    rebuilt only when a higher order, another n_max (the CLI's --nmax) or
+    more bits are asked for.
+    """
+    prec = mp.mp.prec
+    cached = ctx._deriv_table
+    if (cached is not None and cached[0] >= order and cached[1] == ctx.n_max
+            and cached[2] >= prec):
+        return cached[3]
+    stop = -(prec + GUARD_BITS)
+    x_hi = 2 * math.pi * ctx.n_max / ctx.sqrtN
+    x_lo = x_hi / ctx.n_max
+    log_max = max(abs(math.log(x_lo)), abs(math.log(x_hi)))
+    weights = [math.log2(sum(math.comb(i, j) * log_max ** (i - j)
+                             for i in range(j, order + 1)))
+               for j in range(order + 1)]
+    size = 1 + math.log2(math.factorial(order))
+    work = prec + GUARD_BITS + 64
+    while True:
+        with mp.workprec(work):
+            x_max = 2 * mp.pi * ctx.n_max / mp.sqrt(ctx.N)
+            # [e^m] x_max^k/(1+e)_k for m <= order; the k-th divides by k + e
+            cols = [[mp.mpf(1)] + [mp.mpf(0)] * order]
+            mags = [[] for _ in range(order + 1)]
+            while True:
+                k = len(cols)
+                series = []
+                for c in cols[-1]:
+                    series.append(c * x_max / k - (series[-1] / k if series else 0))
+                cols.append(series)
+                for j in range(1, order + 1):
+                    mags[j].append(mp.mag(series[j]) + math.log2(math.factorial(j)))
+                if k > 2 * x_hi and all(mags[j][-1] - x_hi / math.log(2) + weights[j] < stop
+                                        for j in range(1, order + 1)):
+                    break
+        steps = len(cols).bit_length()
+        peak = weights[0]
+        for j in range(1, order + 1):
+            for k, mag in enumerate(mags[j], 1):
+                x = min(k, x_hi)
+                peak = max(peak, weights[j] + mag + k * math.log2(x / x_hi)
+                           - x / math.log(2) + steps)
+        bits = (prec + max(math.ceil(max(peak, size) + math.log2(order + 1)), 0)
+                + 2 * steps + GUARD_BITS)
+        if work >= bits + steps:
+            break
+        work = bits + steps + 8
+    with mp.workprec(work):
+        # column j at index j; column 0 is summed in closed form
+        fixed = [None] + [[0] + [int(mp.ldexp(math.factorial(j) * c[j], bits)) for c in cols[1:]]
+                          for j in range(1, order + 1)]
+    rows = []
+    degrees = [0] * (order + 1)
+    with mp.workprec(bits):
+        gamma_derivs = _gamma_derivs_at_1(order)
+        for n, a_n, log_x, exp_x in _x_rows(ctx, bits):
+            x = x_lo * n
+            log2_u = math.log2(n / ctx.n_max)
+            sums = [1 - exp_x]  # e^{-x} S_j(x)
+            for j in range(1, order + 1):
+                # the first degree past 2x whose weighted term is below 2^stop; grows with n
+                degree = max(degrees[j], min(math.ceil(2 * x), len(cols) - 1))
+                while degree < len(cols) - 1 and (
+                        mags[j][degree - 1] + degree * log2_u - x / math.log(2)
+                        + weights[j] >= stop):
+                    degree += 1
+                degrees[j] = degree
+                sums.append(exp_x * mp.ldexp(_horner(fixed[j], degree, n, ctx.n_max), -bits))
+            powers = [mp.mpf(1)]
+            for _ in range(order):
+                powers.append(powers[-1] * log_x)
+            derivs = [exp_x] + [
+                gamma_derivs[i] - mp.fsum(math.comb(i, j) * powers[i - j] * sums[j]
+                                          for j in range(i + 1))
+                for i in range(1, order + 1)]
+            rows.append((a_n, log_x, derivs))
+    rows = [(a_n, log_x, [+d for d in derivs]) for a_n, log_x, derivs in rows]
+    ctx._deriv_table = (order, ctx.n_max, prec, rows)
+    return rows
 
 
 def incgamma_upper_deriv_at_1(i: int, x):
@@ -481,6 +574,7 @@ def incgamma_upper_deriv_at_1(i: int, x):
     is Horner's rule in u.  The working precision (x/ln 10 + 10 extra digits,
     against the alternating-series cancellation) and the stopping rule
     (m > 4x + 20 and |term| < 10^{-(dps+5)}) are those of the direct sum.
+    An independent check of `_incgamma_derivs`, used by the tests only.
     """
     if i == 0:
         return mp.e ** (-x)
@@ -508,20 +602,13 @@ def incgamma_upper_deriv_at_1(i: int, x):
             weight *= x / m
             if m > m_min and abs(term) < threshold:
                 break
-        result = _gamma_deriv_at_1(i) - total
+        result = _gamma_derivs_at_1(i)[i] - total
     return +result
 
 
-_GAMMA_DERIV_CACHE: dict = {}
-
-
-def _gamma_deriv_at_1(i: int):
-    """Gamma^(i)(1) from the Taylor series of log Gamma(1+z)."""
-    key = (i, mp.mp.dps)
-    if key in _GAMMA_DERIV_CACHE:
-        return _GAMMA_DERIV_CACHE[key]
+def _gamma_derivs_at_1(order: int) -> list:
+    """[Gamma^(i)(1) for i <= order] from the Taylor series of log Gamma(1+z)."""
     # log Gamma(1+z) = -euler z + sum_{k>=2} (-1)^k zeta(k) z^k / k
-    order = i + 1
     log_coeffs = [mp.mpf(0), -mp.euler] + [
         (-1) ** k * mp.zeta(k) / k for k in range(2, order + 1)
     ]
@@ -530,9 +617,6 @@ def _gamma_deriv_at_1(i: int):
     for k in range(order):
         acc = mp.mpf(0)
         for j in range(1, k + 2):
-            if j <= order:
-                acc += j * log_coeffs[j] * exp_coeffs[k + 1 - j]
+            acc += j * log_coeffs[j] * exp_coeffs[k + 1 - j]
         exp_coeffs[k + 1] = acc / (k + 1)
-    value = exp_coeffs[i] * mp.factorial(i)
-    _GAMMA_DERIV_CACHE[key] = value
-    return value
+    return [c * mp.factorial(i) for i, c in enumerate(exp_coeffs)]

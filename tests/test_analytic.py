@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hasseweil.analytic import (
     AnalyticContext,
+    _incgamma_derivs,
     _lambda_terms,
     analytic_rank,
     f_on_imaginary_axis,
@@ -180,6 +181,8 @@ class TestPrecisionControl:
 
 E389 = (0, 1, 1, -2, 0)
 E11 = (0, -1, 1, -10, -20)
+E37 = (0, 0, 1, -1, 0)
+E5077 = (0, 0, 1, -7, 6)
 
 # non-integer s: Re s and Im s over a box, plus points next to the poles of
 # Gamma(2 - s) at 0 and -1, where the engine's difference cancels 50 to 100 bits
@@ -234,6 +237,49 @@ class TestSharedSeriesEngine:
             list(_lambda_terms(ctx11, mp.mpc(1, 0.5)))
             list(_lambda_terms(ctx11, 1.3))
         assert calls == []
+
+
+class TestDerivativeTable:
+    """`_incgamma_derivs` against the series oracle with 40 extra digits."""
+
+    @pytest.mark.parametrize("ainvs", [E11, E37, E389, E5077],
+                             ids=["11a", "37a", "389a", "5077a"])
+    @pytest.mark.parametrize("digits", [30, 60])
+    def test_matches_series_oracle_at_every_x(self, ainvs, digits):
+        from hasseweil.curves import WeierstrassCurve
+
+        ctx = AnalyticContext(WeierstrassCurve(*ainvs), digits=digits)
+        with mp.workdps(ctx.dps):
+            rows = _incgamma_derivs(ctx, 4)
+        ns = [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
+        assert [row[0] for row in rows] == [ctx.coefficient(n) for n in ns]
+        tol = mp.mpf(10) ** -(ctx.dps - 5)
+        with mp.workdps(ctx.dps + 40):
+            for n, (_, _, derivs) in zip(ns, rows):
+                x = 2 * mp.pi * n / mp.sqrt(ctx.N)
+                for i in range(5):
+                    err = abs(derivs[i] - incgamma_upper_deriv_at_1(i, x))
+                    assert err <= tol, (n, i, mp.nstr(err, 3))
+
+    def test_rebuilt_only_when_more_is_asked(self, e37):
+        ctx = AnalyticContext(e37)
+        first = lambda_derivative(ctx, 1).value
+        assert ctx._deriv_table[0] == 1
+        lambda_derivative(ctx, 3)
+        table = ctx._deriv_table
+        assert table[0] == 3
+        again = lambda_derivative(ctx, 1).value
+        assert ctx._deriv_table is table
+        assert abs(again - first) < mp.mpf(10) ** -ctx.digits
+        with mp.workdps(ctx.dps + 20):
+            _incgamma_derivs(ctx, 1)
+        assert ctx._deriv_table is not table
+        table = ctx._deriv_table
+        ctx.n_max += 10
+        lambda_derivative(ctx, 1)
+        assert ctx._deriv_table is not table
+        assert len(ctx._deriv_table[3]) == sum(
+            1 for n in range(1, ctx.n_max + 1) if ctx.coefficient(n))
 
 
 def _random_curve(seed: int, max_conductor: int = 3000):

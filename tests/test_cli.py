@@ -77,6 +77,13 @@ class TestValues:
         assert payload["rank_analytic"] == 1
         assert payload["root_number"] == -1
 
+    def test_rank_three(self):
+        code, out = run_cli(["rank", "--json", "0", "0", "1", "-7", "6"])  # 5077a
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rank_analytic"] == 3
+        assert [k for k, _ in payload["inspected"]] == [1, 3]
+
     def test_outside_strip_is_precondition_error(self):
         # complex s parses but a nonsense generator hits exit 5
         code, _ = run_cli(["bsd", "0", "0", "1", "-1", "0", "--gen", "5,5"])
@@ -122,6 +129,14 @@ class TestBsd:
         assert abs(float(payload["sha_predicted"]["value"]) - 1) < 1e-4
         assert payload["rank_analytic"] == 1
         assert payload["flags"] == []
+
+    def test_rank_three_report(self):
+        code, out = run_cli(["bsd", "--json", "0", "0", "1", "-7", "6",  # 5077a
+                             "--gen=-2,3", "--gen=-1,3", "--gen=0,2"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rank_analytic"] == 3
+        assert abs(float(payload["sha_predicted"]["value"]) - 1) < 1e-4
 
     def test_round_trip_schema(self):
         _, out = run_cli(["bsd", "--json", "0", "-1", "1", "-10", "-20"])
