@@ -9,20 +9,15 @@ the two halves of the cusp-form integral split at 1/sqrt(N); the relative
 sign of the second half is exactly the functional-equation sign w, which is
 measured numerically (involution ratio) rather than assumed.
 
-At non-integer s every term comes from one engine: all x_n share s, so
-e^{-x} times the lower-gamma series at 0 is a single polynomial in
-x/x_max whose coefficients are built once per s and summed by integer
-Horner in fixed point, at a precision sized to the cancellation against
-Gamma(s) x^{-s}.  At integer s (the root number's s0 = 4, s = 1 in the
-BSD report and the rank scale) mpmath's gammainc is called per term: it
-has closed forms there, and 2 - s <= 0 is a pole of the lower series.
-
-Derivatives at s = 1 are taken termwise from one table per context: the
-same series at 0, expanded in a - 1, gives every d^i/da^i Gamma(a, x_n) at
-a = 1, i <= r, from coefficient columns built once and summed by integer
-Horner per x_n.  The log-weighted series of `incgamma_upper_deriv_at_1` is
-kept as the tests' oracle, and finite differences are a test oracle too,
-never used here.
+One engine gives the terms at s = 1 and at non-integer s: all x_n share
+s, so A_n^a Gamma(a, x_n) is e^{-a log x_n} Gamma(a) less e^{-x_n} times
+one polynomial in x_n/x_max (the lower-gamma series at 0), summed by
+integer Horner in fixed point at a precision sized to the cancellation.
+Over power series in a - 1 it gives one Taylor coefficient at a = 1 per
+Horner pass, all that Lambda^(k)(1) needs.  At other integer s (the root
+number's s0 = 4) mpmath's gammainc is called per term: s or 2 - s is a
+pole of the lower series.  The series of `incgamma_upper_deriv_at_1` and
+finite differences are the tests' oracles, never used here.
 """
 
 from __future__ import annotations
@@ -66,7 +61,7 @@ class AnalyticContext:
         self._coeffs = dirichlet_coefficients(self.curve, self.n_max)
         self._w: int | None = None
         self._x_table: tuple | None = None  # (n_max, bits, rows) of `_x_rows`
-        self._deriv_table: tuple | None = None  # (order, n_max, prec, rows)
+        self._terms: tuple | None = None  # ((a, order, n_max), prec, terms) of `_gamma_terms`
 
     # coefficient access, extending on demand -------------------------------
 
@@ -219,20 +214,20 @@ def _root_number_from_overlap(ctx: AnalyticContext, s0: float = 4.0) -> int:
 def _lambda_terms(ctx: AnalyticContext, s):
     """(a_n, A^s Gamma(s,x), A^{2-s} Gamma(2-s,x)) for each nonzero a_n, n <= n_max.
 
-    Non-integer s goes through `_upper_gamma_terms`.  On Re s = 1,
+    s = 1 and non-integer s go through `_gamma_terms`.  On Re s = 1,
     2 - s = conj(s) exactly, so the second half of each term is the
     conjugate of the first: Im Lambda(1+it) is then exactly 0 when w = +1,
-    and Re Lambda(1+it) exactly 0 when w = -1.  Integer s calls mpmath per
-    term: mpmath has closed forms there, and 2 - s <= 0 is a pole of the
-    lower series the engine sums.
+    and Re Lambda(1+it) exactly 0 when w = -1.  Other integer s call mpmath
+    per term: mpmath has closed forms there, and s or 2 - s is a pole of
+    the lower series the engine sums.
     """
     s = mp.mpmathify(s)
-    if not mp.isint(s):
-        first = _upper_gamma_terms(ctx, s)
+    if s == 1 or not mp.isint(s):
+        first = _gamma_terms(ctx, s)
         if mp.re(s) == 1:
             second = [mp.conj(p) for p in first]
         else:
-            second = _upper_gamma_terms(ctx, mp.fsub(2, s, exact=True))
+            second = _gamma_terms(ctx, mp.fsub(2, s, exact=True))
         yield from zip([row[1] for row in _x_rows(ctx, 0)], first, second)
         return
     coeffs = ctx.coefficients(ctx.n_max)
@@ -246,52 +241,67 @@ def _lambda_terms(ctx: AnalyticContext, s):
         yield a_n, A**s * mp.gammainc(s, x), A ** (2 - s) * mp.gammainc(2 - s, x)
 
 
-# -- the Lambda-series terms at non-integer s ----------------------------------
+# -- the Lambda-series terms: one Taylor engine for A^a Gamma(a, x_n) -----------
 
 GUARD_BITS = 24
 
 
-def _upper_gamma_terms(ctx: AnalyticContext, a) -> list:
-    """A_n^a Gamma(a, x_n) for each nonzero a_n, n <= n_max, at non-integer a.
+def _gamma_terms(ctx: AnalyticContext, a, order: int = 0) -> list:
+    """[e^order] A_n^(a+e) Gamma(a+e, x_n) for each nonzero a_n, n <= n_max.
 
     With A = 1/x, Gamma(a, x) = Gamma(a) - x^a e^{-x} sum_k x^k/(a)_{k+1}
-    gives A^a Gamma(a, x) = e^{-a log x} Gamma(a) - e^{-x} S(x), where
-    S(x) = sum_k c_k u^k, u = x/x_max <= 1 and c_k = x_max^k/(a)_{k+1}
-    (the series at 0 of Dokchitser, math/0207280).  Every x_n shares a, so
-    the c_k and Gamma(a) are built once per call, and S(x_n) is integer
-    Horner in fixed point at P bits.  u = n/n_max is exact, so each Horner
-    step is a product and a quotient by small integers, and scaling by x_max
-    keeps the rounding of the c_k from being amplified by x^k.
+    gives f(a) = A^a Gamma(a, x) = e^{-a log x} Gamma(a) - e^{-x} S(x), with
+    S(x) = sum_k c_k u^k, u = x/x_max = n/n_max and c_k = x_max^k/(a)_{k+1}
+    (the series at 0 of Dokchitser, math/0207280).  The c_k are built once
+    per call as power series in e truncated at e^order (the k-th divides by
+    a + k + e), and column `order` of S(x_n) is integer Horner in fixed
+    point at P bits, each step a product and a quotient by small integers.
+    The first part is e^{-a log x} sum_m (-log x)^(order-m)/(order-m)!
+    [e^m] Gamma(a + e); order > 0 is allowed at a = 1 only.
 
-    Precision: S is summed to about 2^-(prec + guard) absolute, where prec
-    is the ambient precision; the terms stop at k > 2 x + |Re a| (past
-    there each is at most half the one before) once they fall below that.  In
-    fixed point each c_k and each Horner step costs one unit of 2^-P, and a
-    relative error in a c_k costs that much of e^{-x} |c_k| u^k, so P adds
-    to prec log2 of what the difference cancels against: the larger of
-    max_x e^{-x} sum_k |c_k| u^k (x^k e^{-x} peaks at x = k) and the term
-    itself.  It adds log2 |a| for the error of a log x and 2 log2 K for
-    K coefficients and steps.  The c_k, Gamma(a) and the cached log x_n
-    and e^{-x_n} carry P bits or more, and each result is rounded to the
-    ambient precision.
+    Precision: each x_n stops at its first degree past 2x + |Re a| (past
+    there the terms at least halve) whose term, weighted by e^{-x}, is below
+    2^-(prec + guard), prec the ambient precision.  Each c_k and each Horner
+    step costs one unit of 2^-P, and a relative error in a c_k that much of
+    e^{-x} |c_k| u^k, so P adds to prec log2 of what the difference cancels
+    against: the larger of max_x e^{-x} sum_k |c_k| u^k (x^k e^{-x} peaks at
+    x = k) and the first part, at most x^{-1} max(1, Gamma(Re a) x^{1-Re a})
+    times sum_{j <= order} l^j/j!, l the largest |log x_n| (as
+    |[e^m] Gamma(1 + e)| <= 1).  It adds log2 |a| for the error of a log x,
+    2 log2 K for K coefficients and steps, and the guard bits.  Kept on the
+    context as `_terms` = ((a, order, n_max), prec, terms), and reused for
+    the same key at no more bits.
     """
     prec = mp.mp.prec
+    key = (a, order, ctx.n_max)
+    cached = ctx._terms
+    if cached is not None and cached[0] == key and cached[1] >= prec:
+        return cached[2]
+    if order and a != 1:
+        raise ValueError("Taylor coefficients in a are taken at a = 1 only")
     stop = -(prec + GUARD_BITS)
     sigma = float(mp.re(a))
     x_hi = 2 * math.pi * ctx.n_max / ctx.sqrtN
     x_lo = x_hi / ctx.n_max
-    # the term itself: at most e^{-x}/x for Re a <= 1, Gamma(Re a) x^{-Re a} above
     size = -math.log2(x_lo)
     if sigma > 1:
         size = max(size, math.lgamma(sigma) / math.log(2) - sigma * math.log2(x_lo))
+    log_max = max(abs(math.log(x_lo)), abs(math.log(x_hi)))
+    size += math.log2(sum(log_max**j / math.factorial(j) for j in range(order + 1)))
     work = prec + GUARD_BITS + 64
     while True:
         with mp.workprec(work):
             x_max = 2 * mp.pi * ctx.n_max / mp.sqrt(ctx.N)
-            limit = 2 * x_max + abs(sigma)
-            coeffs = [1 / a]
-            while len(coeffs) <= limit or mp.mag(coeffs[-1]) >= stop:
-                coeffs.append(coeffs[-1] * x_max / (a + len(coeffs)))
+            limit = 2 * x_max + abs(sigma) + 1
+            coeffs, series = [], [mp.mpf(1)] + [0] * order
+            while len(coeffs) <= limit or mp.mag(coeffs[-1]) - x_hi / math.log(2) >= stop:
+                k = len(coeffs)
+                # times x_max from k = 1, divided by a + k + e
+                step = []
+                for c in series:
+                    step.append(((c * x_max if k else c) - (step[-1] if step else 0)) / (a + k))
+                series = step
+                coeffs.append(series[order])
         mags = [mp.mag(c) for c in coeffs]
         peak = mags[0]
         for k in range(1, len(mags)):
@@ -303,25 +313,32 @@ def _upper_gamma_terms(ctx: AnalyticContext, a) -> list:
         if work >= bits + steps:
             break
         work = bits + steps + 8
-    with mp.workprec(bits):
-        gamma_a = mp.gamma(a)
+    with mp.workprec(bits):  # [e^m] Gamma(a + e) for m <= order
+        gammas = ([g / math.factorial(m) for m, g in enumerate(_gamma_derivs_at_1(order))]
+                  if order else [mp.gamma(a)])
     re_fixed = [int(mp.ldexp(mp.re(c), bits)) for c in coeffs]
     im_fixed = [int(mp.ldexp(mp.im(c), bits)) for c in coeffs] if mp.im(a) else None
-    rows = _x_rows(ctx, bits)
-    out = []
-    degree = 0
+    out, degree = [], 0
     with mp.workprec(bits):
-        for n, _, log_x, exp_x in rows:
-            # the first degree past 2x + |Re a| whose term is below 2^stop; grows with n
+        for n, _, log_x, exp_x in _x_rows(ctx, bits):
+            # the first degree past 2x + |Re a| whose weighted term is below 2^stop; grows with n
+            x = x_lo * n
             log2_u = math.log2(n / ctx.n_max)
-            degree = max(degree, min(math.ceil(2 * x_lo * n + abs(sigma)), len(coeffs) - 1))
-            while degree < len(coeffs) - 1 and mags[degree] + degree * log2_u >= stop:
+            degree = max(degree, min(math.ceil(2 * x + abs(sigma)), len(coeffs) - 1))
+            while (degree < len(coeffs) - 1
+                   and mags[degree] + degree * log2_u - x / math.log(2) >= stop):
                 degree += 1
             series = mp.ldexp(_horner(re_fixed, degree, n, ctx.n_max), -bits)
             if im_fixed is not None:
                 series = mp.mpc(series, mp.ldexp(_horner(im_fixed, degree, n, ctx.n_max), -bits))
-            out.append(mp.exp(-a * log_x) * gamma_a - exp_x * series)
-    return [+term for term in out]
+            head, power = gammas[order], 1
+            for j in range(1, order + 1):
+                power *= -log_x / j
+                head += gammas[order - j] * power
+            out.append(mp.exp(-a * log_x) * head - exp_x * series)
+    terms = [+term for term in out]
+    ctx._terms = (key, prec, terms)
+    return terms
 
 
 def _horner(fixed: list[int], degree: int, num: int, den: int) -> int:
@@ -382,28 +399,26 @@ def l_value(ctx: AnalyticContext, s) -> ValueWithBound:
     with mp.workdps(ctx.dps):
         s = mp.mpmathify(s)
         lam, bound = lambda_value(ctx, s)
-        factor = (2 * mp.pi) ** s / (ctx.sqrtN_mp**s * mp.gamma(s))
+        # 1/Gamma(s) is 0 at s = 0, -1, -2, ...: the trivial zeros of L
+        factor = (2 * mp.pi) ** s * mp.rgamma(s) / ctx.sqrtN_mp**s
         return ValueWithBound(lam * factor, bound * abs(factor))
 
 
 def lambda_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
-    """d^k/ds^k Lambda(E, s) at s = 1, termwise (no finite differences)."""
+    """d^k/ds^k Lambda(E, s) at s = 1, termwise (no finite differences):
+    (1 + w (-1)^k) k! sum_n a_n [e^k] A_n^(1+e) Gamma(1+e, x_n), one column
+    of `_gamma_terms`."""
     k = order
     with mp.workdps(ctx.dps):
         parity = 1 + ctx.w * (-1) ** k
         if parity == 0:
             return ValueWithBound(mp.mpf(0), mp.mpf(0))
         total = mp.mpf(0)
-        for a_n, log_x, derivs in _incgamma_derivs(ctx, k):
-            log_A = -log_x
-            inner = mp.mpf(0)
-            for i in range(k + 1):
-                inner += math.comb(k, i) * log_A ** (k - i) * derivs[i]
-            total += a_n * mp.exp(log_A) * inner
-        total *= parity
-        bound = mp.mpf(ctx.tail_bound()) * (1 + mp.log(ctx.n_max)) ** k + mp.mpf(
-            10
-        ) ** (-ctx.digits)
+        for row, term in zip(_x_rows(ctx, 0), _gamma_terms(ctx, 1, k)):
+            total += row[1] * term
+        total *= parity * math.factorial(k)
+        bound = (mp.mpf(ctx.tail_bound()) * (1 + mp.log(ctx.n_max)) ** k
+                 + mp.mpf(10) ** (-ctx.digits))
         return ValueWithBound(total, bound)
 
 
@@ -456,113 +471,6 @@ def analytic_rank(ctx: AnalyticContext, tol: float = 1e-10) -> RankEstimate:
 # -- derivatives of the upper incomplete gamma at a = 1 -------------------------
 
 
-def _incgamma_derivs(ctx: AnalyticContext, order: int) -> list:
-    """(a_n, log x_n, [d^i/da^i Gamma(a, x_n) at a = 1 for i <= order]) per nonzero a_n.
-
-    With a = 1 + e, the lower-gamma series at 0 of `_upper_gamma_terms`
-    reads Gamma(a, x) = Gamma(a) - e^{-x} x^e sum_{k>=1} x^k/(1+e)_k.  Its
-    expansion in e has columns S_j(x) = sum_k D_{j,k} u^k, u = x/x_max =
-    n/n_max and D_{j,k} = j! [e^j] x_max^k/(1+e)_k, so that
-
-        Gamma^(i)(1, x) = Gamma^(i)(1) - e^{-x} sum_{j<=i} C(i,j) (log x)^{i-j} S_j(x).
-
-    The D_{j,k} come from the recurrence of `_upper_gamma_terms` run over
-    power series in e truncated at e^order, once per build.  S_0 = e^x - 1
-    exactly, and each S_j, j >= 1, is one integer Horner pass per x_n.
-
-    Precision: D_{j,k} has the sign (-1)^j, so each S_j sums without
-    cancellation; the difference with Gamma^(i)(1) is what cancels.  With
-    w_j = sum_{i>=j} C(i,j) l^{i-j}, l the largest |log x_n|, a term of
-    column j weighs at most e^{-x} w_j |D_{j,k}| u^k in any result, and
-    |D_{j,k+1}| <= |D_{j,k}| x_max/k, so past k = 2x each term is at most half
-    the one before.  The columns stop at the first k past 2 x_max whose
-    weighted term at x_max is below 2^-(prec + guard), and each x_n stops
-    the same way at its own first degree past 2 x_n.  P adds to prec log2
-    of what the difference cancels against, the larger of
-    max_x e^{-x} sum_j w_j sum_k |D_{j,k}| u^k and |Gamma^(i)(1)| <= 2 i!,
-    plus 2 log2 K for K coefficients and steps and the guard bits.
-
-    Kept on the context as `_deriv_table` = (order, n_max, prec, rows), and
-    rebuilt only when a higher order, another n_max (the CLI's --nmax) or
-    more bits are asked for.
-    """
-    prec = mp.mp.prec
-    cached = ctx._deriv_table
-    if (cached is not None and cached[0] >= order and cached[1] == ctx.n_max
-            and cached[2] >= prec):
-        return cached[3]
-    stop = -(prec + GUARD_BITS)
-    x_hi = 2 * math.pi * ctx.n_max / ctx.sqrtN
-    x_lo = x_hi / ctx.n_max
-    log_max = max(abs(math.log(x_lo)), abs(math.log(x_hi)))
-    weights = [math.log2(sum(math.comb(i, j) * log_max ** (i - j)
-                             for i in range(j, order + 1)))
-               for j in range(order + 1)]
-    size = 1 + math.log2(math.factorial(order))
-    work = prec + GUARD_BITS + 64
-    while True:
-        with mp.workprec(work):
-            x_max = 2 * mp.pi * ctx.n_max / mp.sqrt(ctx.N)
-            # [e^m] x_max^k/(1+e)_k for m <= order; the k-th divides by k + e
-            cols = [[mp.mpf(1)] + [mp.mpf(0)] * order]
-            mags = [[] for _ in range(order + 1)]
-            while True:
-                k = len(cols)
-                series = []
-                for c in cols[-1]:
-                    series.append(c * x_max / k - (series[-1] / k if series else 0))
-                cols.append(series)
-                for j in range(1, order + 1):
-                    mags[j].append(mp.mag(series[j]) + math.log2(math.factorial(j)))
-                if k > 2 * x_hi and all(mags[j][-1] - x_hi / math.log(2) + weights[j] < stop
-                                        for j in range(1, order + 1)):
-                    break
-        steps = len(cols).bit_length()
-        peak = weights[0]
-        for j in range(1, order + 1):
-            for k, mag in enumerate(mags[j], 1):
-                x = min(k, x_hi)
-                peak = max(peak, weights[j] + mag + k * math.log2(x / x_hi)
-                           - x / math.log(2) + steps)
-        bits = (prec + max(math.ceil(max(peak, size) + math.log2(order + 1)), 0)
-                + 2 * steps + GUARD_BITS)
-        if work >= bits + steps:
-            break
-        work = bits + steps + 8
-    with mp.workprec(work):
-        # column j at index j; column 0 is summed in closed form
-        fixed = [None] + [[0] + [int(mp.ldexp(math.factorial(j) * c[j], bits)) for c in cols[1:]]
-                          for j in range(1, order + 1)]
-    rows = []
-    degrees = [0] * (order + 1)
-    with mp.workprec(bits):
-        gamma_derivs = _gamma_derivs_at_1(order)
-        for n, a_n, log_x, exp_x in _x_rows(ctx, bits):
-            x = x_lo * n
-            log2_u = math.log2(n / ctx.n_max)
-            sums = [1 - exp_x]  # e^{-x} S_j(x)
-            for j in range(1, order + 1):
-                # the first degree past 2x whose weighted term is below 2^stop; grows with n
-                degree = max(degrees[j], min(math.ceil(2 * x), len(cols) - 1))
-                while degree < len(cols) - 1 and (
-                        mags[j][degree - 1] + degree * log2_u - x / math.log(2)
-                        + weights[j] >= stop):
-                    degree += 1
-                degrees[j] = degree
-                sums.append(exp_x * mp.ldexp(_horner(fixed[j], degree, n, ctx.n_max), -bits))
-            powers = [mp.mpf(1)]
-            for _ in range(order):
-                powers.append(powers[-1] * log_x)
-            derivs = [exp_x] + [
-                gamma_derivs[i] - mp.fsum(math.comb(i, j) * powers[i - j] * sums[j]
-                                          for j in range(i + 1))
-                for i in range(1, order + 1)]
-            rows.append((a_n, log_x, derivs))
-    rows = [(a_n, log_x, [+d for d in derivs]) for a_n, log_x, derivs in rows]
-    ctx._deriv_table = (order, ctx.n_max, prec, rows)
-    return rows
-
-
 def incgamma_upper_deriv_at_1(i: int, x):
     """d^i/da^i Gamma(a, x) at a = 1 for real x > 0.
 
@@ -574,7 +482,7 @@ def incgamma_upper_deriv_at_1(i: int, x):
     is Horner's rule in u.  The working precision (x/ln 10 + 10 extra digits,
     against the alternating-series cancellation) and the stopping rule
     (m > 4x + 20 and |term| < 10^{-(dps+5)}) are those of the direct sum.
-    An independent check of `_incgamma_derivs`, used by the tests only.
+    An independent check of `_gamma_terms`, used by the tests only.
     """
     if i == 0:
         return mp.e ** (-x)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import mpmath as mp
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from hasseweil.analytic import (
     AnalyticContext,
-    _incgamma_derivs,
+    _gamma_terms,
+    _lambda_scale,
     _lambda_terms,
     analytic_rank,
     f_on_imaginary_axis,
@@ -70,6 +72,12 @@ class TestLValues:
             lhs = complex(l_value(ctx37, s).value)
             rhs = eval_euler(e37, s, 2 * 10**5)
             assert abs(lhs - rhs) < 1e-8
+
+    def test_trivial_zeros(self, ctx11, ctx37):
+        # 1/Gamma(s) vanishes at s = 0, -1, -2, ...
+        for ctx, s in ((ctx11, 0), (ctx37, -2)):
+            value, bound = l_value(ctx, s)
+            assert value == 0 and bound == 0
 
     def test_complex_argument(self, ctx11):
         value = l_value(ctx11, mp.mpc(1.1, 0.3)).value
@@ -230,17 +238,20 @@ class TestSharedSeriesEngine:
 
         monkeypatch.setattr(mp, "gammainc", counting)
         with mp.workdps(ctx11.dps):
-            list(_lambda_terms(ctx11, complex(2, 0)))
-            assert len(calls) == 2 * sum(1 for n in range(1, ctx11.n_max + 1)
-                                         if ctx11.coefficient(n))
+            for s in (complex(2, 0), 2):
+                calls.clear()
+                list(_lambda_terms(ctx11, s))
+                assert len(calls) == 2 * sum(1 for n in range(1, ctx11.n_max + 1)
+                                             if ctx11.coefficient(n))
             calls.clear()
-            list(_lambda_terms(ctx11, mp.mpc(1, 0.5)))
-            list(_lambda_terms(ctx11, 1.3))
+            # s = 1 is a pole of neither half, so the engine serves it too
+            for s in (mp.mpc(1, 0.5), 1.3, 1, mp.mpf(1), mp.mpc(1, 0)):
+                list(_lambda_terms(ctx11, s))
         assert calls == []
 
 
 class TestDerivativeTable:
-    """`_incgamma_derivs` against the series oracle with 40 extra digits."""
+    """`_gamma_terms` at a = 1 against the series oracle with 40 extra digits."""
 
     @pytest.mark.parametrize("ainvs", [E11, E37, E389, E5077],
                              ids=["11a", "37a", "389a", "5077a"])
@@ -250,36 +261,77 @@ class TestDerivativeTable:
 
         ctx = AnalyticContext(WeierstrassCurve(*ainvs), digits=digits)
         with mp.workdps(ctx.dps):
-            rows = _incgamma_derivs(ctx, 4)
+            columns = [_gamma_terms(ctx, 1, k) for k in range(5)]
         ns = [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
-        assert [row[0] for row in rows] == [ctx.coefficient(n) for n in ns]
+        assert [len(column) for column in columns] == [len(ns)] * 5
         tol = mp.mpf(10) ** -(ctx.dps - 5)
         with mp.workdps(ctx.dps + 40):
-            for n, (_, _, derivs) in zip(ns, rows):
+            for index, n in enumerate(ns):
                 x = 2 * mp.pi * n / mp.sqrt(ctx.N)
-                for i in range(5):
-                    err = abs(derivs[i] - incgamma_upper_deriv_at_1(i, x))
-                    assert err <= tol, (n, i, mp.nstr(err, 3))
+                minus_log = -mp.log(x)
+                derivs = [incgamma_upper_deriv_at_1(i, x) for i in range(5)]
+                for k in range(5):
+                    # d^k/da^k x^{-a} Gamma(a, x) at a = 1
+                    oracle = sum(math.comb(k, i) * minus_log ** (k - i) * derivs[i]
+                                 for i in range(k + 1)) / x
+                    err = abs(math.factorial(k) * columns[k][index] - oracle)
+                    assert err <= tol, (n, k, mp.nstr(err, 3))
 
     def test_rebuilt_only_when_more_is_asked(self, e37):
         ctx = AnalyticContext(e37)
         first = lambda_derivative(ctx, 1).value
-        assert ctx._deriv_table[0] == 1
-        lambda_derivative(ctx, 3)
-        table = ctx._deriv_table
-        assert table[0] == 3
-        again = lambda_derivative(ctx, 1).value
-        assert ctx._deriv_table is table
-        assert abs(again - first) < mp.mpf(10) ** -ctx.digits
+        key, _, terms = ctx._terms
+        assert key == (1, 1, ctx.n_max)
+        assert lambda_derivative(ctx, 1).value == first
+        with mp.workdps(ctx.dps - 10):
+            assert _gamma_terms(ctx, 1, 1) is terms
         with mp.workdps(ctx.dps + 20):
-            _incgamma_derivs(ctx, 1)
-        assert ctx._deriv_table is not table
-        table = ctx._deriv_table
+            assert _gamma_terms(ctx, 1, 1) is not terms
+        terms = ctx._terms[2]
+        assert abs(lambda_derivative(ctx, 1).value - first) < mp.mpf(10) ** -ctx.digits
+        assert ctx._terms[2] is terms
+        lambda_derivative(ctx, 3)
+        assert ctx._terms[0] == (1, 3, ctx.n_max)
+        terms = ctx._terms[2]
         ctx.n_max += 10
-        lambda_derivative(ctx, 1)
-        assert ctx._deriv_table is not table
-        assert len(ctx._deriv_table[3]) == sum(
+        lambda_derivative(ctx, 3)
+        assert ctx._terms[2] is not terms
+        assert len(ctx._terms[2]) == sum(
             1 for n in range(1, ctx.n_max + 1) if ctx.coefficient(n))
+
+    @staticmethod
+    def _horner_calls(monkeypatch) -> list:
+        from hasseweil import analytic
+
+        calls = []
+        horner = analytic._horner
+
+        def counting(fixed, degree, num, den):
+            calls.append(num)
+            return horner(fixed, degree, num, den)
+
+        monkeypatch.setattr(analytic, "_horner", counting)
+        return calls
+
+    def test_one_horner_pass_per_term(self, monkeypatch):
+        from hasseweil.curves import WeierstrassCurve
+
+        ctx = AnalyticContext(WeierstrassCurve(*E5077))
+        assert ctx.w == -1
+        calls = self._horner_calls(monkeypatch)
+        lambda_derivative(ctx, 3)
+        assert calls == [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
+
+    def test_s1_shares_one_column(self, e11, monkeypatch):
+        ctx = AnalyticContext(e11)
+        assert ctx.w == 1
+        calls = self._horner_calls(monkeypatch)
+        # analytic_rank's scale and order 0, then the BSD report's L(E, 1)
+        with mp.workdps(ctx.dps):
+            _lambda_scale(ctx, 1)
+        assert lambda_derivative(ctx, 0).value == lambda_value(ctx, 1).value
+        l_value(ctx, 1)
+        assert calls == [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
 
 
 def _random_curve(seed: int, max_conductor: int = 3000):

@@ -64,6 +64,14 @@ class TestValues:
         assert float(payload["L"]["err"]) < 1e-20
         assert payload["root_number"] == 1
 
+    def test_lvalue_trivial_zero(self):
+        # 1/Gamma(s) is 0 at s = 0: a value, not a gamma-pole parse error
+        code, out = run_cli(
+            ["lvalue", "--json", "0", "-1", "1", "-10", "-20", "--s", "0"]
+        )
+        assert code == 0
+        assert json.loads(out)["L"] == {"value": "0.0", "err": "0.0"}
+
     def test_lambda_functional_equation(self):
         _, out_a = run_cli(["lambda", "--json", "0", "0", "1", "-1", "0", "--s", "1.3"])
         _, out_b = run_cli(["lambda", "--json", "0", "0", "1", "-1", "0", "--s", "0.7"])

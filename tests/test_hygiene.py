@@ -109,17 +109,17 @@ def test_every_top_level_definition_is_used():
     assert dead == []
 
 
-def _gammainc_owners(tree: ast.Module) -> list[str]:
-    """The innermost enclosing function of each reference to `gammainc`."""
+def _owners(tree: ast.Module, name: str) -> list[str]:
+    """The innermost enclosing function of each reference to `name`."""
     owners = []
 
     def walk(node, owner):
         if isinstance(node, (*FUNCTIONS, ast.Lambda)):
             owner = getattr(node, "name", "<lambda>")
-        if (isinstance(node, ast.Name) and node.id == "gammainc"
-                or isinstance(node, ast.Attribute) and node.attr == "gammainc"
-                or isinstance(node, ast.alias) and "gammainc" in (node.name, node.asname)
-                or isinstance(node, ast.Constant) and node.value == "gammainc"):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and name in (node.name, node.asname)
+                or isinstance(node, ast.Constant) and node.value == name):
             owners.append(owner)
         for child in ast.iter_child_nodes(node):
             walk(child, owner)
@@ -128,11 +128,19 @@ def _gammainc_owners(tree: ast.Module) -> list[str]:
     return owners
 
 
-def test_gammainc_only_in_lambda_terms():
-    # one home for incomplete-gamma code: the integer-s branch of the Lambda series
-    owners = {
+def _package_owners(name: str) -> set[str]:
+    return {
         f"{path.stem}.{owner}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for owner in _gammainc_owners(_parse(path))
+        for owner in _owners(_parse(path), name)
     }
-    assert owners == {"analytic._lambda_terms"}
+
+
+def test_gammainc_only_in_lambda_terms():
+    # one home for incomplete-gamma code: the integer-s branch of the Lambda series
+    assert _package_owners("gammainc") == {"analytic._lambda_terms"}
+
+
+def test_horner_only_in_gamma_terms():
+    # one Taylor engine sums the lower-gamma series, for every s and order
+    assert _package_owners("_horner") == {"analytic._gamma_terms"}
