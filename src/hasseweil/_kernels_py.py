@@ -3,14 +3,18 @@
 Counts are projective (the point at infinity is included) and are taken on
 the reduction of the given integer coefficients mod p, smooth or not.
 Enumeration serves small primes; baby-step giant-step order finding serves
-the primes above Mestre's bound 457.
+the primes above Mestre's bound 457.  The BSGS walks on plain integers: its
+points need no square root (one Legendre symbol picks the curve or its
+twist), each step is one affine addition with one `pow(d, -1, p)`, and the
+first giant center comes from a Jacobian scalar multiplication with one
+inversion.
 """
 
 from __future__ import annotations
 
 import math
 
-from .numtheory import legendre_symbol, sqrt_mod_prime
+from .errors import BSGSFailure
 
 
 def count_points_mod_p(a1: int, a2: int, a3: int, a4: int, a6: int, p: int) -> int:
@@ -58,82 +62,130 @@ def ap_sweep(
 
 
 # -- baby-step giant-step order finding (large good primes) -------------------
+#
+# Points are integer pairs on y^2 = x^3 + Ax + B over F_p; None is O.
 
 
-class _Short:
-    """y^2 = x^3 + Ax + B over F_p, affine with None as infinity."""
+def _mul(n: int, x: int, y: int, A: int, p: int):
+    """nP for P = (x, y) and n >= 1, as an affine pair or None for O.
 
-    __slots__ = ("A", "B", "p")
+    Left-to-right double-and-add in Jacobian coordinates (X : Y : Z) =
+    (X/Z^2, Y/Z^3), with Z = 0 for O, adding the affine P; one inversion
+    at the end.  Doubling a point with Y = 0 gives Z = 0, and an addition
+    that meets R = P doubles instead.
+    """
+    X, Y, Z = x, y, 1
+    for bit in bin(n)[3:]:
+        YY = Y * Y % p
+        S = 4 * X * YY % p
+        ZZ = Z * Z % p
+        M = (3 * X * X + A * ZZ * ZZ) % p
+        X2 = (M * M - 2 * S) % p
+        Z = 2 * Y * Z % p
+        Y = (M * (S - X2) - 8 * YY * YY) % p
+        X = X2
+        if bit == "1":
+            if Z == 0:
+                X, Y, Z = x, y, 1
+                continue
+            ZZ = Z * Z % p
+            H = (x * ZZ - X) % p
+            r = (y * ZZ * Z - Y) % p
+            if H == 0:
+                if r:
+                    Z = 0
+                    continue
+                # R = P: double P itself (Z = 1)
+                YY = y * y % p
+                S = 4 * x * YY % p
+                M = (3 * x * x + A) % p
+                X = (M * M - 2 * S) % p
+                Z = 2 * y % p
+                Y = (M * (S - X) - 8 * YY * YY) % p
+                continue
+            HH = H * H % p
+            HHH = H * HH % p
+            V = X * HH % p
+            X2 = (r * r - HHH - 2 * V) % p
+            Y = (r * (V - X2) - Y * HHH) % p
+            Z = Z * H % p
+            X = X2
+    if Z == 0:
+        return None
+    zi = pow(Z, -1, p)
+    zi2 = zi * zi % p
+    return X * zi2 % p, Y * zi2 * zi % p
 
-    def __init__(self, A, B, p):
-        self.A, self.B, self.p = A % p, B % p, p
 
-    def add(self, P, Q):
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        p = self.p
-        x1, y1 = P
-        x2, y2 = Q
-        if x1 == x2:
-            if (y1 + y2) % p == 0:
-                return None
-            lam = (3 * x1 * x1 + self.A) * pow(2 * y1, -1, p) % p
-        else:
-            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        x3 = (lam * lam - x1 - x2) % p
-        return (x3, (lam * (x1 - x3) - y1) % p)
-
-    def mul(self, n, P):
-        R, add = None, P
-        while n:
-            if n & 1:
-                R = self.add(R, add)
-            add = self.add(add, add)
-            n >>= 1
-        return R
-
-
-def _bsgs_all_matches(curve: _Short, P, lo: int, hi: int) -> list[int]:
-    """All m in [lo, hi] with mP = O, in increasing order.
+def _bsgs_all_matches(A: int, p: int, x0: int, y0: int, lo: int, hi: int) -> list[int]:
+    """All m in [lo, hi] with mP = O for P = (x0, y0), in increasing order.
 
     Shanks-Mestre matching on x-coordinates (Cohen, GTM 138, Alg. 7.4.12):
     baby steps iP, i = 1..s, are keyed by x(iP); the giant steps visit cP
-    for centers c spaced 2s + 1 apart, and x(cP) = x(iP) means cP = iP
+    for the multiples c of 2s + 1 from the one in [lo - s, lo + s] on, so
+    cP = q(2s + 1)P costs a scalar multiplication by q ~ sqrt(p) only,
+    and x(cP) = x(iP) means cP = iP
     (so m = c - i) or cP = -iP (m = c + i), told apart by y; when
-    y(iP) = 0 both hold.  If iP = O, or x(jP) = x(iP) for some i < j
-    (then jP = -iP), the baby steps have found the order n of P, and the
-    answer is the multiples of n in [lo, hi].
+    y(iP) = 0 both hold.  If x(jP) = x(iP) for some i < j (then
+    jP = -iP), or (2s + 1)P = O, the baby steps have found the order n of
+    P, and the answer is the multiples of n in [lo, hi].
     """
     s = math.isqrt((hi - lo) // 2) + 1
-    baby: dict[int, tuple[int, int]] = {}
-    R = P
-    for i in range(1, s + 1):
-        if R is None:
-            return _multiples(i, lo, hi)
-        x, y = R
-        if x in baby:
-            return _multiples(baby[x][0] + i, lo, hi)
-        baby[x] = (i, y)
-        last, R = R, curve.add(R, P)
-    stride = curve.add(last, R)  # (2s + 1)P
-    p = curve.p
+    if y0 == 0:
+        return _multiples(2, lo, hi)
+    baby = {x0: 1}
+    ys = [0, y0]
+    first, push = baby.setdefault, ys.append
+    lam = (3 * x0 * x0 + A) * pow(2 * y0, -1, p) % p
+    x = (lam * lam - 2 * x0) % p
+    y = (lam * (x0 - x) - y0) % p
+    lx, ly = x0, y0
+    for i in range(2, s + 1):
+        j = first(x, i)
+        if j != i:
+            return _multiples(j + i, lo, hi)
+        push(y)
+        lx, ly = x, y
+        lam = (y - y0) * pow(x - x0, -1, p) % p
+        x = (lam * lam - x - x0) % p
+        y = (lam * (lx - x) - y) % p
+    # (s + 1)P = x, y and sP = lx, ly; stride (2s + 1)P
+    if x == lx:
+        return _multiples(2 * s + 1, lo, hi)
+    lam = (y - ly) * pow(x - lx, -1, p) % p
+    sx = (lam * lam - x - lx) % p
+    sy = (lam * (lx - sx) - ly) % p
+    step = 2 * s + 1
+    q = -(-(lo - s) // step)
+    Q = _mul(q, sx, sy, A, p) if q > 0 else None
+    qx, qy = Q if Q is not None else (None, 0)
     out = []
-    c = lo + s
-    Q = curve.mul(c, P)
-    while c - s <= hi:
-        if Q is None:
+    find = baby.get
+    for c in range(q * step, hi + s + 1, step):
+        if qx is None:
             out.append(c)
-        elif (hit := baby.get(Q[0])) is not None:
-            i, y = hit
-            if y == Q[1]:
-                out.append(c - i)
-            if (y + Q[1]) % p == 0:
-                out.append(c + i)
-        Q = curve.add(Q, stride)
-        c += 2 * s + 1
-    return [m for m in out if m <= hi]
+            qx, qy = sx, sy
+        else:
+            i = find(qx)
+            if i is not None:
+                y = ys[i]
+                if y == qy:
+                    out.append(c - i)
+                if (y + qy) % p == 0:
+                    out.append(c + i)
+            if qx != sx:
+                lam = (sy - qy) * pow(sx - qx, -1, p) % p
+                x = (lam * lam - qx - sx) % p
+                qy = (lam * (qx - x) - qy) % p
+                qx = x
+            elif qy != sy or qy == 0:
+                qx = None
+            else:
+                lam = (3 * qx * qx + A) * pow(2 * qy, -1, p) % p
+                x = (lam * lam - 2 * qx) % p
+                qy = (lam * (qx - x) - qy) % p
+                qx = x
+    return [m for m in out if lo <= m <= hi]
 
 
 def _multiples(n: int, lo: int, hi: int) -> list[int]:
@@ -143,45 +195,37 @@ def _multiples(n: int, lo: int, hi: int) -> list[int]:
 def ap_bsgs(c4: int, c6: int, p: int, seed: int = 0) -> int:
     """a_p at a good prime p >= 5 from the short model y^2=x^3-27c4 x-54c6.
 
-    Deterministic order finding: random points on the curve and its
+    Deterministic order finding: random points on the curve E and its
     quadratic twist shrink the set of admissible orders in the Hasse
-    interval until one remains.  By Mestre's theorem one always remains
-    for p > 457; below that the search may end in ArithmeticError.
+    interval until one remains.  No square root is taken: for d = f(x)
+    nonzero, (xd, d^2) lies on y^2 = X^3 + Ad^2 X + Bd^3, which is E when d
+    is a square and the twist when it is not, and a twist order m stands
+    for the order 2p + 2 - m of E.  By Mestre's theorem one order always
+    remains for p > 457; below that the search may end in BSGSFailure.
     """
     A, B = (-27 * c4) % p, (-54 * c6) % p
-    E = _Short(A, B, p)
-    g = 2
-    while legendre_symbol(g, p) != -1:
-        g += 1
-    tw = _Short(A * g * g % p, B * pow(g, 3, p) % p, p)
     w = math.isqrt(4 * p)
     lo, hi = p + 1 - w, p + 1 + w
-    state = (seed * 0x9E3779B97F4A7C15 + p) & 0xFFFFFFFFFFFFFFFF
-
-    def next_x():
-        nonlocal state
-        state ^= (state << 13) & 0xFFFFFFFFFFFFFFFF
-        state ^= state >> 7
-        state ^= (state << 17) & 0xFFFFFFFFFFFFFFFF
-        return state % p
-
+    half = (p - 1) // 2
+    mask = 0xFFFFFFFFFFFFFFFF
+    state = (seed * 0x9E3779B97F4A7C15 + p) & mask
     candidates: set[int] | None = None
-    for round_idx in range(64):
-        use_twist = round_idx % 2 == 1
-        curve = tw if use_twist else E
+    for _ in range(64):
         while True:
-            x = next_x()
-            rhs = (x * x % p * x + curve.A * x + curve.B) % p
-            y = sqrt_mod_prime(rhs, p)
-            if y is not None:
-                P = (x, y)
+            state ^= (state << 13) & mask
+            state ^= state >> 7
+            state ^= (state << 17) & mask
+            x = state % p
+            d = ((x * x + A) * x + B) % p
+            if d:
                 break
-        matches = _bsgs_all_matches(curve, P, lo, hi)
-        if use_twist:
+        d2 = d * d % p
+        matches = _bsgs_all_matches(A * d2 % p, p, x * d % p, d2, lo, hi)
+        if pow(d, half, p) != 1:
             matches = [2 * p + 2 - m for m in matches]
         candidates = set(matches) if candidates is None else candidates & set(matches)
         if len(candidates) == 1:
             return p + 1 - candidates.pop()
         if not candidates:
-            raise ArithmeticError(f"BSGS eliminated every group order at p={p}")
-    raise ArithmeticError(f"BSGS failed to isolate the group order at p={p}")
+            raise BSGSFailure(f"BSGS eliminated every group order at p={p}")
+    raise BSGSFailure(f"BSGS failed to isolate the group order at p={p}")

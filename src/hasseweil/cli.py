@@ -19,6 +19,7 @@ from . import analytic, bsd, intlinalg, realizations
 from .curves import CurvePoint, WeierstrassCurve, parse_curve
 from .errors import (
     BadReduction,
+    BSGSFailure,
     DependentGenerators,
     NotNilpotent,
     NotPrime,
@@ -392,6 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECISION
     except (
         BadReduction,
+        BSGSFailure,
         DependentGenerators,
         NotNilpotent,
         NotPrime,

@@ -39,3 +39,7 @@ class NotNilpotent(HasseWeilError):
 
 class SingularBasis(HasseWeilError):
     """Lattice basis matrix is not invertible."""
+
+
+class BSGSFailure(HasseWeilError):
+    """Baby-step giant-step order finding left no or several group orders."""

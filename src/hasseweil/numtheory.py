@@ -6,6 +6,7 @@ division plus Pollard rho, which is plenty for discriminants at desk scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -52,8 +53,8 @@ def primes_up_to(n: int) -> list[int]:
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+            sieve[i * i :: i] = bytes((n - i * i) // i + 1)
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:

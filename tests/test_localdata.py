@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from hasseweil import kernels, _kernels_py
+from hasseweil import cli, kernels, localdata, _kernels_py
 from hasseweil.curves import WeierstrassCurve
-from hasseweil.errors import BadReduction, NotPrime
+from hasseweil.errors import BadReduction, BSGSFailure, HasseWeilError, NotPrime
 from hasseweil.finitefield import GaloisField, irreducible_polynomial
 from hasseweil.localdata import (
     BSGS_SWEEP_THRESHOLD,
@@ -85,16 +85,88 @@ class TestCounting:
             minimal = curve.minimal_model()[0]
             ai = [int(a) for a in minimal.ainvs()]
             inv = minimal.invariants()
+            c4, c6 = int(inv.c4), int(inv.c6)
             for p in primes_up_to(3000):
                 if p < p_min or p in bad_primes(curve):
                     continue
-                enum = kernels.count_points_mod_p(*ai, p)
-                assert p + 1 - kernels.ap_bsgs(int(inv.c4), int(inv.c6), p) == enum, (ai, p)
+                # above Mestre's bound every seed gives the one a_p; the
+                # seed moves the drawn points between the curve (f(x) a
+                # square) and its twist (f(x) a non-square)
+                seeds = range(4) if p > BSGS_SWEEP_THRESHOLD else (0,)
+                aps = {kernels.ap_bsgs(c4, c6, p, seed) for seed in seeds}
+                assert aps == {p + 1 - kernels.count_points_mod_p(*ai, p)}, (ai, p)
+
+    def test_bsgs_failure_is_a_package_error(self, monkeypatch):
+        # below Mestre's bound the search may end without one order; that is
+        # BSGSFailure, which the CLI reports as a precondition (exit 5)
+        failing = next(
+            (c4, c6, p)
+            for p in primes_up_to(BSGS_SWEEP_THRESHOLD)[2:]
+            for c4 in range(-8, 9)
+            for c6 in range(-8, 9)
+            if (c4**3 - c6**2) % p and _bsgs_fails(c4, c6, p)
+        )
+        with pytest.raises(BSGSFailure):
+            kernels.ap_bsgs(*failing)
+        assert issubclass(BSGSFailure, HasseWeilError)
+        bsgs = kernels.ap_bsgs
+        monkeypatch.setattr(kernels, "ap_bsgs", lambda c4, c6, p, seed=0: bsgs(*failing))
+        monkeypatch.setattr(localdata, "BSGS_SWEEP_THRESHOLD", 3)
+        assert cli.main(["lvalue", "0", "-1", "1", "-10", "-20", "--s", "2"]) == 5
 
     def test_large_prime_count(self, e37):
         p = 1000003
         n = count_points(e37, p)
         assert (p + 1 - n) ** 2 <= 4 * p
+
+
+def _bsgs_fails(c4, c6, p):
+    try:
+        kernels.ap_bsgs(c4, c6, p)
+    except BSGSFailure:
+        return True
+    return False
+
+
+class _Short:
+    """y^2 = x^3 + Ax + B over F_p, affine with None as infinity: the
+    oracle of the kernel's flat BSGS arithmetic."""
+
+    def __init__(self, A, B, p):
+        self.A, self.B, self.p = A % p, B % p, p
+
+    def add(self, P, Q):
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        p = self.p
+        x1, y1 = P
+        x2, y2 = Q
+        if x1 == x2:
+            if (y1 + y2) % p == 0:
+                return None
+            lam = (3 * x1 * x1 + self.A) * pow(2 * y1, -1, p) % p
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (lam * lam - x1 - x2) % p
+        return (x3, (lam * (x1 - x3) - y1) % p)
+
+    def mul(self, n, P):
+        R, add = None, P
+        while n:
+            if n & 1:
+                R = self.add(R, add)
+            add = self.add(add, add)
+            n >>= 1
+        return R
+
+
+def _random_curve(p, rng):
+    while True:
+        A, B = rng.randrange(p), rng.randrange(p)
+        if (4 * A**3 + 27 * B * B) % p:
+            return _Short(A, B, p)
 
 
 def _random_point(curve, rng):
@@ -114,6 +186,44 @@ def _order(curve, P):
     return n
 
 
+def _hasse(p):
+    w = math.isqrt(4 * p)
+    return p + 1 - w, p + 1 + w
+
+
+def _corner_cases(E, P):
+    """The corner cases of `_bsgs_all_matches` that P meets, told by the
+    oracle: the stride (2s + 1)P is O; or, in the scalar multiplication
+    q(2s + 1)P of the first giant center, a doubling meets a 2-torsion
+    point or an addition meets R = (2s + 1)P; or a giant center is O."""
+    lo, hi = _hasse(E.p)
+    s = math.isqrt((hi - lo) // 2) + 1
+    step = 2 * s + 1
+    n = _order(E, P)
+    if n < 2 * s:
+        return set()
+    if n == step:
+        return {"stride O"}
+    found = set()
+    S = E.mul(step, P)
+    q = -(-(lo - s) // step)
+    R = S
+    for bit in bin(q)[3:]:
+        if R is not None and R[1] == 0:
+            found.add("2-torsion doubled")
+        R = E.add(R, R)
+        if bit == "1":
+            if R == S:
+                found.add("R = P")
+            R = E.add(R, S)
+    if any(c % n == 0 for c in range(q * step, hi + s + 1, step)):
+        found.add("center O")
+    return found
+
+
+CORNER_CASES = {"stride O", "2-torsion doubled", "R = P", "center O"}
+
+
 class TestKernel:
     def test_backend_name(self):
         assert kernels.backend() == "python"
@@ -122,28 +232,48 @@ class TestKernel:
         # every m in [lo, hi] with mP = O, against trying each m; the
         # multiples (n/d)P of a random point of order n give every order d
         # dividing n, among them orders below 2s (the early exits of the
-        # baby steps) and the order 2s, where the baby step sP has y = 0
-        Short, matches = _kernels_py._Short, _kernels_py._bsgs_all_matches
+        # baby steps) and the order 2s, where the baby step sP has y = 0;
+        # primes above 460 are added until every corner case has been met
+        matches = _kernels_py._bsgs_all_matches
         rng = random.Random(3)
         cases = []
-        for p in rng.sample([q for q in primes_up_to(3000) if q > 460], 12):
-            while True:
-                A, B = rng.randrange(p), rng.randrange(p)
-                if (4 * A**3 + 27 * B * B) % p:
-                    break
-            E = Short(A, B, p)
+        large = rng.sample([q for q in primes_up_to(3000) if q > 460], 12)
+        small = (q for q in primes_up_to(3000) if q > 460)
+        met = set()
+        while len(large) or met != CORNER_CASES:
+            p = large.pop() if large else next(small)
+            E = _random_curve(p, rng)
             P = _random_point(E, rng)
             n = _order(E, P)
-            cases += [(E, E.mul(n // d, P)) for d in range(1, n + 1) if n % d == 0]
+            for d in range(2, n + 1):
+                if n % d == 0:
+                    Q = E.mul(n // d, P)
+                    cases.append((E, Q))
+                    met |= _corner_cases(E, Q)
         # 37a's short model at 1777: s = 10 and P has order 20 = 2s
-        E = Short(-27 * 48, 54 * 216, 1777)
+        E = _Short(-27 * 48, 54 * 216, 1777)
         assert _order(E, (25, 1419)) == 20
         cases.append((E, (25, 1419)))
         for E, P in cases:
-            w = math.isqrt(4 * E.p)
-            lo, hi = E.p + 1 - w, E.p + 1 + w
+            lo, hi = _hasse(E.p)
             brute = [m for m in range(lo, hi + 1) if E.mul(m, P) is None]
-            assert matches(E, P, lo, hi) == brute, (E.p, E.A, E.B, P)
+            assert matches(E.A, E.p, *P, lo, hi) == brute, (E.p, E.A, E.B, P)
+
+    def test_jacobian_mul_matches_affine(self):
+        # nP for every n up to twice the order, so doublings that meet a
+        # 2-torsion point or O and additions that meet R = P all occur
+        rng = random.Random(7)
+        for p in (461, 467, 1777):
+            E = _random_curve(p, rng)
+            P = _random_point(E, rng)
+            n = _order(E, P)
+            for d in (2, 3, 4, 5, 6, 7, 9):
+                if n % d == 0:
+                    Q = E.mul(n // d, P)
+                    for k in range(1, 2 * d + 3):
+                        assert _kernels_py._mul(k, *Q, E.A, p) == E.mul(k, Q), (p, d, k)
+            for k in range(1, 200):
+                assert _kernels_py._mul(k, *P, E.A, p) == E.mul(k, P), (p, k)
 
     def test_bsgs_above_31_bits(self, e37):
         # above 2^31 - 1: a_p obeys Hasse, p + 1 - a_p kills points of the
@@ -156,8 +286,8 @@ class TestKernel:
         g = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
         rng = random.Random(5)
         for curve, order in (
-            (_kernels_py._Short(A, B, p), p + 1 - a_p),
-            (_kernels_py._Short(A * g * g, B * g**3, p), p + 1 + a_p),
+            (_Short(A, B, p), p + 1 - a_p),
+            (_Short(A * g * g, B * g**3, p), p + 1 + a_p),
         ):
             for _ in range(4):
                 assert curve.mul(order, _random_point(curve, rng)) is None
