@@ -7,17 +7,19 @@ Method: with A_n = sqrt(N)/(2 pi n) and x_n = 1/A_n,
 where Gamma(.,.) is the upper incomplete gamma function.  The two terms are
 the two halves of the cusp-form integral split at 1/sqrt(N); the relative
 sign of the second half is exactly the functional-equation sign w, which is
-measured numerically (involution ratio) rather than assumed.
+measured from the theta involution f(i/(N y)) = w N y^2 f(iy) rather than
+assumed, and needs only the a_n of f(iy) near y = 1/sqrt(N).
 
 One engine gives the terms at s = 1 and at non-integer s: all x_n share
 s, so A_n^a Gamma(a, x_n) is e^{-a log x_n} Gamma(a) less e^{-x_n} times
 one polynomial in x_n/x_max (the lower-gamma series at 0), summed by
 integer Horner in fixed point at a precision sized to the cancellation.
 Over power series in a - 1 it gives one Taylor coefficient at a = 1 per
-Horner pass, all that Lambda^(k)(1) needs.  At other integer s (the root
-number's s0 = 4) mpmath's gammainc is called per term: s or 2 - s is a
-pole of the lower series.  The series of `incgamma_upper_deriv_at_1` and
-finite differences are the tests' oracles, never used here.
+Horner pass, all that Lambda^(k)(1) needs.  Only a user-asked integer
+s != 1 calls mpmath's gammainc per term (s or 2 - s is a pole of the lower
+series); nothing in the package evaluates Lambda there.  The series of
+`incgamma_upper_deriv_at_1`, finite differences and the Dirichlet series
+are the tests' oracles, never used here.
 """
 
 from __future__ import annotations
@@ -138,14 +140,14 @@ def f_on_imaginary_axis(ctx: AnalyticContext, y) -> mp.mpf:
 
 
 def root_number(ctx: AnalyticContext, samples=(1.1, 1.3, 1.7, 2.3)) -> int:
-    """Sign of the functional equation, measured two independent ways.
+    """Sign w of the functional equation, from the theta involution.
 
-    First the involution ratio -f(i/(N y)) / (N y^2 f(iy)) across sample
-    points (its sign is -w).  Then, because the split series built with w
-    satisfies its functional equation identically, the confirming check is
-    the overlap with the plain Dirichlet series deep in the convergence
-    region: only the correct sign reproduces N^{s/2}(2 pi)^{-s}Gamma(s)L(s)
-    there.  Disagreement raises PrecisionExhausted.
+    The Fricke involution gives f(i/(N y)) = w N y^2 f(iy), so the ratio
+    -f(i/(N y)) / (N y^2 f(iy)) is -w at every y > 0.  It is measured at
+    y = t/sqrt(N) for each sample t, skipping a sample where |f(iy)| is
+    below 10^{-target/2} (too near a zero of f for a stable ratio).  Fewer
+    than two stable samples, a first ratio not near +-1, or any ratio more
+    than 1e-6 from it raises PrecisionExhausted.
     """
     with mp.workdps(ctx.dps):
         ratios = []
@@ -166,46 +168,7 @@ def root_number(ctx: AnalyticContext, samples=(1.1, 1.3, 1.7, 2.3)) -> int:
                 raise PrecisionExhausted(
                     f"involution ratio {r} deviates from {eps}"
                 )
-        w = -eps
-        w_overlap = _root_number_from_overlap(ctx)
-        if w_overlap != w:
-            raise PrecisionExhausted(
-                "involution ratio and Dirichlet-overlap disagree on the sign"
-            )
-        return w
-
-
-def _root_number_from_overlap(ctx: AnalyticContext, s0: float = 4.0) -> int:
-    """The w for which the split series matches the Dirichlet series at s0.
-
-    The two candidate signs differ by a quantity of order 1 while the
-    Dirichlet truncation error sits near 1e-8, so double precision is ample
-    for the reference sum.
-    """
-    n_dir = 10**4
-    coeffs = ctx.coefficients(n_dir)
-    l_dir = math.fsum(
-        coeffs[n] / float(n) ** s0 for n in range(1, n_dir + 1) if coeffs[n]
-    )
-    # |a_n| <= 2n gives a tail below 2 integral_{n_dir}^inf x^{1-s0} dx
-    tail = 2 * float(n_dir) ** (2 - s0) / (s0 - 2)
-    s0 = mp.mpf(s0)
-    factor = ctx.sqrtN_mp**s0 * (2 * mp.pi) ** (-s0) * mp.gamma(s0)
-    direct = factor * l_dir
-    # the two candidate signs share both half-sums, so evaluate each once
-    first = second = mp.mpf(0)
-    for a_n, p, q in _lambda_terms(ctx, s0):
-        first += a_n * p
-        second += a_n * q
-    lam_plus, lam_minus = first + second, first - second
-    d_plus, d_minus = abs(lam_plus - direct), abs(lam_minus - direct)
-    separation = abs(lam_plus - lam_minus)
-    noise = factor * (tail + 1e-12)
-    if separation < 10 * noise:
-        raise PrecisionExhausted("overlap test cannot separate the two signs")
-    if min(d_plus, d_minus) > noise:
-        raise PrecisionExhausted("neither sign matches the Dirichlet overlap")
-    return 1 if d_plus < d_minus else -1
+        return -eps
 
 
 # -- Lambda, L, and derivatives -------------------------------------------------
@@ -217,9 +180,10 @@ def _lambda_terms(ctx: AnalyticContext, s):
     s = 1 and non-integer s go through `_gamma_terms`.  On Re s = 1,
     2 - s = conj(s) exactly, so the second half of each term is the
     conjugate of the first: Im Lambda(1+it) is then exactly 0 when w = +1,
-    and Re Lambda(1+it) exactly 0 when w = -1.  Other integer s call mpmath
-    per term: mpmath has closed forms there, and s or 2 - s is a pole of
-    the lower series the engine sums.
+    and Re Lambda(1+it) exactly 0 when w = -1.  Other integer s, reached
+    only when a caller asks for Lambda or L there, call mpmath per term:
+    mpmath has closed forms there, and s or 2 - s is a pole of the lower
+    series the engine sums.
     """
     s = mp.mpmathify(s)
     if s == 1 or not mp.isint(s):

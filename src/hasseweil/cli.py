@@ -9,7 +9,9 @@ deterministic JSON object (sorted keys, fixed-format numbers).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -17,19 +19,8 @@ import mpmath as mp
 
 from . import analytic, bsd, intlinalg, realizations
 from .curves import CurvePoint, WeierstrassCurve, parse_curve
-from .errors import (
-    BadReduction,
-    BSGSFailure,
-    DependentGenerators,
-    NotNilpotent,
-    NotPrime,
-    OutsideConvergenceRegion,
-    PointNotOnCurve,
-    PrecisionExhausted,
-    SingularBasis,
-    SingularCurve,
-)
-from .localdata import bad_primes, conductor, tate_local
+from .errors import HasseWeilError, PointNotOnCurve, PrecisionExhausted, SingularCurve
+from .localdata import bad_primes, conductor, require_enumerable, tate_local
 from .lseries import trace_formula_check, zeta_factorization_check
 from .numtheory import primes_up_to
 
@@ -55,8 +46,11 @@ def _fmt_complex(value, digits: int = 15) -> str:
 
 
 def _parse_complex(text: str) -> complex:
-    cleaned = text.strip().replace("i", "j")
-    return complex(cleaned)
+    # only a final i is the imaginary unit, so "inf" keeps its name
+    value = complex(re.sub(r"i(?=\s*\)?$)", "j", text.strip()))
+    if not cmath.isfinite(value):
+        raise ValueError(f"s must be finite, got {text!r}")
+    return value
 
 
 def _int_at_least(low: int, what: str):
@@ -216,11 +210,12 @@ def cmd_bsd(args) -> int:
 
 def cmd_zetacheck(args) -> int:
     curve = _curve_from_args(args)
-    results = []
     bad = set(bad_primes(curve))
-    for p in primes_up_to(args.pmax):
-        if p in bad:
-            continue
+    good = [p for p in primes_up_to(args.pmax) if p not in bad]
+    if args.kmax > 1 and good:  # fail before enumerating any field
+        require_enumerable(good[-1], args.kmax)
+    results = []
+    for p in good:
         results.append(
             {
                 "p": p,
@@ -391,16 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (
-        BadReduction,
-        BSGSFailure,
-        DependentGenerators,
-        NotNilpotent,
-        NotPrime,
-        OutsideConvergenceRegion,
-        PointNotOnCurve,
-        SingularBasis,
-    ) as exc:
+    except HasseWeilError as exc:
         print(f"precondition violated ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .curves import CurvePoint, WeierstrassCurve
+from .errors import PrecisionExhausted
 from .intlinalg import det
 from .numtheory import factorize, valuation
 
@@ -184,7 +185,7 @@ def canonical_height_breakdown(
             Gv = _eval_form_mp(G, af, bf)
             m = max(abs(Fv), abs(Gv))
             if m == 0 or abs(m) < mp.mpf(10) ** (-(digits + GUARD_DIGITS - 8)):
-                raise ArithmeticError(
+                raise PrecisionExhausted(
                     "catastrophic cancellation in height recursion"
                 )
             arch_series += mp.log(m) / pow4

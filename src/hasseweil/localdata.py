@@ -124,11 +124,19 @@ def count_points(curve: WeierstrassCurve, p: int, k: int = 1) -> int:
     data = _data(curve)
     if p in data.bad:
         raise BadReduction(f"good reduction required at {p} for k > 1")
-    if p**k > ENUM_LIMIT:
-        raise ValueError(f"field size {p}^{k} exceeds enumeration limit")
+    require_enumerable(p, k)
     if (p, k) not in data.counts:
         data.counts[p, k] = _count_points_gf(data.coeffs, p, k)
     return data.counts[p, k]
+
+
+def require_enumerable(p: int, k: int) -> None:
+    """ValueError unless p^k <= ENUM_LIMIT.
+
+    k is capped at the limit's bit length, where 2^k already exceeds it, so
+    a huge k costs nothing."""
+    if p ** min(k, ENUM_LIMIT.bit_length()) > ENUM_LIMIT:
+        raise ValueError(f"field size {p}^{k} exceeds enumeration limit")
 
 
 def _count_points_gf(coeffs, p: int, k: int, seed: int = 0) -> int:

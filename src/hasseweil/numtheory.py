@@ -129,34 +129,3 @@ def legendre_symbol(a: int, p: int) -> int:
         return 0
     t = pow(a, (p - 1) // 2, p)
     return 1 if t == 1 else -1
-
-
-def sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A square root of a mod prime p, or None when a is a non-residue.
-
-    Tonelli-Shanks; deterministic non-residue search.
-    """
-    a %= p
-    if p == 2 or a == 0:
-        return a
-    if legendre_symbol(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre_symbol(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r

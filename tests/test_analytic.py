@@ -18,10 +18,18 @@ from hasseweil.analytic import (
     l_value,
     lambda_derivative,
     lambda_value,
+    root_number,
     tail_bound_after,
     tail_cutoff,
 )
+from hasseweil.curves import WeierstrassCurve
+from hasseweil.errors import PrecisionExhausted
 from hasseweil.lseries import eval_euler
+
+E389 = (0, 1, 1, -2, 0)
+E11 = (0, -1, 1, -10, -20)
+E37 = (0, 0, 1, -1, 0)
+E5077 = (0, 0, 1, -7, 6)
 
 
 class TestRootNumber:
@@ -41,6 +49,53 @@ class TestRootNumber:
 
         ctx = AnalyticContext(WeierstrassCurve(0, 1, 1, -2, 0))  # 389a
         assert ctx.w == 1
+
+    def test_rank_four_and_five(self):
+        # 234446a and 19047851a: conductors far past the reach of a
+        # 10^4-term Dirichlet series, whose error grows like N^2 at s = 4
+        assert AnalyticContext(WeierstrassCurve(1, -1, 0, -79, 289)).w == 1
+        assert AnalyticContext(WeierstrassCurve(0, 0, 1, -79, 342)).w == -1
+
+    # N + 1 leaves the first ratio within 0.35 of +-1, and negating this a_p
+    # moves the ratios by 2e-5 to 5e-5 only, so only the 1e-6 agreement of
+    # the samples rejects them
+    @pytest.mark.parametrize("ainvs, p", [(E11, 17), (E37, 31), (E389, 97), (E5077, 313)],
+                             ids=["11a", "37a", "389a", "5077a"])
+    def test_wrong_data_raises(self, ainvs, p):
+        wrong_n = AnalyticContext(WeierstrassCurve(*ainvs))
+        wrong_n.N += 1
+        wrong_n.sqrtN = math.sqrt(wrong_n.N)
+        with pytest.raises(PrecisionExhausted, match="deviates"):
+            root_number(wrong_n)
+        wrong_ap = AnalyticContext(WeierstrassCurve(*ainvs))
+        coefficients = wrong_ap.coefficients
+        assert coefficients(p)[p] != 0
+        wrong_ap.coefficients = lambda n: [-a if k == p else a
+                                           for k, a in enumerate(coefficients(n))]
+        with pytest.raises(PrecisionExhausted, match="deviates"):
+            root_number(wrong_ap)
+
+    @pytest.mark.parametrize("ainvs", [E11, E37, E389, E5077],
+                             ids=["11a", "37a", "389a", "5077a"])
+    def test_dirichlet_overlap_oracle(self, ainvs):
+        # deep in the convergence region the split series built with w is
+        # N^{s/2} (2 pi)^{-s} Gamma(s) L(s), L summed directly to n = 10^4
+        ctx = AnalyticContext(WeierstrassCurve(*ainvs))
+        s0, n_dir = 4, 10**4
+        coeffs = ctx.coefficients(n_dir)
+        l_dir = math.fsum(coeffs[n] / float(n) ** s0 for n in range(1, n_dir + 1) if coeffs[n])
+        # |a_n| <= 2n gives a tail below 2 integral_{n_dir}^inf x^{1-s0} dx
+        tail = 2 * float(n_dir) ** (2 - s0) / (s0 - 2)
+        with mp.workdps(ctx.dps):
+            factor = ctx.sqrtN_mp**s0 * (2 * mp.pi) ** (-s0) * mp.gamma(s0)
+            direct = factor * l_dir
+            noise = factor * (tail + 1e-12)
+            first = second = mp.mpf(0)
+            for a_n, p, q in _lambda_terms(ctx, s0):
+                first += a_n * p
+                second += a_n * q
+            assert abs(first + ctx.w * second - direct) < noise
+            assert abs(first - ctx.w * second - direct) > 10 * noise
 
 
 class TestFunctionalEquation:
@@ -186,11 +241,6 @@ class TestPrecisionControl:
         # f(iy) > 0 for y above the involution fixed point on this curve
         assert f_on_imaginary_axis(ctx11, 1.0 / ctx11.sqrtN) > 0
 
-
-E389 = (0, 1, 1, -2, 0)
-E11 = (0, -1, 1, -10, -20)
-E37 = (0, 0, 1, -1, 0)
-E5077 = (0, 0, 1, -7, 6)
 
 # non-integer s: Re s and Im s over a box, plus points next to the poles of
 # Gamma(2 - s) at 0 and -1, where the engine's difference cancels 50 to 100 bits

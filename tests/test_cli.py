@@ -1,7 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 
+import pytest
+
+from hasseweil import cli, errors
 from hasseweil.cli import main
 
 
@@ -92,6 +96,19 @@ class TestValues:
         assert payload["rank_analytic"] == 3
         assert [k for k, _ in payload["inspected"]] == [1, 3]
 
+    def test_non_finite_s_is_parse_error(self, capsys):
+        for s in ("nan", "1e400", "nan+1i", "inf", "1-infi"):
+            code, out = run_cli(["lvalue", "0", "0", "1", "-1", "0", "--s", s])
+            assert (code, out) == (2, ""), s
+            assert capsys.readouterr().err == f"parse error: s must be finite, got {s!r}\n"
+
+    def test_rank_four(self):
+        code, out = run_cli(["rank", "--json", "1", "-1", "0", "-79", "289"])  # 234446a
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["rank_analytic"], payload["root_number"]) == (4, 1)
+        assert [k for k, _ in payload["inspected"]] == [0, 2, 4]
+
     def test_outside_strip_is_precondition_error(self):
         # complex s parses but a nonsense generator hits exit 5
         code, _ = run_cli(["bsd", "0", "0", "1", "-1", "0", "--gen", "5,5"])
@@ -146,6 +163,15 @@ class TestBsd:
         assert payload["rank_analytic"] == 3
         assert abs(float(payload["sha_predicted"]["value"]) - 1) < 1e-4
 
+    def test_rank_four_report(self):
+        code, out = run_cli(["bsd", "--json", "1", "-1", "0", "-79", "289",  # 234446a
+                             "--gen=0,17", "--gen=3,7", "--gen=4,3", "--gen=5,-2"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["rank_analytic"], payload["w"]) == (4, 1)
+        assert abs(float(payload["sha_predicted"]["value"]) - 1) < 1e-4
+        assert payload["flags"] == []
+
     def test_round_trip_schema(self):
         _, out = run_cli(["bsd", "--json", "0", "-1", "1", "-10", "-20"])
         payload = json.loads(out)
@@ -186,6 +212,14 @@ class TestZetacheck:
             for p in (2, 3, 5, 7)
         )
         assert out == f'{{"all_ok": true, "checks": [{checks}], "kmax": 3}}\n'
+
+    def test_field_past_enumeration_limit_fails_up_front(self, capsys):
+        # 3^40 > ENUM_LIMIT: rejected before F_{2^k} is enumerated
+        start = time.perf_counter()
+        code, out = run_cli(["zetacheck", "0", "0", "1", "-1", "0", "--pmax", "3", "--kmax", "40"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("parse error: field size 3^40 exceeds")
 
 
 class TestMotive:
@@ -260,6 +294,23 @@ class TestSnf:
         code, out = run_cli(["snf", "--file", str(tmp_path / "absent.json")])
         assert (code, out) == (2, "")
         assert capsys.readouterr().err.startswith("parse error: cannot read")
+
+
+PACKAGE_ERRORS = [cls for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, errors.HasseWeilError)]
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=[cls.__name__ for cls in PACKAGE_ERRORS])
+def test_every_package_error_has_an_exit_code(error, monkeypatch, capsys):
+    def failing(curve):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "conductor", failing)
+    code, out = run_cli(["analyze", "0", "0", "1", "-1", "0"])
+    assert code == {errors.SingularCurve: 3, errors.PrecisionExhausted: 4}.get(error, 5)
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.endswith(": injected\n") and err.count("\n") == 1
 
 
 class TestInstalledEntryPoint:
