@@ -11,13 +11,19 @@ measured from the theta involution f(i/(N y)) = w N y^2 f(iy) rather than
 assumed, and needs only the a_n of f(iy) near y = 1/sqrt(N).
 
 One engine gives the terms at s = 1 and at non-integer s: all x_n share
-s, so A_n^a Gamma(a, x_n) is e^{-a log x_n} Gamma(a) less e^{-x_n} times
-one polynomial in x_n/x_max (the lower-gamma series at 0), summed by
-integer Horner in fixed point at a precision sized to the cancellation.
-Over power series in a - 1 it gives one Taylor coefficient at a = 1 per
-Horner pass, all that Lambda^(k)(1) needs.  Only a user-asked integer
-s != 1 calls mpmath's gammainc per term (s or 2 - s is a pole of the lower
-series); nothing in the package evaluates Lambda there.  The series of
+s, so A_n^a Gamma(a, x_n) is x_n^{-a} Gamma(a) less e^{-x_n} times one
+polynomial in x_n/x_max (the lower-gamma series at 0), summed by integer
+Horner in fixed point at a precision sized to the cancellation.  Over power
+series in a - 1 it gives one Taylor coefficient at a = 1 per Horner pass,
+all that Lambda^(k)(1) needs.  The per-n work is integer arithmetic: the
+rows x_n -> (log x_n, 1/x_n, e^{-x_n}) are fixed-point integers (e^{-x_n} =
+Q^n, log n summed over prime factors), x_n^{-a} is x_1^{-a} n^{-a} with
+n^{-a} completely multiplicative, each term is one integer difference
+rounded once, and f(iy) is one integer sum of a_n q^n.  At a = 1 and order
+0 (Lambda(1), L(E, 1) and the rank's scale) the term is e^{-x_n}/x_n in
+closed form, with no series.  Only a user-asked integer s != 1 calls
+mpmath's gammainc per term (s or 2 - s is a pole of the lower series);
+nothing in the package evaluates Lambda there.  The series of
 `incgamma_upper_deriv_at_1`, finite differences and the Dirichlet series
 are the tests' oracles, never used here.
 """
@@ -34,8 +40,10 @@ from .curves import WeierstrassCurve
 from .errors import PrecisionExhausted
 from .lseries import dirichlet_coefficients
 from .localdata import conductor
+from .numtheory import smallest_prime_factors
 
 GUARD_DIGITS = 15
+GUARD_BITS = 24
 
 
 class ValueWithBound(NamedTuple):
@@ -62,7 +70,7 @@ class AnalyticContext:
         self.n_max = tail_cutoff(self.N, self.target_log10 + 2)
         self._coeffs = dirichlet_coefficients(self.curve, self.n_max)
         self._w: int | None = None
-        self._x_table: tuple | None = None  # (n_max, bits, rows) of `_x_rows`
+        self._x_table: tuple | None = None  # (n_max, bits, width, rows) of `_x_rows`
         self._terms: tuple | None = None  # ((a, order, n_max), prec, terms) of `_gamma_terms`
 
     # coefficient access, extending on demand -------------------------------
@@ -120,23 +128,27 @@ def tail_cutoff(N: int, target_log10: int, s_max: float = 4.0) -> int:
 
 
 def f_on_imaginary_axis(ctx: AnalyticContext, y) -> mp.mpf:
-    """f(iy) = sum a_n e^{-2 pi n y} for real y > 0 (adaptive truncation)."""
+    """f(iy) = sum a_n e^{-2 pi n y} for real y > 0 (adaptive truncation).
+
+    One integer sum in fixed point at prec + guard + log2(n_needed) bits:
+    q^n is one product by q per n, and each product and the rounding of q
+    cost at most one unit of 2^-bits in each later q^n.
+    """
     with mp.workdps(ctx.dps):
         y = mp.mpf(y)
         n_needed = int(
             (ctx.target_log10 + 4) * math.log(10) / (2 * math.pi * float(y))
         ) + 8
         coeffs = ctx.coefficients(n_needed)
-        # q^n by one product per term: relative error at most n 2^-prec
-        q = mp.exp(-2 * mp.pi * y)
-        q_n = mp.mpf(1)
-        total = mp.mpf(0)
-        for n in range(1, n_needed + 1):
-            q_n *= q
-            a_n = coeffs[n]
+        bits = mp.mp.prec + GUARD_BITS + n_needed.bit_length()
+        with mp.workprec(bits + 8):
+            q = int(mp.ldexp(mp.exp(-2 * mp.pi * y), bits))
+        q_n, total = 1 << bits, 0
+        for a_n in coeffs[1 : n_needed + 1]:
+            q_n = q_n * q >> bits
             if a_n:
                 total += a_n * q_n
-        return total
+        return mp.mpf((total, -bits))
 
 
 def root_number(ctx: AnalyticContext, samples=(1.1, 1.3, 1.7, 2.3)) -> int:
@@ -192,7 +204,7 @@ def _lambda_terms(ctx: AnalyticContext, s):
             second = [mp.conj(p) for p in first]
         else:
             second = _gamma_terms(ctx, mp.fsub(2, s, exact=True))
-        yield from zip([row[1] for row in _x_rows(ctx, 0)], first, second)
+        yield from zip([row[1] for row in _x_rows(ctx, 0)[1]], first, second)
         return
     coeffs = ctx.coefficients(ctx.n_max)
     two_pi = 2 * mp.pi
@@ -207,21 +219,25 @@ def _lambda_terms(ctx: AnalyticContext, s):
 
 # -- the Lambda-series terms: one Taylor engine for A^a Gamma(a, x_n) -----------
 
-GUARD_BITS = 24
-
 
 def _gamma_terms(ctx: AnalyticContext, a, order: int = 0) -> list:
     """[e^order] A_n^(a+e) Gamma(a+e, x_n) for each nonzero a_n, n <= n_max.
 
     With A = 1/x, Gamma(a, x) = Gamma(a) - x^a e^{-x} sum_k x^k/(a)_{k+1}
-    gives f(a) = A^a Gamma(a, x) = e^{-a log x} Gamma(a) - e^{-x} S(x), with
+    gives f(a) = A^a Gamma(a, x) = x^{-a} Gamma(a) - e^{-x} S(x), with
     S(x) = sum_k c_k u^k, u = x/x_max = n/n_max and c_k = x_max^k/(a)_{k+1}
     (the series at 0 of Dokchitser, math/0207280).  The c_k are built once
     per call as power series in e truncated at e^order (the k-th divides by
     a + k + e), and column `order` of S(x_n) is integer Horner in fixed
     point at P bits, each step a product and a quotient by small integers.
-    The first part is e^{-a log x} sum_m (-log x)^(order-m)/(order-m)!
-    [e^m] Gamma(a + e); order > 0 is allowed at a = 1 only.
+    The first part, the head, is x^{-a} sum_m (-log x)^(order-m)/(order-m)!
+    [e^m] Gamma(a + e); order > 0 is allowed at a = 1 only.  Each term is
+    the difference of two integers at P bits, the head from the fixed-point
+    rows of `_x_rows` (at a = 1) or from x_n^{-a} = x_1^{-a} n^{-a} with
+    n^{-a} completely multiplicative (`_power_table`), and e^{-x} S(x) one
+    product of row and Horner sum; one conversion rounds it to the ambient
+    precision.  At a = 1 and order 0 the term is e^{-x}/x exactly, one
+    product of two row entries, with no series at all.
 
     Precision: each x_n stops at its first degree past 2x + |Re a| (past
     there the terms at least halve) whose term, weighted by e^{-x}, is below
@@ -229,12 +245,12 @@ def _gamma_terms(ctx: AnalyticContext, a, order: int = 0) -> list:
     step costs one unit of 2^-P, and a relative error in a c_k that much of
     e^{-x} |c_k| u^k, so P adds to prec log2 of what the difference cancels
     against: the larger of max_x e^{-x} sum_k |c_k| u^k (x^k e^{-x} peaks at
-    x = k) and the first part, at most x^{-1} max(1, Gamma(Re a) x^{1-Re a})
+    x = k) and the head, at most x^{-1} max(1, Gamma(Re a) x^{1-Re a})
     times sum_{j <= order} l^j/j!, l the largest |log x_n| (as
-    |[e^m] Gamma(1 + e)| <= 1).  It adds log2 |a| for the error of a log x,
-    2 log2 K for K coefficients and steps, and the guard bits.  Kept on the
-    context as `_terms` = ((a, order, n_max), prec, terms), and reused for
-    the same key at no more bits.
+    |[e^m] Gamma(1 + e)| <= 1).  It adds log2 |a|, 2 log2 K for K
+    coefficients and steps, and the guard bits.  Kept on the context as
+    `_terms` = ((a, order, n_max), prec, terms), and reused for the same key
+    at no more bits.
     """
     prec = mp.mp.prec
     key = (a, order, ctx.n_max)
@@ -243,6 +259,11 @@ def _gamma_terms(ctx: AnalyticContext, a, order: int = 0) -> list:
         return cached[2]
     if order and a != 1:
         raise ValueError("Taylor coefficients in a are taken at a = 1 only")
+    if a == 1 and not order:
+        width, rows = _x_rows(ctx, prec + GUARD_BITS)
+        terms = [mp.mpf((inv_x * exp_x, -2 * width)) for _, _, _, inv_x, exp_x in rows]
+        ctx._terms = (key, prec, terms)
+        return terms
     stop = -(prec + GUARD_BITS)
     sigma = float(mp.re(a))
     x_hi = 2 * math.pi * ctx.n_max / ctx.sqrtN
@@ -277,30 +298,52 @@ def _gamma_terms(ctx: AnalyticContext, a, order: int = 0) -> list:
         if work >= bits + steps:
             break
         work = bits + steps + 8
-    with mp.workprec(bits):  # [e^m] Gamma(a + e) for m <= order
-        gammas = ([g / math.factorial(m) for m, g in enumerate(_gamma_derivs_at_1(order))]
-                  if order else [mp.gamma(a)])
+    width, rows = _x_rows(ctx, bits)
+    shift = width - bits
     re_fixed = [int(mp.ldexp(mp.re(c), bits)) for c in coeffs]
     im_fixed = [int(mp.ldexp(mp.im(c), bits)) for c in coeffs] if mp.im(a) else None
-    out, degree = [], 0
-    with mp.workprec(bits):
-        for n, _, log_x, exp_x in _x_rows(ctx, bits):
-            # the first degree past 2x + |Re a| whose weighted term is below 2^stop; grows with n
-            x = x_lo * n
-            log2_u = math.log2(n / ctx.n_max)
-            degree = max(degree, min(math.ceil(2 * x + abs(sigma)), len(coeffs) - 1))
-            while (degree < len(coeffs) - 1
-                   and mags[degree] + degree * log2_u - x / math.log(2) >= stop):
-                degree += 1
-            series = mp.ldexp(_horner(re_fixed, degree, n, ctx.n_max), -bits)
-            if im_fixed is not None:
-                series = mp.mpc(series, mp.ldexp(_horner(im_fixed, degree, n, ctx.n_max), -bits))
-            head, power = gammas[order], 1
+    if order:  # a = 1: x^{-1} times a polynomial in log x
+        with mp.workprec(bits):  # [e^m] Gamma(1 + e) for m <= order
+            gammas = [int(mp.ldexp(g / math.factorial(m), bits))
+                      for m, g in enumerate(_gamma_derivs_at_1(order))]
+        heads = []
+        for _, _, log_x, inv_x, _ in rows:
+            minus_log, power = -(log_x >> shift), 1 << bits
+            head = gammas[order]
             for j in range(1, order + 1):
-                power *= -log_x / j
-                head += gammas[order - j] * power
-            out.append(mp.exp(-a * log_x) * head - exp_x * series)
-    terms = [+term for term in out]
+                power = (power * minus_log >> bits) // j
+                head += gammas[order - j] * power >> bits
+            heads.append((head * inv_x >> width, 0))
+    else:  # Gamma(a) x_1^{-a} n^{-a}
+        with mp.workprec(bits + 64):
+            scale = mp.gamma(a) * (2 * mp.pi / mp.sqrt(ctx.N)) ** -a
+        # a unit of n^{-a}'s 2^-table_bits, counted once per prime factor, times
+        # |scale| stays below 2^-bits; so does one of scale's times |n^{-a}|
+        table_bits = (bits + max(mp.mag(scale), 0) + ctx.n_max.bit_length().bit_length()
+                      + math.ceil(max(-sigma, 0) * math.log2(ctx.n_max)) + 4)
+        powers = _power_table(a, ctx.n_max, table_bits)
+        scale_re = int(mp.ldexp(mp.re(scale), table_bits))
+        scale_im = int(mp.ldexp(mp.im(scale), table_bits))
+        down = 2 * table_bits - bits
+        heads = []
+        for n, *_ in rows:
+            p_re, p_im = powers[n]
+            heads.append(((scale_re * p_re - scale_im * p_im) >> down,
+                          (scale_re * p_im + scale_im * p_re) >> down))
+    terms, degree = [], 0
+    for (n, _, _, _, exp_x), (head_re, head_im) in zip(rows, heads):
+        # the first degree past 2x + |Re a| whose weighted term is below 2^stop; grows with n
+        x = x_lo * n
+        log2_u = math.log2(n / ctx.n_max)
+        degree = max(degree, min(math.ceil(2 * x + abs(sigma)), len(coeffs) - 1))
+        while (degree < len(coeffs) - 1
+               and mags[degree] + degree * log2_u - x / math.log(2) >= stop):
+            degree += 1
+        term = mp.mpf((head_re - (exp_x * _horner(re_fixed, degree, n, ctx.n_max) >> width), -bits))
+        if im_fixed is not None:
+            term = mp.mpc(term, mp.mpf(
+                (head_im - (exp_x * _horner(im_fixed, degree, n, ctx.n_max) >> width), -bits)))
+        terms.append(term)
     ctx._terms = (key, prec, terms)
     return terms
 
@@ -313,24 +356,62 @@ def _horner(fixed: list[int], degree: int, num: int, den: int) -> int:
     return acc
 
 
-def _x_rows(ctx: AnalyticContext, bits: int) -> list:
-    """(n, a_n, log x_n, e^{-x_n}) for each nonzero a_n, n <= n_max.
+def _power_table(a, n_max: int, bits: int) -> list:
+    """n^{-a} for 1 <= n <= n_max as (Re, Im) integers in fixed point at `bits`.
 
-    Kept on the context at `bits` or more, and rebuilt when n_max has
-    changed (the CLI's --nmax raises it after construction) or more bits
-    are asked for; the 64 bits of headroom let nearby s share one table.
+    n^{-a} is completely multiplicative: one mpmath power per prime, and one
+    fixed-point product p^{-a} (n/p)^{-a} per composite n, p its smallest
+    prime factor.  Index 0 is unused.
+    """
+    table = [None, (1 << bits, 0)]
+    with mp.workprec(bits + 16):
+        for n, p in enumerate(smallest_prime_factors(2, n_max), 2):
+            if p == n:
+                z = mp.mpf(p) ** -a
+                table.append((int(mp.ldexp(mp.re(z), bits)), int(mp.ldexp(mp.im(z), bits))))
+            else:
+                (u_re, u_im), (v_re, v_im) = table[p], table[n // p]
+                table.append(((u_re * v_re - u_im * v_im) >> bits,
+                              (u_re * v_im + u_im * v_re) >> bits))
+    return table
+
+
+def _x_rows(ctx: AnalyticContext, bits: int) -> tuple[int, list]:
+    """(width, rows): (n, a_n, log x_n, 1/x_n, e^{-x_n}) for each nonzero a_n, n <= n_max.
+
+    The three reals are integers in fixed point at `width` bits, which is
+    `bits` plus x_max/ln 2 plus log2(n_max), so that e^{-x_n} keeps `bits`
+    relative bits up to x_max.  e^{-x_n} = Q^n takes one product by
+    Q = e^{-2 pi/sqrt(N)} per n; 1/x_n is (sqrt(N)/(2 pi)) // n; and
+    log x_n = log(2 pi/sqrt(N)) + log n, with log n built additively over
+    smallest prime factors (one mpmath log per prime).  Each is within
+    log2(n) + 2 units of 2^-width (e^{-x_n} within n units).  Kept on the
+    context at `bits` or more, and rebuilt when n_max has changed (the
+    CLI's --nmax raises it after construction) or more bits are asked for;
+    the 64 bits of headroom let nearby s share one table.
     """
     cached = ctx._x_table
     if cached is not None and cached[0] == ctx.n_max and cached[1] >= bits:
-        return cached[2]
+        return cached[2], cached[3]
     bits += 64
-    coeffs = ctx.coefficients(ctx.n_max)
-    with mp.workprec(bits):
+    n_max = ctx.n_max
+    coeffs = ctx.coefficients(n_max)
+    width = bits + math.ceil(2 * math.pi * n_max / ctx.sqrtN / math.log(2)) + n_max.bit_length()
+    with mp.workprec(width + 16):
         step = 2 * mp.pi / mp.sqrt(ctx.N)
-        rows = [(n, coeffs[n], mp.log(step * n), mp.exp(-step * n))
-                for n in range(1, ctx.n_max + 1) if coeffs[n]]
-    ctx._x_table = (ctx.n_max, bits, rows)
-    return rows
+        q = int(mp.ldexp(mp.exp(-step), width))
+        inv_step = int(mp.ldexp(1 / step, width))
+        log_step = int(mp.ldexp(mp.log(step), width))
+        log_n = [0, 0]
+        for n, p in enumerate(smallest_prime_factors(2, n_max), 2):
+            log_n.append(int(mp.ldexp(mp.log(p), width)) if p == n else log_n[p] + log_n[n // p])
+    rows, exp_x = [], 1 << width
+    for n in range(1, n_max + 1):
+        exp_x = exp_x * q >> width
+        if coeffs[n]:
+            rows.append((n, coeffs[n], log_step + log_n[n], inv_step // n, exp_x))
+    ctx._x_table = (n_max, bits, width, rows)
+    return width, rows
 
 
 def _lambda_series(ctx: AnalyticContext, s, w: int):
@@ -377,8 +458,9 @@ def lambda_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
         parity = 1 + ctx.w * (-1) ** k
         if parity == 0:
             return ValueWithBound(mp.mpf(0), mp.mpf(0))
+        terms = _gamma_terms(ctx, 1, k)
         total = mp.mpf(0)
-        for row, term in zip(_x_rows(ctx, 0), _gamma_terms(ctx, 1, k)):
+        for row, term in zip(_x_rows(ctx, 0)[1], terms):
             total += row[1] * term
         total *= parity * math.factorial(k)
         bound = (mp.mpf(ctx.tail_bound()) * (1 + mp.log(ctx.n_max)) ** k

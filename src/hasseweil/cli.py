@@ -1,9 +1,11 @@
 """Batch command-line interface.
 
 Subcommands: analyze | lvalue | lambda | rank | bsd | zetacheck | motive | snf.
-Exit codes: 0 success, 2 parse error, 3 singular curve, 4 precision
-exhausted, 5 precondition violation.  With --json, output is a single
-deterministic JSON object (sorted keys, fixed-format numbers).
+Exit codes: 0 success, 2 parse error (an argument or input file that does
+not convert), 3 singular curve, 4 precision exhausted (mpmath giving up in
+an evaluation included), 5 precondition violation.  With --json, output is
+a single deterministic JSON object (sorted keys, fixed-format numbers).
+`python -m hasseweil` runs the same `main`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,23 @@ EXIT_PARSE = 2
 EXIT_SINGULAR = 3
 EXIT_PRECISION = 4
 EXIT_PRECONDITION = 5
+
+
+class _ParseError(Exception):
+    """An argument or input file that does not convert (exit 2)."""
+
+
+def _parsed(convert, *args):
+    """convert(*args), its ValueError (json's included) reported as a parse error.
+
+    Only conversions of what the user typed or named go through here; a
+    ValueError that escapes an evaluation is mpmath giving up (exit 4).  A
+    zero denominator ('1/0') is a parse error too.
+    """
+    try:
+        return convert(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _ParseError(exc) from exc
 
 
 def _fmt(value, digits: int = 15) -> str:
@@ -96,8 +115,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _curve_from_args(args) -> WeierstrassCurve:
-    return parse_curve(args.coefficients if len(args.coefficients) > 1
-                       else args.coefficients[0])
+    return _parsed(parse_curve, args.coefficients if len(args.coefficients) > 1
+                   else args.coefficients[0])
 
 
 def _context(args, curve) -> analytic.AnalyticContext:
@@ -150,7 +169,7 @@ def cmd_value(args) -> int:
     """`lvalue` or `lambda`: args.evaluate(ctx, s), reported under args.key."""
     curve = _curve_from_args(args)
     ctx = _context(args, curve)
-    s = _parse_complex(args.s)
+    s = _parsed(_parse_complex, args.s)
     value = args.evaluate(ctx, s)
     payload = {
         "s": _fmt_complex(s),
@@ -185,7 +204,7 @@ def cmd_rank(args) -> int:
 
 def cmd_bsd(args) -> int:
     curve = _curve_from_args(args)
-    gens = [_parse_gen(g) for g in args.gen or []]
+    gens = [_parsed(_parse_gen, g) for g in args.gen or []]
     for g in gens:
         if not curve.contains(g):
             raise PointNotOnCurve(f"generator {g} violates the curve equation")
@@ -213,7 +232,7 @@ def cmd_zetacheck(args) -> int:
     bad = set(bad_primes(curve))
     good = [p for p in primes_up_to(args.pmax) if p not in bad]
     if args.kmax > 1 and good:  # fail before enumerating any field
-        require_enumerable(good[-1], args.kmax)
+        _parsed(require_enumerable, good[-1], args.kmax)
     results = []
     for p in good:
         results.append(
@@ -237,12 +256,12 @@ def cmd_zetacheck(args) -> int:
 
 
 def cmd_motive(args) -> int:
-    data = json.loads(_read_file(args.file))
+    data = _parsed(json.loads, _parsed(_read_file, args.file))
     payload: dict = {}
     lines: list[str] = []
     if "hodge" in data or "weight" in data:
         hodge_dict = data.get("hodge_data", data if "weight" in data else data["hodge"])
-        h = realizations.HodgeData.from_dict(hodge_dict)
+        h = _parsed(realizations.HodgeData.from_dict, hodge_dict)
         triples = realizations.gamma_factor_symbolic(h)
         payload["gamma"] = [[kind, shift, exp] for kind, shift, exp in triples]
 
@@ -253,14 +272,14 @@ def cmd_motive(args) -> int:
         pretty = " ".join(one(*t) for t in triples)
         lines.append(f"gamma factor: {pretty or '1'}")
         if args.s is not None:
-            s = _parse_complex(args.s)
+            s = _parsed(_parse_complex, args.s)
             with mp.workdps(args.prec + 10):
                 val = realizations.gamma_factor(h, s)
             payload["gamma_value"] = {"s": _fmt_complex(s),
                                       "value": _fmt_complex(val, args.prec)}
             lines.append(f"L_oo({_fmt_complex(s)}) = {_fmt_complex(val, args.prec)}")
     if "wd" in data:
-        wd = realizations.WeilDeligneRep.from_dict(data["wd"])
+        wd = _parsed(realizations.WeilDeligneRep.from_dict, data["wd"])
         coeffs = realizations.wd_local_factor(wd)
         payload["local_factor_denominator"] = [str(c) for c in coeffs]
         payload["compatibility"] = realizations.check_compatibility(wd)
@@ -270,16 +289,16 @@ def cmd_motive(args) -> int:
         lines.append(f"local factor at p={wd.p}: 1 / ({terms}), T = p^-s")
         lines.append(f"compatibility phi N phi^-1 = N/p: {payload['compatibility']}")
     if not payload:
-        raise ValueError("motive file must contain 'hodge'/'weight' or 'wd' data")
+        raise _ParseError("motive file must contain 'hodge'/'weight' or 'wd' data")
     _emit(args, payload, lines)
     return 0
 
 
 def cmd_snf(args) -> int:
-    if args.file:
-        matrix = intlinalg.matrix_from_json(_read_file(args.file))
-    else:
-        matrix = intlinalg.matrix_from_json(args.matrix)
+    text = _parsed(_read_file, args.file) if args.file else args.matrix
+    if text is None:
+        raise _ParseError("snf needs a matrix argument or --file")
+    matrix = _parsed(intlinalg.matrix_from_json, text)
     U, D, V = intlinalg.smith_normal_form(matrix)
     divisors = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
     payload = {
@@ -377,13 +396,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (json.JSONDecodeError, ValueError) as exc:
+    except _ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SingularCurve as exc:
         print(f"singular curve: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except PrecisionExhausted as exc:
+    except (PrecisionExhausted, ValueError) as exc:  # ValueError: mpmath gave up
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     except HasseWeilError as exc:

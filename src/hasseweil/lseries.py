@@ -27,7 +27,7 @@ from .localdata import (
     conductor,
     count_points,
 )
-from .numtheory import primes_up_to
+from .numtheory import primes_up_to, smallest_prime_factors
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,7 @@ def dirichlet_coefficients(
     start = len(a)
     primes, aps = ap_table(curve, n_max)
     bad = set(bad_primes(curve))
-    # smallest prime factor of each new n
-    spf = list(range(start, n_max + 1))
-    for p in primes:
-        if p * p > n_max:
-            break
-        for m in range(max(p * p, -(-start // p) * p), n_max + 1, p):
-            if spf[m - start] == m:
-                spf[m - start] = p
+    spf = smallest_prime_factors(start, n_max)
     new = bisect.bisect_left(primes, start)
     new_aps = dict(zip(primes[new:], aps[new:]))
     for n in range(start, n_max + 1):

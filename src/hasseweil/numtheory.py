@@ -57,6 +57,16 @@ def primes_up_to(n: int) -> list[int]:
     return list(itertools.compress(range(n + 1), sieve))
 
 
+def smallest_prime_factors(start: int, stop: int) -> list[int]:
+    """The smallest prime factor of each n in [start, stop] (start >= 2), at n - start."""
+    spf = list(range(start, stop + 1))
+    for p in primes_up_to(math.isqrt(stop)):
+        for m in range(max(p * p, -(-start // p) * p), stop + 1, p):
+            if spf[m - start] == m:
+                spf[m - start] = p
+    return spf
+
+
 def _pollard_rho(n: int, rng: random.Random) -> int:
     if n % 2 == 0:
         return 2

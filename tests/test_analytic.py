@@ -30,6 +30,7 @@ E389 = (0, 1, 1, -2, 0)
 E11 = (0, -1, 1, -10, -20)
 E37 = (0, 0, 1, -1, 0)
 E5077 = (0, 0, 1, -7, 6)
+E234446 = (1, -1, 0, -79, 289)
 
 
 class TestRootNumber:
@@ -376,12 +377,85 @@ class TestDerivativeTable:
         ctx = AnalyticContext(e11)
         assert ctx.w == 1
         calls = self._horner_calls(monkeypatch)
-        # analytic_rank's scale and order 0, then the BSD report's L(E, 1)
+        # analytic_rank's scale and order 0, then the BSD report's L(E, 1):
+        # one cached column of e^{-x}/x, with no series summed
         with mp.workdps(ctx.dps):
             _lambda_scale(ctx, 1)
+        column = ctx._terms[2]
         assert lambda_derivative(ctx, 0).value == lambda_value(ctx, 1).value
         l_value(ctx, 1)
-        assert calls == [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
+        assert ctx._terms[2] is column
+        assert calls == []
+
+
+class TestFixedPointOracles:
+    """The fixed-point engine against closed forms and mpmath sums, 40 digits up."""
+
+    @pytest.mark.parametrize("ainvs", [E11, E37, E389, E5077, E234446],
+                             ids=["11a", "37a", "389a", "5077a", "234446a"])
+    @pytest.mark.parametrize("digits", [30, 60])
+    def test_low_orders_match_exponential_integrals(self, ainvs, digits):
+        # [e^0] and [e^1] of x^{-1-e} Gamma(1+e, x) are e^{-x}/x and E1(x)/x
+        ctx = AnalyticContext(WeierstrassCurve(*ainvs), digits=digits)
+        with mp.workdps(ctx.dps):
+            columns = [_gamma_terms(ctx, 1, k) for k in (0, 1)]
+        ns = [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
+        assert [len(column) for column in columns] == [len(ns)] * 2
+        tol = mp.mpf(10) ** -(ctx.dps - 5)
+        with mp.workdps(ctx.dps + 40):
+            for index, n in enumerate(ns):
+                x = 2 * mp.pi * n / mp.sqrt(ctx.N)
+                assert abs(columns[0][index] - mp.exp(-x) / x) <= tol, n
+                assert abs(columns[1][index] - mp.e1(x) / x) <= tol, n
+
+    @pytest.mark.parametrize("ainvs", [E11, E37, E389, E5077, E234446],
+                             ids=["11a", "37a", "389a", "5077a", "234446a"])
+    @pytest.mark.parametrize("digits", [30, 60])
+    def test_f_matches_mpmath_sum_at_involution_samples(self, ainvs, digits):
+        ctx = AnalyticContext(WeierstrassCurve(*ainvs), digits=digits)
+        tol = mp.mpf(10) ** -(ctx.dps - 5)
+        for c in (1.1, 1.3, 1.7, 2.3):  # root_number's samples and their images
+            with mp.workdps(ctx.dps):
+                y = mp.mpf(c) / ctx.sqrtN
+                ys = (y, 1 / (ctx.N * y))
+            for y in ys:
+                value = f_on_imaginary_axis(ctx, y)
+                with mp.workdps(ctx.dps + 40):
+                    oracle = _f_by_mpmath(ctx, y)
+                    assert abs(value - oracle) <= tol * max(1, abs(oracle)), (c, y)
+
+    def test_no_mpmath_exp_or_log_per_term(self, monkeypatch):
+        # only one log per prime <= n_max, and a few fixed ones, in a rank-3 run
+        from hasseweil.numtheory import primes_up_to
+
+        ctx = AnalyticContext(WeierstrassCurve(*E5077))
+        calls = {"exp": 0, "log": 0}
+        for name in calls:
+            function = getattr(mp, name)
+
+            def counting(*args, _name=name, _function=function, **kwargs):
+                calls[_name] += 1
+                return _function(*args, **kwargs)
+
+            monkeypatch.setattr(mp, name, counting)
+        assert analytic_rank(ctx).rank == 3
+        assert calls["exp"] + calls["log"] <= len(primes_up_to(ctx.n_max)) + 16, calls
+
+
+def _f_by_mpmath(ctx, y):
+    """f(iy) summed in mpmath at the ambient precision, q^n by one product per n,
+    over the same n as `f_on_imaginary_axis`."""
+    y = mp.mpf(y)
+    n_needed = int((ctx.target_log10 + 4) * math.log(10) / (2 * math.pi * float(y))) + 8
+    coeffs = ctx.coefficients(n_needed)
+    q = mp.exp(-2 * mp.pi * y)
+    q_n = mp.mpf(1)
+    total = mp.mpf(0)
+    for n in range(1, n_needed + 1):
+        q_n *= q
+        if coeffs[n]:
+            total += coeffs[n] * q_n
+    return total
 
 
 def _random_curve(seed: int, max_conductor: int = 3000):

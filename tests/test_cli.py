@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +104,16 @@ class TestValues:
             assert (code, out) == (2, ""), s
             assert capsys.readouterr().err == f"parse error: s must be finite, got {s!r}\n"
 
+    def test_evaluation_failure_is_precision_exhausted(self, capsys):
+        # a finite s at which mpmath gives up is not bad input
+        code, out = run_cli(["lvalue", "0", "0", "1", "-1", "0", "--s", "1e300"])
+        assert (code, out) == (4, "")
+        err = capsys.readouterr().err
+        assert err.startswith("precision exhausted: ") and err.count("\n") == 1
+        code, out = run_cli(["lvalue", "0", "0", "1", "-1", "0", "--s", "abc"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("parse error: ")
+
     def test_rank_four(self):
         code, out = run_cli(["rank", "--json", "1", "-1", "0", "-79", "289"])  # 234446a
         assert code == 0
@@ -109,10 +121,22 @@ class TestValues:
         assert (payload["rank_analytic"], payload["root_number"]) == (4, 1)
         assert [k for k, _ in payload["inspected"]] == [0, 2, 4]
 
+    def test_rank_five(self):
+        code, out = run_cli(["rank", "--json", "0", "0", "1", "-79", "342"])  # 19047851a
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["rank_analytic"], payload["root_number"]) == (5, -1)
+        assert [k for k, _ in payload["inspected"]] == [1, 3, 5]
+
     def test_outside_strip_is_precondition_error(self):
         # complex s parses but a nonsense generator hits exit 5
         code, _ = run_cli(["bsd", "0", "0", "1", "-1", "0", "--gen", "5,5"])
         assert code == 5
+
+    def test_zero_denominator_is_parse_error(self, capsys):
+        code, out = run_cli(["bsd", "0", "0", "1", "-1", "0", "--gen", "1/0,1"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("parse error: ")
 
     def test_nonpositive_precision_is_parse_error(self, capsys):
         for prec in ("0", "-5"):
@@ -290,6 +314,10 @@ class TestSnf:
         code, out = run_cli(["snf", "--json", '[["-12", "+3"], [4, 0]]'])
         assert code == 0 and json.loads(out)["torsion_order"] == 12
 
+    def test_no_matrix_is_parse_error(self, capsys):
+        assert run_cli(["snf"]) == (2, "")
+        assert capsys.readouterr().err == "parse error: snf needs a matrix argument or --file\n"
+
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         code, out = run_cli(["snf", "--file", str(tmp_path / "absent.json")])
         assert (code, out) == (2, "")
@@ -321,3 +349,18 @@ class TestInstalledEntryPoint:
             text=True,
         )
         assert proc.returncode == 0
+
+    def test_module_runs_from_a_checkout(self, tmp_path):
+        # `python -m hasseweil` with only src/ on the path, exit codes intact
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "hasseweil", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True)
+
+        proc = run("snf", "[[2,4],[6,8]]", "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["elementary_divisors"] == [2, 4]
+        proc = run("analyze", "0", "0", "0", "0", "0")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("singular curve: ")
