@@ -110,17 +110,17 @@ def height_pairing(
 def regulator(
     curve: WeierstrassCurve, generators: list[CurvePoint], digits: int = 25
 ) -> float:
-    """Gram determinant of the height pairing; 1 for an empty list."""
+    """Gram determinant of the height pairing from r(r+1)/2 heights; 1 if r = 0."""
     r = len(generators)
     if r == 0:
         return 1.0
     gram = [[0.0] * r for _ in range(r)]
     for i in range(r):
         gram[i][i] = canonical_height(curve, generators[i], digits)
+    for i in range(r):
         for j in range(i + 1, r):
-            gram[i][j] = gram[j][i] = height_pairing(
-                curve, generators[i], generators[j], digits
-            )
+            hs = canonical_height(curve, curve.add(generators[i], generators[j]), digits)
+            gram[i][j] = gram[j][i] = (hs - gram[i][i] - gram[j][j]) / 2
     value = _float_det(gram)
     scale = 1.0
     for i in range(r):

@@ -257,6 +257,8 @@ def cmd_zetacheck(args) -> int:
 
 def cmd_motive(args) -> int:
     data = _parsed(json.loads, _parsed(_read_file, args.file))
+    if not isinstance(data, dict):
+        raise _ParseError("motive file must hold a JSON object")
     payload: dict = {}
     lines: list[str] = []
     if "hodge" in data or "weight" in data:

@@ -10,11 +10,14 @@ Two evaluators:
   arithmetic with the error bounded by observed increment sizes.  Cost
   grows like 4^k digits, so it is the oracle, not the workhorse.
 
-* `canonical_height`, the same limit, evaluated through the x-only
-  duplication recursion with floating renormalization plus exact modular
-  tracking of the gcd cancellations (each step's gcd divides the fixed
-  resultant of the duplication forms).  Converges to any practical
-  tolerance at bounded cost, and exposes a per-place breakdown.
+* `canonical_height`, the same limit split into local heights on the
+  minimal model: hhat(P) = lambda_oo(P) + sum_p lambda_p(P).  The
+  archimedean part is the x-only duplication series in floating point
+  with both coordinates renormalized each step; each finite part is a
+  closed form in a few p-adic valuations, nonzero only at the bad primes
+  and the primes of x's denominator (Silverman, "Computing heights on
+  elliptic curves", Math. Comp. 51 (1988); Cremona, "Algorithms for
+  Modular Elliptic Curves", 3.4).  It exposes the per-place breakdown.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import mpmath as mp
 
 from .curves import CurvePoint, WeierstrassCurve
 from .errors import PrecisionExhausted
-from .intlinalg import det
+from .localdata import bad_primes
 from .numtheory import factorize, valuation
 
 GUARD_DIGITS = 10
@@ -44,36 +47,6 @@ def _duplication_forms(curve: WeierstrassCurve):
     F = (1, 0, -b4, -2 * b6, -b8)  # coefficients of a^4, a^3 b, ..., b^4
     G = (0, 4, b2, 2 * b4, b6)
     return F, G
-
-
-def _resultant_of_forms(curve: WeierstrassCurve) -> int:
-    """|Res(F(x,1), G(x,1))|, every step gcd divides this."""
-    F, G = _duplication_forms(curve)
-    f = list(reversed(F))  # low-to-high in x
-    g = list(reversed(G))[:4]  # G(x,1) has degree 3
-    return abs(_poly_resultant_int(f, g))
-
-
-def _poly_resultant_int(f: list[int], g: list[int]) -> int:
-    """Resultant of two integer polynomials via the Sylvester determinant."""
-    while f and f[-1] == 0:
-        f = f[:-1]
-    while g and g[-1] == 0:
-        g = g[:-1]
-    m, n = len(f) - 1, len(g) - 1
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    return det(rows)
 
 
 def naive_height(x: Fraction) -> float:
@@ -114,7 +87,7 @@ def height_doubling_exact(
 
 @dataclass(frozen=True)
 class HeightBreakdown:
-    """hhat split into an archimedean series and per-prime gcd corrections."""
+    """hhat split into the archimedean local height and the finite ones."""
 
     total: float
     archimedean: float
@@ -133,18 +106,14 @@ def canonical_height(
 def canonical_height_breakdown(
     curve: WeierstrassCurve, P: CurvePoint, digits: int = 25
 ) -> HeightBreakdown:
-    """Accelerated doubling limit with exact gcd accounting.
+    """hhat(P) = lambda_oo(P) + sum_p lambda_p(P) on the minimal model.
 
-    With x(2^k P) = a_k / b_k in lowest terms and (F, G) the duplication
-    forms, a_{k+1} = F(a_k, b_k) / g_k and likewise for b, where g_k =
-    gcd(F, G) divides the fixed resultant R.  Hence
-
-        hhat(P) = h(x) + sum_k 4^{-(k-1)} log(normalized form size)
-                       - sum_k 4^{-(k+1)} log g_k,
-
-    where the first series needs only floating point (renormalizing both
-    coordinates each step) and the g_k come from arithmetic mod a power
-    of R.  The point at infinity and 2-power torsion short-circuit to 0.
+    lambda_oo = log max(|x|, 1) + sum_k 4^{-(k+1)} log max(|F|, |G|)(a_k, b_k)
+    over the duplication forms (F, G), with (a_k, b_k) renormalized to
+    max-norm 1 each step, so it needs only floating point.  lambda_p is
+    `_local_height` times log p, at the bad primes and the primes of x's
+    denominator, summed in sorted order.  The point at infinity and
+    2-power torsion short-circuit to 0.
     """
     curve._require_on_curve(P)
     minimal, iso = curve.minimal_model()
@@ -160,27 +129,16 @@ def canonical_height_breakdown(
             return HeightBreakdown(0.0, 0.0, {})
 
     F, G = _duplication_forms(minimal)
-    R = _resultant_of_forms(minimal)
     iterations = max(12, int(digits * math.log2(10) / 2) + 8)
-    modulus = R ** (iterations + 3)
-    factors = factorize(R)
-
-    # log max(|a|, b) = log b + log max(|x|, 1): denominator primes are the
-    # finite part of the starting height, the rest is archimedean
     x = P.x
-    den = x.denominator
-    den_part = {q: valuation(den, q) for q in factorize(den)} if den > 1 else {}
-
-    a_mod, b_mod = x.numerator % modulus, x.denominator % modulus
+    primes = set(bad_primes(curve)) | set(factorize(x.denominator))
     with mp.workdps(digits + GUARD_DIGITS):
         af, bf = mp.mpf(x.numerator), mp.mpf(x.denominator)
         scale = max(abs(af), abs(bf))
         af, bf = af / scale, bf / scale
-        arch_series = mp.log(max(abs(mp.mpf(x.numerator) / den), mp.mpf(1)))
-        gcd_series: dict[int, Fraction] = {q: Fraction(0) for q in factors}
+        arch_series = mp.log(max(abs(mp.mpf(x.numerator) / x.denominator), mp.mpf(1)))
         pow4 = mp.mpf(4)
-        for k in range(iterations):
-            # float step on the renormalized pair
+        for _ in range(iterations):
             Fv = _eval_form_mp(F, af, bf)
             Gv = _eval_form_mp(G, af, bf)
             m = max(abs(Fv), abs(Gv))
@@ -190,21 +148,10 @@ def canonical_height_breakdown(
                 )
             arch_series += mp.log(m) / pow4
             af, bf = Fv / m, Gv / m
-            # exact gcd step through the modular shadow
-            Fm = _eval_form_mod(F, a_mod, b_mod, modulus)
-            Gm = _eval_form_mod(G, a_mod, b_mod, modulus)
-            g = 1
-            for q, cap in factors.items():
-                vq = min(_val_mod(Fm, q, cap), _val_mod(Gm, q, cap))
-                if vq:
-                    gcd_series[q] += Fraction(vq, 4 ** (k + 1))
-                    g *= q**vq
-            a_mod = Fm // g % modulus
-            b_mod = Gm // g % modulus
             pow4 *= 4
         finite: dict[int, float] = {}
-        for q in sorted(set(den_part) | set(gcd_series)):
-            e = Fraction(den_part.get(q, 0)) - gcd_series.get(q, Fraction(0))
+        for q in sorted(primes):
+            e = _local_height(minimal, P, q)
             if e:
                 finite[q] = float(
                     mp.log(q) * mp.mpf(e.numerator) / e.denominator
@@ -213,30 +160,38 @@ def canonical_height_breakdown(
         return HeightBreakdown(arch + sum(finite.values()), arch, finite)
 
 
+def _ord(v: Fraction, p: int) -> float:
+    """ord_p of a rational; infinite at 0."""
+    if v == 0:
+        return math.inf
+    return valuation(v.numerator, p) - valuation(v.denominator, p)
+
+
+def _local_height(minimal: WeierstrassCurve, P: CurvePoint, p: int) -> Fraction:
+    """lambda_p(P) / log p on a model minimal at p (Silverman 1988; Cremona 3.4).
+
+    max(0, -ord_p x) unless P reduces to the singular point, where the
+    correction depends on ord_p of the discriminant, psi_2 and psi_3.
+    """
+    a1, a2, a3, a4, _ = minimal.ainvs()
+    inv = minimal.invariants()
+    x, y = P.x, P.y
+    N = _ord(inv.disc, p)
+    A = _ord(3 * x * x + 2 * a2 * x + a4 - a1 * y, p)
+    B = _ord(2 * y + a1 * x + a3, p)
+    if N == 0 or A <= 0 or B <= 0:
+        return Fraction(max(0, -_ord(x, p)))
+    if _ord(inv.c4, p) == 0:
+        M = min(Fraction(B), Fraction(N, 2))
+        return M * (M - N) / N
+    C = _ord(
+        3 * x**4 + inv.b2 * x**3 + 3 * inv.b4 * x * x + 3 * inv.b6 * x + inv.b8, p
+    )
+    return Fraction(-2 * B, 3) if C >= 3 * B else Fraction(-C, 4)
+
+
 def _eval_form_mp(coeffs, a, b):
     total = mp.mpf(0)
     for i, c in enumerate(coeffs):
         total += c * a ** (4 - i) * b**i
     return total
-
-
-def _eval_form_mod(coeffs, a, b, modulus):
-    total = 0
-    pa = [1] * 5
-    for i in range(1, 5):
-        pa[i] = pa[i - 1] * a % modulus
-    pb = [1] * 5
-    for i in range(1, 5):
-        pb[i] = pb[i - 1] * b % modulus
-    for i, c in enumerate(coeffs):
-        total = (total + c * pa[4 - i] * pb[i]) % modulus
-    return total
-
-
-def _val_mod(x: int, q: int, cap: int) -> int:
-    """q-adic valuation of x read from a modular representative, capped."""
-    v = 0
-    while v < cap and x % q == 0:
-        x //= q
-        v += 1
-    return v

@@ -15,6 +15,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import NotNilpotent
+from .numtheory import is_prime
 from .ratlinalg import (
     Matrix,
     charpoly,
@@ -105,16 +106,28 @@ class HodgeData:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HodgeData":
+        """Inverse of `to_dict`; ValueError on a missing or mistyped field."""
+        if not isinstance(data, dict) or not isinstance(data.get("hodge", {}), dict):
+            raise ValueError("Hodge data and its 'hodge' field must be objects")
         offdiag = {}
         for key, d in data.get("hodge", {}).items():
             p, q = (int(t) for t in key.split(","))
-            offdiag[(p, q)] = d
+            offdiag[(p, q)] = _as_int(d)
+        if "weight" not in data:
+            raise ValueError("Hodge data lacks its 'weight'")
         return cls.make(
-            int(data["weight"]),
+            _as_int(data["weight"]),
             offdiag,
-            int(data.get("middle_plus", 0)),
-            int(data.get("middle_minus", 0)),
+            _as_int(data.get("middle_plus", 0)),
+            _as_int(data.get("middle_minus", 0)),
         )
+
+
+def _as_int(value) -> int:
+    """An integer field of JSON input: an int, or a string holding one."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def tate_twist_hodge(h: HodgeData, k: int) -> HodgeData:
@@ -180,9 +193,14 @@ class WeilDeligneRep:
 
     @classmethod
     def make(cls, p: int, phi, N=None, inertia_invariants=None) -> "WeilDeligneRep":
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         phi_m = to_matrix(phi)
         d = len(phi_m)
         N_m = to_matrix(N) if N is not None else zeros(d, d)
+        rows = phi_m + N_m + [list(v) for v in inertia_invariants or []]
+        if len(N_m) != d or any(len(row) != d for row in rows):
+            raise ValueError("phi, N and the invariant rows must all have size d")
         if det(phi_m) == 0:
             raise ValueError("phi must be invertible")
         if not is_nilpotent(N_m):
@@ -236,13 +254,20 @@ class WeilDeligneRep:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeilDeligneRep":
+        """Inverse of `to_dict`; ValueError on a missing or mistyped field."""
+        if not isinstance(data, dict):
+            raise ValueError("Weil-Deligne data must be an object")
+        missing = {"p", "phi"} - set(data)
+        if missing:
+            raise ValueError(f"Weil-Deligne data lacks {sorted(missing)}")
         inv = data.get("inertia_invariants")
-        return cls.make(
-            int(data["p"]),
-            [[Fraction(x) for x in row] for row in data["phi"]],
-            [[Fraction(x) for x in row] for row in data["N"]] if data.get("N") else None,
-            [[Fraction(x) for x in row] for row in inv] if inv is not None else None,
-        )
+        try:
+            phi = to_matrix(data["phi"])
+            N = to_matrix(data["N"]) if data.get("N") else None
+            inv = to_matrix(inv) if inv is not None else None
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"matrix entries must be rationals: {exc}") from exc
+        return cls.make(_as_int(data["p"]), phi, N, inv)
 
 
 def check_compatibility(wd: WeilDeligneRep) -> bool:

@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hasseweil import cli, errors
 from hasseweil.cli import main
@@ -20,6 +22,65 @@ def run_cli(args):
     with contextlib.redirect_stdout(buf):
         code = main(args)
     return code, buf.getvalue()
+
+
+# Full `bsd --json` stdout of the reference reports: every digit of the
+# heights, regulator, period and leading term is pinned.
+BSD_JSON = {
+    "37a": (
+        ["0", "0", "1", "-1", "0", "--gen", "0,0"],
+        '{"L_leading": {"err": 5.763503844886345e-29, '
+        '"value": 0.3059997738340523}, "N": 37, "curve": ["0", "0", "1", "-1", '
+        '"0"], "flags": [], "omega": {"err": 0.0, "value": 5.986917292463919}, '
+        '"rank_analytic": 1, "regulator": {"err": 1e-22, '
+        '"value": 0.05111140823996884}, '
+        '"sha_predicted": {"err": 1.0000000019565105e-12, "value": 1.0}, '
+        '"tamagawa": {"37": 1}, "torsion": 1, "w": -1}\n',
+    ),
+    "389a": (
+        ["0", "1", "1", "-2", "0", "--gen=-1,1", "--gen=0,0"],
+        '{"L_leading": {"err": 2.0343554369646086e-30, '
+        '"value": 0.7593165002884268}, "N": 389, "curve": ["0", "1", "1", '
+        '"-2", "0"], "flags": [], "omega": {"err": 0.0, '
+        '"value": 4.98042512171011}, "rank_analytic": 2, '
+        '"regulator": {"err": 1e-22, "value": 0.15246017794314373}, '
+        '"sha_predicted": {"err": 1.000000000655909e-12, '
+        '"value": 1.0000000000000002}, "tamagawa": {"389": 1}, "torsion": 1, '
+        '"w": 1}\n',
+    ),
+    "5077a": (
+        ["0", "0", "1", "-7", "6", "--gen=-2,3", "--gen=-1,3", "--gen=0,2"],
+        '{"L_leading": {"err": 5.732569088092193e-24, '
+        '"value": 1.7318499001193006}, "N": 5077, "curve": ["0", "0", "1", '
+        '"-7", "6"], "flags": [], "omega": {"err": 9.183549615799121e-41, '
+        '"value": 4.151687983086933}, "rank_analytic": 3, '
+        '"regulator": {"err": 1e-22, "value": 0.41714355875838405}, '
+        '"sha_predicted": {"err": 1.0000000002430358e-12, '
+        '"value": 0.9999999999999999}, "tamagawa": {"5077": 1}, "torsion": 1, '
+        '"w": -1}\n',
+    ),
+    "234446a": (
+        ["1", "-1", "0", "-79", "289",
+         "--gen=0,17", "--gen=3,7", "--gen=4,3", "--gen=5,-2"],
+        '{"L_leading": {"err": 7.158027593627336e-27, '
+        '"value": 8.943847395900889}, "N": 234446, "curve": ["1", "-1", "0", '
+        '"-79", "289"], "flags": [], "omega": {"err": 4.591774807899561e-41, '
+        '"value": 2.9726718472633356}, "rank_analytic": 4, '
+        '"regulator": {"err": 1.504344888275284e-22, '
+        '"value": 1.5043448882752841}, '
+        '"sha_predicted": {"err": 1.0000000001000008e-12, '
+        '"value": 0.9999999999999998}, "tamagawa": {"117223": 1, "2": 2}, '
+        '"torsion": 1, "w": 1}\n',
+    ),
+}
+
+
+def run_bsd(name):
+    """Run a recorded `bsd --json` report; its stdout must match byte for byte."""
+    argv, recorded = BSD_JSON[name]
+    code, out = run_cli(["bsd", "--json", *argv])
+    assert (code, out) == (0, recorded)
+    return json.loads(out)
 
 
 class TestAnalyze:
@@ -170,28 +231,23 @@ class TestValues:
 
 class TestBsd:
     def test_report(self):
-        code, out = run_cli(
-            ["bsd", "--json", "0", "0", "1", "-1", "0", "--gen", "0,0"]
-        )
-        assert code == 0
-        payload = json.loads(out)
+        payload = run_bsd("37a")
         assert abs(float(payload["sha_predicted"]["value"]) - 1) < 1e-4
         assert payload["rank_analytic"] == 1
         assert payload["flags"] == []
 
+    def test_rank_two_report(self):
+        payload = run_bsd("389a")
+        assert payload["rank_analytic"] == 2
+        assert abs(float(payload["sha_predicted"]["value"]) - 1) < 1e-4
+
     def test_rank_three_report(self):
-        code, out = run_cli(["bsd", "--json", "0", "0", "1", "-7", "6",  # 5077a
-                             "--gen=-2,3", "--gen=-1,3", "--gen=0,2"])
-        assert code == 0
-        payload = json.loads(out)
+        payload = run_bsd("5077a")
         assert payload["rank_analytic"] == 3
         assert abs(float(payload["sha_predicted"]["value"]) - 1) < 1e-4
 
     def test_rank_four_report(self):
-        code, out = run_cli(["bsd", "--json", "1", "-1", "0", "-79", "289",  # 234446a
-                             "--gen=0,17", "--gen=3,7", "--gen=4,3", "--gen=5,-2"])
-        assert code == 0
-        payload = json.loads(out)
+        payload = run_bsd("234446a")
         assert (payload["rank_analytic"], payload["w"]) == (4, 1)
         assert abs(float(payload["sha_predicted"]["value"]) - 1) < 1e-4
         assert payload["flags"] == []
@@ -272,11 +328,44 @@ class TestMotive:
         assert payload["local_factor_denominator"] == ["1", "-1"]
         assert payload["compatibility"] is True
 
-    def test_bad_file_is_parse_error(self, tmp_path):
+    def test_bad_file_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
-        path.write_text("{")
-        code, _ = run_cli(["motive", "--file", str(path)])
-        assert code == 2
+        for text in (
+            "{",
+            '{"wd": {"p": 5}}',
+            '{"hodge": 5}',
+            '{"weight": "x"}',
+            '{"weight": 1, "hodge": {"0,1": [1], "1,0": 1}}',
+            '{"wd": {"p": 0, "phi": [["1"]]}}',
+            '{"wd": {"p": 5, "phi": [["1", "0"], ["0"]]}}',
+            '{"wd": {"p": 5, "phi": 5}}',
+            "[1, 2]",
+            "null",
+        ):
+            path.write_text(text)
+            code, out = run_cli(["motive", "--file", str(path)])
+            assert (code, out) == (2, ""), text
+            assert capsys.readouterr().err.startswith("parse error:"), text
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers(-6, 6) | st.floats()
+            | st.sampled_from(["1/2", "1/0", "0,1", "1,0", "x"]),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(
+                st.sampled_from(["hodge", "weight", "wd", "hodge_data", "middle_plus",
+                                 "middle_minus", "p", "phi", "N", "inertia_invariants",
+                                 "0,1", "1,0"]),
+                inner, max_size=4,
+            ),
+            max_leaves=10,
+        )
+    )
+    def test_any_json_exits_with_a_documented_code(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzzed-motive.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(["motive", "--json", "--file", str(path)])[0] in {0, 2, 3, 4, 5}
 
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         code, out = run_cli(["motive", "--file", str(tmp_path / "absent.json")])

@@ -1,7 +1,11 @@
+import math
 import random
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
+from hasseweil import bsd
 from hasseweil.bsd import (
     bsd_report,
     height_pairing,
@@ -13,10 +17,85 @@ from hasseweil.bsd import (
 from hasseweil.curves import CurvePoint, IsomorphismData, O, WeierstrassCurve
 from hasseweil.errors import DependentGenerators, PointNotOnCurve
 from hasseweil.heights import (
+    _duplication_forms,
     canonical_height,
     canonical_height_breakdown,
     height_doubling_exact,
 )
+from hasseweil.intlinalg import det
+from hasseweil.numtheory import factorize, valuation
+
+
+def _gcd_shadow_finite(curve, P, digits=25):
+    """Per-prime finite heights by exact gcd accounting: the oracle of the
+    closed-form local heights.
+
+    With x(2^k P) = a_k / b_k in lowest terms on the minimal model, the
+    duplication forms give a_{k+1} = F(a_k, b_k) / g_k and b_{k+1} =
+    G(a_k, b_k) / g_k, where g_k = gcd(F, G) divides the resultant R of
+    F(x, 1) and G(x, 1).  Carrying (a_k, b_k) modulo R^(K+3) reads each
+    g_k off exactly, and the finite part at q is
+    ord_q(den x) - sum_k ord_q(g_k) / 4^(k+1), truncated after K steps.
+    """
+    minimal, iso = curve.minimal_model()
+    P = iso.apply_point(P)
+    F, G = _duplication_forms(minimal)
+    # Sylvester matrix of F(x, 1) (degree 4) and G(x, 1) (degree 3)
+    sylvester = [[0] * i + list(F) + [0] * (2 - i) for i in range(3)]
+    sylvester += [[0] * i + list(G[1:]) + [0] * (3 - i) for i in range(4)]
+    R = abs(det(sylvester))
+    factors = factorize(R)
+    iterations = max(12, int(digits * math.log2(10) / 2) + 8)
+    modulus = R ** (iterations + 3)
+    x = P.x
+    a, b = x.numerator % modulus, x.denominator % modulus
+    e = {q: Fraction(valuation(x.denominator, q)) for q in factorize(x.denominator)}
+    for k in range(iterations):
+        Fm = sum(c * a ** (4 - i) * b**i for i, c in enumerate(F)) % modulus
+        Gm = sum(c * a ** (4 - i) * b**i for i, c in enumerate(G)) % modulus
+        g = 1
+        for q, cap in factors.items():
+            v = 0
+            while v < cap and Fm % q ** (v + 1) == 0 and Gm % q ** (v + 1) == 0:
+                v += 1
+            e[q] = e.get(q, Fraction(0)) - Fraction(v, 4 ** (k + 1))
+            g *= q**v
+        a, b = Fm // g % modulus, Gm // g % modulus
+    with mp.workdps(digits + 10):
+        return {
+            q: float(mp.log(q) * v.numerator / v.denominator)
+            for q, v in e.items()
+            if v
+        }
+
+
+def _random_points(rng, count):
+    """Non-torsion points, their multiples and sums, on random small curves.
+
+    a1, a2 in {-1, 0, 1}, a3 in {0, 1}, |a4|, |a6| <= 30: non-minimal
+    models and additive reduction at 2 and 3 occur among them, and the
+    multiples and sums give x denominators.
+    """
+    out = []
+    while len(out) < count:
+        curve = WeierstrassCurve(
+            rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1)), rng.choice((0, 1)),
+            rng.randint(-30, 30), rng.randint(-30, 30),
+        )
+        if curve.discriminant == 0:
+            continue
+        t = curve.torsion_order()
+        base = [
+            P for P in curve.point_search(12)
+            if not curve.mul(t, P).is_infinity
+        ][:2]
+        if not base:
+            continue
+        pts = base + [curve.mul(2, base[0]), curve.mul(3, base[0])]
+        if len(base) == 2:
+            pts += [curve.add(*base), curve.add(base[0], curve.neg(base[1]))]
+        out += [(curve, P) for P in pts if not curve.mul(t, P).is_infinity]
+    return out
 
 
 class TestCanonicalHeight:
@@ -85,6 +164,25 @@ class TestCanonicalHeight:
         assert abs(bd2.total - canonical_height(rank1, Q)) < 1e-14
 
 
+    def test_local_heights_match_gcd_shadow(self):
+        points = _random_points(random.Random(13), 300)
+        assert sum(P.x.denominator > 1 for _, P in points) > 100
+        assert any(c.minimal_model()[0] != c for c, _ in points)
+        additive = {
+            p for c, _ in points for p in (2, 3)
+            if c.minimal_model()[0].discriminant % p == 0
+            and c.minimal_model()[0].invariants().c4 % p == 0
+        }
+        assert additive == {2, 3}
+        for curve, P in points:
+            finite = canonical_height_breakdown(curve, P).finite
+            oracle = _gcd_shadow_finite(curve, P)
+            for q in set(finite) | set(oracle):
+                assert abs(finite.get(q, 0.0) - oracle.get(q, 0.0)) < 1e-12, (
+                    curve, P, q
+                )
+
+
 class TestRealPeriod:
     def test_reference_values(self, e37, e11, e36):
         omega37, _ = real_period(e37)
@@ -151,6 +249,21 @@ class TestRegulator:
         assert abs(base - changed) < 1e-10
         negated = regulator(curve, [curve.neg(P1), P2])
         assert abs(base - negated) < 1e-10
+
+    def test_each_height_computed_once(self, monkeypatch):
+        # r(r+1)/2 heights: h(P_i) and h(P_i + P_j), none recomputed
+        calls = []
+
+        def counting(curve, P, digits=25):
+            calls.append(P)
+            return canonical_height(curve, P, digits)
+
+        monkeypatch.setattr(bsd, "canonical_height", counting)
+        curve = WeierstrassCurve(0, 0, 1, -7, 6)  # 5077a
+        gens = [curve.point(-2, 3), curve.point(-1, 3), curve.point(0, 2)]
+        reg = regulator(curve, gens)
+        assert len(calls) == 6
+        assert abs(reg - 0.41714355875838397) < 1e-10
 
     def test_dependent_generators_detected(self, e37):
         P = e37.point(0, 0)
