@@ -20,9 +20,9 @@ from .errors import BSGSFailure
 def count_points_mod_p(a1: int, a2: int, a3: int, a4: int, a6: int, p: int) -> int:
     """#E(F_p) for y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, plus infinity.
 
-    For odd p the y-count at each x is 1 + chi(D) where
-    D = (a1 x + a3)^2 + 4 rhs(x) and chi is the quadratic character
-    (chi(0) = 0), evaluated through a residue table.
+    For odd p, completing the square turns the y-count at each x into the
+    number of square roots of D(x) = 4x^3 + b2 x^2 + 2 b4 x + b6, read from
+    one table t (t[0] = 1, t[nonzero square] = 2, else 0).
     """
     if p == 2:
         count = 1
@@ -32,24 +32,15 @@ def count_points_mod_p(a1: int, a2: int, a3: int, a4: int, a6: int, p: int) -> i
                 if (y * y + a1 * x * y + a3 * y) % 2 == rhs:
                     count += 1
         return count
-    a1 %= p
-    a2 %= p
-    a3 %= p
-    a4 %= p
-    a6 %= p
-    sq = bytearray(p)
-    for y in range((p + 1) // 2):
-        sq[y * y % p] = 1
-    count = p + 1
-    for x in range(p):
-        x2 = x * x % p
-        rhs = (x2 * (x + a2) + a4 * x + a6) % p
-        b = (a1 * x + a3) % p
-        d = (b * b + 4 * rhs) % p
-        if d == 0:
-            continue
-        count += 1 if sq[d] else -1
-    return count
+    # D's coefficients below x^3: b2, 2 b4 and b6
+    d2 = (a1 * a1 + 4 * a2) % p
+    d1 = 2 * (2 * a4 + a1 * a3) % p
+    d0 = (a3 * a3 + 4 * a6) % p
+    t = bytearray(p)
+    for y in range(1, (p + 1) // 2):
+        t[y * y % p] = 2
+    t[0] = 1
+    return 1 + sum([t[(((4 * x + d2) * x + d1) * x + d0) % p] for x in range(p)])
 
 
 def ap_sweep(

@@ -16,21 +16,27 @@ polynomial in x_n/x_max (the lower-gamma series at 0), summed by integer
 Horner in fixed point at a precision sized to the cancellation.  Over power
 series in a - 1 it gives one Taylor coefficient at a = 1 per Horner pass,
 all that Lambda^(k)(1) needs.  The per-n work is integer arithmetic: the
-rows x_n -> (log x_n, 1/x_n, e^{-x_n}) are fixed-point integers (e^{-x_n} =
-Q^n, log n summed over prime factors), x_n^{-a} is x_1^{-a} n^{-a} with
-n^{-a} completely multiplicative, each term is one integer difference
-rounded once, and f(iy) is one integer sum of a_n q^n.  At a = 1 and order
-0 (Lambda(1), L(E, 1) and the rank's scale) the term is e^{-x_n}/x_n in
-closed form, with no series.  Only a user-asked integer s != 1 calls
-mpmath's gammainc per term (s or 2 - s is a pole of the lower series);
-nothing in the package evaluates Lambda there.  The series of
-`incgamma_upper_deriv_at_1`, finite differences and the Dirichlet series
-are the tests' oracles, never used here.
+series coefficients come from an integer recurrence (a is an exact binary
+fraction), the rows x_n -> (log x_n, 1/x_n, e^{-x_n}) are fixed-point
+integers (e^{-x_n} = Q^n, log n summed over prime factors), x_n^{-a} is
+x_1^{-a} n^{-a} with n^{-a} completely multiplicative, each term is one
+integer difference, and f(iy) is one integer sum of a_n q^n.  The engine
+hands back a column of integers, and every Lambda-series sum (Lambda(s),
+the rank's scale, Lambda^(k)(1)) is one integer dot product with the a_n,
+rounded once.  On Re s = 1, 2 - s = conj(s), so the sign w keeps only the
+real (w = +1) or imaginary (w = -1) part of each term, and only that part
+is built.  At a = 1 and order 0 (Lambda(1), L(E, 1) and the rank's scale)
+the term is e^{-x_n}/x_n in closed form, with no series.  Only a
+user-asked integer s != 1 calls mpmath's gammainc per term (s or 2 - s is
+a pole of the lower series); nothing in the package evaluates Lambda
+there.  The series of `incgamma_upper_deriv_at_1`, finite differences and
+the Dirichlet series are the tests' oracles, never used here.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -187,25 +193,13 @@ def root_number(ctx: AnalyticContext, samples=(1.1, 1.3, 1.7, 2.3)) -> int:
 
 
 def _lambda_terms(ctx: AnalyticContext, s):
-    """(a_n, A^s Gamma(s,x), A^{2-s} Gamma(2-s,x)) for each nonzero a_n, n <= n_max.
+    """(a_n, A^s Gamma(s,x), A^{2-s} Gamma(2-s,x)) for each nonzero a_n, n <= n_max,
+    at an integer s != 1.
 
-    s = 1 and non-integer s go through `_gamma_terms`.  On Re s = 1,
-    2 - s = conj(s) exactly, so the second half of each term is the
-    conjugate of the first: Im Lambda(1+it) is then exactly 0 when w = +1,
-    and Re Lambda(1+it) exactly 0 when w = -1.  Other integer s, reached
-    only when a caller asks for Lambda or L there, call mpmath per term:
-    mpmath has closed forms there, and s or 2 - s is a pole of the lower
-    series the engine sums.
+    Reached only when a caller asks for Lambda or L there, it calls mpmath
+    per term: mpmath has closed forms at integer s, and s or 2 - s is a pole
+    of the lower series that `_gamma_terms` sums.
     """
-    s = mp.mpmathify(s)
-    if s == 1 or not mp.isint(s):
-        first = _gamma_terms(ctx, s)
-        if mp.re(s) == 1:
-            second = [mp.conj(p) for p in first]
-        else:
-            second = _gamma_terms(ctx, mp.fsub(2, s, exact=True))
-        yield from zip([row[1] for row in _x_rows(ctx, 0)[1]], first, second)
-        return
     coeffs = ctx.coefficients(ctx.n_max)
     two_pi = 2 * mp.pi
     for n in range(1, ctx.n_max + 1):
@@ -220,24 +214,30 @@ def _lambda_terms(ctx: AnalyticContext, s):
 # -- the Lambda-series terms: one Taylor engine for A^a Gamma(a, x_n) -----------
 
 
-def _gamma_terms(ctx: AnalyticContext, a, order: int = 0) -> list:
-    """[e^order] A_n^(a+e) Gamma(a+e, x_n) for each nonzero a_n, n <= n_max.
+def _gamma_terms(ctx: AnalyticContext, a, order: int = 0, part: str | None = None):
+    """[e^order] A_n^(a+e) Gamma(a+e, x_n) for each nonzero a_n, n <= n_max, in fixed point.
+
+    Returns (bits, column), term n being column[n] 2^-bits.  For real a the
+    column is one list of integers; for complex a it is the pair (re, im) of
+    lists, or only the list that `part` ("re" or "im") names.
 
     With A = 1/x, Gamma(a, x) = Gamma(a) - x^a e^{-x} sum_k x^k/(a)_{k+1}
     gives f(a) = A^a Gamma(a, x) = x^{-a} Gamma(a) - e^{-x} S(x), with
     S(x) = sum_k c_k u^k, u = x/x_max = n/n_max and c_k = x_max^k/(a)_{k+1}
     (the series at 0 of Dokchitser, math/0207280).  The c_k are built once
-    per call as power series in e truncated at e^order (the k-th divides by
-    a + k + e), and column `order` of S(x_n) is integer Horner in fixed
-    point at P bits, each step a product and a quotient by small integers.
-    The first part, the head, is x^{-a} sum_m (-log x)^(order-m)/(order-m)!
-    [e^m] Gamma(a + e); order > 0 is allowed at a = 1 only.  Each term is
-    the difference of two integers at P bits, the head from the fixed-point
-    rows of `_x_rows` (at a = 1) or from x_n^{-a} = x_1^{-a} n^{-a} with
-    n^{-a} completely multiplicative (`_power_table`), and e^{-x} S(x) one
-    product of row and Horner sum; one conversion rounds it to the ambient
-    precision.  At a = 1 and order 0 the term is e^{-x}/x exactly, one
-    product of two row entries, with no series at all.
+    per call as integers at `work` bits, as power series in e truncated at
+    e^order: the k-th multiplies by x_max and divides by a + k + e, where
+    a = m 2^-E is exact, so a division is a product by the conjugate of
+    m + k 2^E and a floor quotient by its squared modulus.  Column `order`
+    of S(x_n) is integer Horner in fixed point at P bits, each step a
+    product and a quotient by small integers.  The first part, the head, is
+    x^{-a} sum_m (-log x)^(order-m)/(order-m)! [e^m] Gamma(a + e); order > 0
+    is allowed at a = 1 only.  Each term is the difference of two integers
+    at P bits, the head from the fixed-point rows of `_x_rows` (at a = 1) or
+    from x_n^{-a} = x_1^{-a} n^{-a} with n^{-a} completely multiplicative
+    (`_power_table`), and e^{-x} S(x) one product of row and Horner sum.  At
+    a = 1 and order 0 the term is e^{-x}/x exactly, one product of two row
+    entries, with no series at all.
 
     Precision: each x_n stops at its first degree past 2x + |Re a| (past
     there the terms at least halve) whose term, weighted by e^{-x}, is below
@@ -248,12 +248,15 @@ def _gamma_terms(ctx: AnalyticContext, a, order: int = 0) -> list:
     x = k) and the head, at most x^{-1} max(1, Gamma(Re a) x^{1-Re a})
     times sum_{j <= order} l^j/j!, l the largest |log x_n| (as
     |[e^m] Gamma(1 + e)| <= 1).  It adds log2 |a|, 2 log2 K for K
-    coefficients and steps, and the guard bits.  Kept on the context as
-    `_terms` = ((a, order, n_max), prec, terms), and reused for the same key
-    at no more bits.
+    coefficients and steps, and the guard bits.  The recurrence keeps
+    absolute precision, so `work` is at least P + log2 K, plus log2 of
+    1/|c_j| for a c_j below 1 ahead of the largest c_k, which that c_k
+    inherits magnified; magnitudes are bit lengths.  Kept on the context as
+    `_terms` = ((a, order, n_max, part), prec, (bits, column)), and reused
+    for the same key at no more bits.
     """
     prec = mp.mp.prec
-    key = (a, order, ctx.n_max)
+    key = (a, order, ctx.n_max, part)
     cached = ctx._terms
     if cached is not None and cached[0] == key and cached[1] >= prec:
         return cached[2]
@@ -261,9 +264,11 @@ def _gamma_terms(ctx: AnalyticContext, a, order: int = 0) -> list:
         raise ValueError("Taylor coefficients in a are taken at a = 1 only")
     if a == 1 and not order:
         width, rows = _x_rows(ctx, prec + GUARD_BITS)
-        terms = [mp.mpf((inv_x * exp_x, -2 * width)) for _, _, _, inv_x, exp_x in rows]
+        terms = (width, [inv_x * exp_x >> width for _, _, _, inv_x, exp_x in rows])
         ctx._terms = (key, prec, terms)
         return terms
+    # the parts built: 0 the real, 1 the imaginary
+    parts = {"re": (0,), "im": (1,)}.get(part, (0, 1) if mp.im(a) else (0,))
     stop = -(prec + GUARD_BITS)
     sigma = float(mp.re(a))
     x_hi = 2 * math.pi * ctx.n_max / ctx.sqrtN
@@ -273,21 +278,33 @@ def _gamma_terms(ctx: AnalyticContext, a, order: int = 0) -> list:
         size = max(size, math.lgamma(sigma) / math.log(2) - sigma * math.log2(x_lo))
     log_max = max(abs(math.log(x_lo)), abs(math.log(x_hi)))
     size += math.log2(sum(log_max**j / math.factorial(j) for j in range(order + 1)))
+    (m_re, e_re), (m_im, e_im) = _dyadic(mp.re(a)), _dyadic(mp.im(a))
+    E = max(0, -e_re, -e_im)  # a = (m_re + i m_im) 2^-E
+    m_re, m_im = m_re << (E + e_re), m_im << (E + e_im)
+    limit = 2 * x_hi + abs(sigma) + 1
     work = prec + GUARD_BITS + 64
     while True:
-        with mp.workprec(work):
-            x_max = 2 * mp.pi * ctx.n_max / mp.sqrt(ctx.N)
-            limit = 2 * x_max + abs(sigma) + 1
-            coeffs, series = [], [mp.mpf(1)] + [0] * order
-            while len(coeffs) <= limit or mp.mag(coeffs[-1]) - x_hi / math.log(2) >= stop:
-                k = len(coeffs)
-                # times x_max from k = 1, divided by a + k + e
-                step = []
-                for c in series:
-                    step.append(((c * x_max if k else c) - (step[-1] if step else 0)) / (a + k))
-                series = step
-                coeffs.append(series[order])
-        mags = [mp.mag(c) for c in coeffs]
+        with mp.workprec(work + 16):
+            x_max = int(mp.ldexp(2 * mp.pi * ctx.n_max / mp.sqrt(ctx.N), work))
+        coeffs, mags = [], []
+        series = [(1 << work, 0)] + [(0, 0)] * order
+        while len(coeffs) <= limit or mags[-1] - x_hi / math.log(2) >= stop:
+            k = len(coeffs)
+            # times x_max from k = 1, divided by a + k + e: a product by the
+            # conjugate of m + k 2^E, then a quotient by its squared modulus
+            d_re = m_re + (k << E)
+            norm = d_re * d_re + m_im * m_im
+            step, prev_re, prev_im = [], 0, 0
+            for c_re, c_im in series:
+                if k:
+                    c_re, c_im = c_re * x_max >> work, c_im * x_max >> work
+                c_re, c_im = c_re - prev_re, c_im - prev_im
+                prev_re = ((c_re * d_re + c_im * m_im) << E) // norm
+                prev_im = ((c_im * d_re - c_re * m_im) << E) // norm
+                step.append((prev_re, prev_im))
+            series = step
+            coeffs.append(series[order])
+            mags.append(_mag(*series[order]) - work)
         peak = mags[0]
         for k in range(1, len(mags)):
             x = min(k, x_hi)
@@ -295,14 +312,15 @@ def _gamma_terms(ctx: AnalyticContext, a, order: int = 0) -> list:
         steps = len(coeffs).bit_length()
         bits = (prec + max(math.ceil(max(peak + steps, size)), 0) + max(mp.mag(a), 0)
                 + 2 * steps + GUARD_BITS)
-        if work >= bits + steps:
+        top = mags.index(max(mags))
+        need = bits + steps + max(0, -min(mags[: top + 1]))
+        if work >= need:
             break
-        work = bits + steps + 8
+        work = need + 8
     width, rows = _x_rows(ctx, bits)
-    shift = width - bits
-    re_fixed = [int(mp.ldexp(mp.re(c), bits)) for c in coeffs]
-    im_fixed = [int(mp.ldexp(mp.im(c), bits)) for c in coeffs] if mp.im(a) else None
+    fixed = [[c[j] >> (work - bits) for c in coeffs] for j in parts]
     if order:  # a = 1: x^{-1} times a polynomial in log x
+        shift = width - bits
         with mp.workprec(bits):  # [e^m] Gamma(1 + e) for m <= order
             gammas = [int(mp.ldexp(g / math.factorial(m), bits))
                       for m, g in enumerate(_gamma_derivs_at_1(order))]
@@ -313,7 +331,8 @@ def _gamma_terms(ctx: AnalyticContext, a, order: int = 0) -> list:
             for j in range(1, order + 1):
                 power = (power * minus_log >> bits) // j
                 head += gammas[order - j] * power >> bits
-            heads.append((head * inv_x >> width, 0))
+            heads.append(head * inv_x >> width)
+        heads = [heads]
     else:  # Gamma(a) x_1^{-a} n^{-a}
         with mp.workprec(bits + 64):
             scale = mp.gamma(a) * (2 * mp.pi / mp.sqrt(ctx.N)) ** -a
@@ -325,13 +344,11 @@ def _gamma_terms(ctx: AnalyticContext, a, order: int = 0) -> list:
         scale_re = int(mp.ldexp(mp.re(scale), table_bits))
         scale_im = int(mp.ldexp(mp.im(scale), table_bits))
         down = 2 * table_bits - bits
-        heads = []
-        for n, *_ in rows:
-            p_re, p_im = powers[n]
-            heads.append(((scale_re * p_re - scale_im * p_im) >> down,
-                          (scale_re * p_im + scale_im * p_re) >> down))
-    terms, degree = [], 0
-    for (n, _, _, _, exp_x), (head_re, head_im) in zip(rows, heads):
+        heads = [[(scale_re * powers[n][0] - scale_im * powers[n][1] if j == 0
+                   else scale_re * powers[n][1] + scale_im * powers[n][0]) >> down
+                  for n, *_ in rows] for j in parts]
+    columns, degree = [[] for _ in parts], 0
+    for index, (n, _, _, _, exp_x) in enumerate(rows):
         # the first degree past 2x + |Re a| whose weighted term is below 2^stop; grows with n
         x = x_lo * n
         log2_u = math.log2(n / ctx.n_max)
@@ -339,13 +356,24 @@ def _gamma_terms(ctx: AnalyticContext, a, order: int = 0) -> list:
         while (degree < len(coeffs) - 1
                and mags[degree] + degree * log2_u - x / math.log(2) >= stop):
             degree += 1
-        term = mp.mpf((head_re - (exp_x * _horner(re_fixed, degree, n, ctx.n_max) >> width), -bits))
-        if im_fixed is not None:
-            term = mp.mpc(term, mp.mpf(
-                (head_im - (exp_x * _horner(im_fixed, degree, n, ctx.n_max) >> width), -bits)))
-        terms.append(term)
+        for column, c, head in zip(columns, fixed, heads):
+            column.append(head[index] - (exp_x * _horner(c, degree, n, ctx.n_max) >> width))
+    terms = (bits, columns[0] if len(columns) == 1 else tuple(columns))
     ctx._terms = (key, prec, terms)
     return terms
+
+
+def _dyadic(x: mp.mpf) -> tuple[int, int]:
+    """(m, e) with x = m 2^e exactly."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def _mag(re: int, im: int) -> int:
+    """mpmath's mag of re + i im: |re + i im| <= 2^mag, from bit lengths."""
+    if re and im:
+        return 1 + max(abs(re).bit_length(), abs(im).bit_length())
+    return abs(re or im).bit_length()
 
 
 def _horner(fixed: list[int], degree: int, num: int, den: int) -> int:
@@ -414,21 +442,51 @@ def _x_rows(ctx: AnalyticContext, bits: int) -> tuple[int, list]:
     return width, rows
 
 
-def _lambda_series(ctx: AnalyticContext, s, w: int):
-    """sum a_n [A^s Gamma(s,x) + w A^{2-s} Gamma(2-s,x)] at working precision."""
-    total = mp.mpf(0)
-    for a_n, p, q in _lambda_terms(ctx, s):
-        total += a_n * (p + w * q)
-    return total
+def _lambda_series(ctx: AnalyticContext, s, w: int, absolute: bool = False):
+    """sum a_n [A^s Gamma(s,x) + w A^{2-s} Gamma(2-s,x)] at working precision
+    (|a_n| for a_n if `absolute`).
+
+    On the engine's s each column is one integer dot product with the a_n,
+    and the whole sum is rounded once.  At s = 1, 2 - s = s.  On Re s = 1,
+    2 - s = conj(s), so Lambda(1+it) = (1 + w) sum a_n Re f_n(s) +
+    i (1 - w) sum a_n Im f_n(s) and only the part that w keeps is built:
+    Im Lambda(1+it) is exactly 0 when w = +1, and Re Lambda(1+it) exactly 0
+    when w = -1.
+    """
+    s = mp.mpmathify(s)
+    if s != 1 and mp.isint(s):
+        total = mp.mpf(0)
+        for a_n, p, q in _lambda_terms(ctx, s):
+            total += (abs(a_n) if absolute else a_n) * (p + w * q)
+        return total
+    if s == 1:
+        bits, column = _gamma_terms(ctx, 1)
+        return mp.mpf(((1 + w) * _dot(ctx, column, absolute), -bits))
+    if mp.re(s) == 1:
+        bits, column = _gamma_terms(ctx, s, part="re" if w == 1 else "im")
+        half = mp.mpf((2 * _dot(ctx, column, absolute), -bits))
+        return mp.mpc(half, 0) if w == 1 else mp.mpc(0, half)
+    sums = []
+    for weight, a in ((1, s), (w, mp.fsub(2, s, exact=True))):
+        bits, column = _gamma_terms(ctx, a)
+        parts = column if isinstance(column, tuple) else (column,)
+        sums.append((bits, [weight * _dot(ctx, part, absolute) for part in parts]))
+    (b1, first), (b2, second) = sums
+    bits = max(b1, b2)  # the two columns aligned by a shift
+    values = [mp.mpf(((x << (bits - b1)) + (y << (bits - b2)), -bits))
+              for x, y in zip(first, second)]
+    return values[0] if len(values) == 1 else mp.mpc(*values)
+
+
+def _dot(ctx: AnalyticContext, column: list[int], absolute: bool = False) -> int:
+    """sum_n a_n column[n] over the nonzero a_n (|a_n| if `absolute`), exactly."""
+    coeffs = (abs(row[1]) if absolute else row[1] for row in _x_rows(ctx, 0)[1])
+    return sum(map(operator.mul, coeffs, column))
 
 
 def _lambda_scale(ctx: AnalyticContext, s) -> mp.mpf:
     """Absolute-value version of the series, for relative comparisons."""
-    sigma = mp.mpf(abs(complex(s).real))
-    total = mp.mpf(0)
-    for a_n, p, q in _lambda_terms(ctx, sigma):
-        total += abs(a_n) * (p + q)
-    return total
+    return _lambda_series(ctx, mp.mpf(abs(complex(s).real)), 1, absolute=True)
 
 
 def lambda_value(ctx: AnalyticContext, s) -> ValueWithBound:
@@ -458,11 +516,8 @@ def lambda_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
         parity = 1 + ctx.w * (-1) ** k
         if parity == 0:
             return ValueWithBound(mp.mpf(0), mp.mpf(0))
-        terms = _gamma_terms(ctx, 1, k)
-        total = mp.mpf(0)
-        for row, term in zip(_x_rows(ctx, 0)[1], terms):
-            total += row[1] * term
-        total *= parity * math.factorial(k)
+        bits, column = _gamma_terms(ctx, 1, k)
+        total = mp.mpf((parity * math.factorial(k) * _dot(ctx, column), -bits))
         bound = (mp.mpf(ctx.tail_bound()) * (1 + mp.log(ctx.n_max)) ** k
                  + mp.mpf(10) ** (-ctx.digits))
         return ValueWithBound(total, bound)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import re
 import sys
@@ -60,8 +61,57 @@ def _fmt_complex(value, digits: int = 15) -> str:
     if isinstance(v, mp.mpc):
         if abs(v.imag) < mp.mpf(10) ** (-digits):
             return _fmt(v.real, digits)
-        return f"{_fmt(v.real, digits)}{'+' if v.imag >= 0 else '-'}{_fmt(abs(v.imag), digits)}i"
+        # fneg(exact=True): abs() would round |Im| to the ambient 15 digits
+        return (f"{_fmt(v.real, digits)}{'+' if v.imag >= 0 else '-'}"
+                f"{_fmt(mp.fneg(v.imag, exact=True) if v.imag < 0 else v.imag, digits)}i")
     return _fmt(v, digits)
+
+
+def _fraction(x: mp.mpf) -> Fraction:
+    """An mpf as the exact rational it is (mp.mpf(x) would round it)."""
+    sign, man, exp, _ = x._mpf_
+    r = Fraction(man) * Fraction(2) ** exp
+    return -r if sign else r
+
+
+def _decimal_exponent(r: Fraction) -> int:
+    """floor(log10 r) for a rational r > 0."""
+    e = len(str(r.numerator)) - len(str(r.denominator))
+    return e if r >= Fraction(10) ** e else e - 1
+
+
+def _fmt_rounded(x, err: Fraction, digits: int) -> str:
+    """A real x rounded once, to the decimal place of err's leading digit and to
+    at most `digits` significant digits."""
+    r = _fraction(x)
+    if not r:
+        return _fmt(0)
+    place = max(_decimal_exponent(abs(r)) - digits + 1, _decimal_exponent(err))
+    q = round(r / Fraction(10) ** place)
+    if not q:
+        return _fmt(0)
+    kept = len(str(abs(q)))
+    with mp.workdps(kept + 10):
+        return _fmt(q * mp.mpf(10) ** place, kept)
+
+
+def _fmt_bounded(value, err, digits: int) -> str:
+    """A value with error bound err, printed with only the digits err supports.
+
+    Each part is rounded to the decimal place of err and keeps at most
+    `digits` significant digits; a part that rounds to 0 prints as 0.0, and
+    an imaginary part that does is left out.  err = 0 keeps `digits`.
+    """
+    if not err:
+        return _fmt_complex(value, digits)
+    err = _fraction(err)
+    v = mp.mpmathify(value)
+    if not isinstance(v, mp.mpc):
+        return _fmt_rounded(v, err, digits)
+    re, im = (_fmt_rounded(part, err, digits) for part in (v.real, v.imag))
+    if im == _fmt(0):
+        return re
+    return f"{re}{im if im.startswith('-') else '+' + im}i"
 
 
 def _parse_complex(text: str) -> complex:
@@ -166,21 +216,23 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_value(args) -> int:
-    """`lvalue` or `lambda`: args.evaluate(ctx, s), reported under args.key."""
+    """`lvalue` or `lambda`: analytic.<args.evaluate>(ctx, s), reported under args.key.
+
+    The value is printed with only the digits its bound supports.
+    """
     curve = _curve_from_args(args)
     ctx = _context(args, curve)
     s = _parsed(_parse_complex, args.s)
-    value = args.evaluate(ctx, s)
+    value = getattr(analytic, args.evaluate)(ctx, s)
+    shown = _fmt_bounded(value.value, value.bound, args.prec)
     payload = {
         "s": _fmt_complex(s),
-        args.key: {"value": _fmt_complex(value.value, args.prec),
-                   "err": _fmt(value.bound, 3)},
+        args.key: {"value": shown, "err": _fmt(value.bound, 3)},
         "conductor": ctx.N,
         "root_number": ctx.w,
     }
     _emit(args, payload, [
-        f"{args.key}(E, {_fmt_complex(s)}) = {_fmt_complex(value.value, args.prec)} "
-        f"+- {_fmt(value.bound, 3)}"
+        f"{args.key}(E, {_fmt_complex(s)}) = {shown} +- {_fmt(value.bound, 3)}"
     ])
     return 0
 
@@ -320,7 +372,9 @@ def cmd_snf(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hasseweil",
         description="Hasse-Weil L-functions of elliptic curves over Q",
@@ -347,13 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_nmax(p)
     p.add_argument("--s", default="1", help="complex evaluation point a+bi")
-    p.set_defaults(func=cmd_value, evaluate=analytic.l_value, key="L")
+    p.set_defaults(func=cmd_value, evaluate="l_value", key="L")
 
     p = sub.add_parser("lambda", help="completed Lambda(E, s)")
     add_common(p)
     add_nmax(p)
     p.add_argument("--s", default="1", help="complex evaluation point a+bi")
-    p.set_defaults(func=cmd_value, evaluate=analytic.lambda_value, key="Lambda")
+    p.set_defaults(func=cmd_value, evaluate="lambda_value", key="Lambda")
 
     p = sub.add_parser("rank", help="analytic rank")
     add_common(p)

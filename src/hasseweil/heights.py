@@ -40,20 +40,29 @@ def _duplication_forms(curve: WeierstrassCurve):
     """Integer quartic forms F, G with x(2P) = F(a, b)/G(a, b) for x = a/b.
 
     F = x^4 - b4 x^2 - 2 b6 x - b8,  G = 4x^3 + b2 x^2 + 2 b4 x + b6
-    (homogenized with b).  Valid on any integral model.
+    (homogenized with b), both times the common denominator of b2, ..., b8,
+    which is 1 on an integral model.
     """
     inv = curve.invariants()
-    b2, b4, b6, b8 = (int(inv.b2), int(inv.b4), int(inv.b6), int(inv.b8))
+    b2, b4, b6, b8 = (Fraction(v) for v in (inv.b2, inv.b4, inv.b6, inv.b8))
+    d = math.lcm(b2.denominator, b4.denominator, b6.denominator, b8.denominator)
     F = (1, 0, -b4, -2 * b6, -b8)  # coefficients of a^4, a^3 b, ..., b^4
     G = (0, 4, b2, 2 * b4, b6)
-    return F, G
+    return tuple(int(c * d) for c in F), tuple(int(c * d) for c in G)
 
 
-def naive_height(x: Fraction) -> float:
-    """log max(|numerator|, denominator)."""
-    return float(
-        mp.log(max(abs(x.numerator), x.denominator))
-    )
+def _eval_form(coeffs, a, b):
+    """sum_i coeffs[i] a^(4-i) b^i by homogeneous Horner, b^i carried along."""
+    total, power = 0, 1
+    for c in coeffs:
+        total = total * a + c * power
+        power *= b
+    return total
+
+
+def naive_height(a: int, b: int) -> float:
+    """log max(|a|, |b|) of x = a/b in lowest terms."""
+    return float(mp.log(max(abs(a), abs(b))))
 
 
 def height_doubling_exact(
@@ -61,6 +70,8 @@ def height_doubling_exact(
 ) -> tuple[float, float]:
     """(value, error bound) for hhat(P) by exact repeated doubling.
 
+    x = a/b doubles through the integer duplication forms, one gcd per
+    step; the first doubling is checked against the group law `curve.add`.
     Error bound: the increments delta_k = h_{k+1} - 4 h_k are bounded in
     magnitude; the truncated tail is sum_{k >= K} delta_k / 4^{k+1}, bounded
     by max|delta| / (3 * 4^K) with an observed-increment estimate of
@@ -69,13 +80,21 @@ def height_doubling_exact(
     curve._require_on_curve(P)
     if P.is_infinity:
         return 0.0, 0.0
-    Q = P
-    heights = [naive_height(Q.x)]
+    double = curve.add(P, P)
+    F, G = _duplication_forms(curve)
+    a, b = P.x.numerator, P.x.denominator
+    heights = [naive_height(a, b)]
     for _ in range(iterations):
-        Q = curve.add(Q, Q)
-        if Q.is_infinity:
+        f, g = _eval_form(F, a, b), _eval_form(G, a, b)
+        # x(2P) both ways, None for the point at infinity
+        if len(heights) == 1 and (Fraction(f, g) if g else None) != (
+                None if double.is_infinity else double.x):
+            raise ArithmeticError(f"duplication forms disagree with the group law at {P}")
+        if not g:  # 2Q = O
             return 0.0, 0.0
-        heights.append(naive_height(Q.x))
+        d = math.gcd(f, g) * (1 if g > 0 else -1)
+        a, b = f // d, g // d
+        heights.append(naive_height(a, b))
     deltas = [
         heights[k + 1] - 4 * heights[k] for k in range(len(heights) - 1)
     ]
@@ -139,8 +158,8 @@ def canonical_height_breakdown(
         arch_series = mp.log(max(abs(mp.mpf(x.numerator) / x.denominator), mp.mpf(1)))
         pow4 = mp.mpf(4)
         for _ in range(iterations):
-            Fv = _eval_form_mp(F, af, bf)
-            Gv = _eval_form_mp(G, af, bf)
+            Fv = _eval_form(F, af, bf)
+            Gv = _eval_form(G, af, bf)
             m = max(abs(Fv), abs(Gv))
             if m == 0 or abs(m) < mp.mpf(10) ** (-(digits + GUARD_DIGITS - 8)):
                 raise PrecisionExhausted(
@@ -188,10 +207,3 @@ def _local_height(minimal: WeierstrassCurve, P: CurvePoint, p: int) -> Fraction:
         3 * x**4 + inv.b2 * x**3 + 3 * inv.b4 * x * x + 3 * inv.b6 * x + inv.b8, p
     )
     return Fraction(-2 * B, 3) if C >= 3 * B else Fraction(-C, 4)
-
-
-def _eval_form_mp(coeffs, a, b):
-    total = mp.mpf(0)
-    for i, c in enumerate(coeffs):
-        total += c * a ** (4 - i) * b**i
-    return total

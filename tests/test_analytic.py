@@ -253,8 +253,16 @@ ENGINE_BOX = [
 ] + [2 + 1e-15j, 3 + 1e-12j, 2 + 1e-30j]
 
 
+def _as_mp(terms) -> list:
+    """A fixed-point column of `_gamma_terms` as mpf (or mpc) values at the ambient precision."""
+    bits, column = terms
+    if isinstance(column, tuple):
+        return [mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits))) for re, im in zip(*column)]
+    return [mp.mpf((term, -bits)) for term in column]
+
+
 class TestSharedSeriesEngine:
-    """`_lambda_terms` at non-integer s against mp.gammainc with 40 extra digits."""
+    """`_gamma_terms` at non-integer s and 2 - s against mp.gammainc with 40 extra digits."""
 
     @pytest.mark.parametrize("ainvs", [E11, E389], ids=["11a", "389a"])
     @pytest.mark.parametrize("digits", [30, 60])
@@ -268,15 +276,20 @@ class TestSharedSeriesEngine:
         tol = mp.mpf(10) ** -(ctx.dps - 5)
         for s in ENGINE_BOX:
             with mp.workdps(ctx.dps):
-                terms = list(_lambda_terms(ctx, s))
-            assert [t[0] for t in terms] == [ctx.coefficient(n) for n in ns]
-            with mp.workdps(ctx.dps + 40):
                 s_exact = mp.mpmathify(s)
+                columns = [_gamma_terms(ctx, a) for a in (s_exact, mp.fsub(2, s_exact, exact=True))]
+                if s.imag:  # each part alone is that part of the pair, bit for bit
+                    bits, (re, im) = columns[0]
+                    assert _gamma_terms(ctx, s_exact, part="re") == (bits, re)
+                    assert _gamma_terms(ctx, s_exact, part="im") == (bits, im)
+                first, second = (_as_mp(column) for column in columns)
+            assert len(first) == len(second) == len(ns)
+            with mp.workdps(ctx.dps + 40):
                 for i in picks:
                     A = mp.sqrt(ctx.N) / (2 * mp.pi * ns[i])
-                    first = A**s_exact * mp.gammainc(s_exact, 1 / A)
-                    second = A ** (2 - s_exact) * mp.gammainc(2 - s_exact, 1 / A)
-                    err = max(abs(terms[i][1] - first), abs(terms[i][2] - second))
+                    first_oracle = A**s_exact * mp.gammainc(s_exact, 1 / A)
+                    second_oracle = A ** (2 - s_exact) * mp.gammainc(2 - s_exact, 1 / A)
+                    err = max(abs(first[i] - first_oracle), abs(second[i] - second_oracle))
                     assert err <= tol, (s, ns[i], mp.nstr(err, 3))
 
     def test_integer_s_keeps_mpmath_path(self, ctx11, monkeypatch):
@@ -288,16 +301,15 @@ class TestSharedSeriesEngine:
             return gammainc(*args, **kwargs)
 
         monkeypatch.setattr(mp, "gammainc", counting)
-        with mp.workdps(ctx11.dps):
-            for s in (complex(2, 0), 2):
-                calls.clear()
-                list(_lambda_terms(ctx11, s))
-                assert len(calls) == 2 * sum(1 for n in range(1, ctx11.n_max + 1)
-                                             if ctx11.coefficient(n))
+        for s in (complex(2, 0), 2):
             calls.clear()
-            # s = 1 is a pole of neither half, so the engine serves it too
-            for s in (mp.mpc(1, 0.5), 1.3, 1, mp.mpf(1), mp.mpc(1, 0)):
-                list(_lambda_terms(ctx11, s))
+            lambda_value(ctx11, s)
+            assert len(calls) == 2 * sum(1 for n in range(1, ctx11.n_max + 1)
+                                         if ctx11.coefficient(n))
+        calls.clear()
+        # s = 1 is a pole of neither half, so the engine serves it too
+        for s in (mp.mpc(1, 0.5), 1.3, 1, mp.mpf(1), mp.mpc(1, 0), mp.mpc(0.5, 2)):
+            lambda_value(ctx11, s)
         assert calls == []
 
 
@@ -312,7 +324,7 @@ class TestDerivativeTable:
 
         ctx = AnalyticContext(WeierstrassCurve(*ainvs), digits=digits)
         with mp.workdps(ctx.dps):
-            columns = [_gamma_terms(ctx, 1, k) for k in range(5)]
+            columns = [_as_mp(_gamma_terms(ctx, 1, k)) for k in range(5)]
         ns = [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
         assert [len(column) for column in columns] == [len(ns)] * 5
         tol = mp.mpf(10) ** -(ctx.dps - 5)
@@ -332,7 +344,7 @@ class TestDerivativeTable:
         ctx = AnalyticContext(e37)
         first = lambda_derivative(ctx, 1).value
         key, _, terms = ctx._terms
-        assert key == (1, 1, ctx.n_max)
+        assert key == (1, 1, ctx.n_max, None)
         assert lambda_derivative(ctx, 1).value == first
         with mp.workdps(ctx.dps - 10):
             assert _gamma_terms(ctx, 1, 1) is terms
@@ -342,12 +354,12 @@ class TestDerivativeTable:
         assert abs(lambda_derivative(ctx, 1).value - first) < mp.mpf(10) ** -ctx.digits
         assert ctx._terms[2] is terms
         lambda_derivative(ctx, 3)
-        assert ctx._terms[0] == (1, 3, ctx.n_max)
+        assert ctx._terms[0] == (1, 3, ctx.n_max, None)
         terms = ctx._terms[2]
         ctx.n_max += 10
         lambda_derivative(ctx, 3)
         assert ctx._terms[2] is not terms
-        assert len(ctx._terms[2]) == sum(
+        assert len(ctx._terms[2][1]) == sum(
             1 for n in range(1, ctx.n_max + 1) if ctx.coefficient(n))
 
     @staticmethod
@@ -372,6 +384,16 @@ class TestDerivativeTable:
         calls = self._horner_calls(monkeypatch)
         lambda_derivative(ctx, 3)
         assert calls == [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
+
+    @pytest.mark.parametrize("ainvs, w", [(E389, 1), (E37, -1)], ids=["389a", "37a"])
+    def test_critical_line_builds_only_the_kept_part(self, ainvs, w, monkeypatch):
+        # 2 - s = conj(s) on Re s = 1, so w keeps only Re f_n (w = +1) or Im f_n
+        ctx = AnalyticContext(WeierstrassCurve(*ainvs))
+        assert ctx.w == w
+        calls = self._horner_calls(monkeypatch)
+        lambda_value(ctx, mp.mpc(1, 3.7))
+        assert calls == [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
+        assert ctx._terms[0][3] == ("re" if w == 1 else "im")
 
     def test_s1_shares_one_column(self, e11, monkeypatch):
         ctx = AnalyticContext(e11)
@@ -398,7 +420,7 @@ class TestFixedPointOracles:
         # [e^0] and [e^1] of x^{-1-e} Gamma(1+e, x) are e^{-x}/x and E1(x)/x
         ctx = AnalyticContext(WeierstrassCurve(*ainvs), digits=digits)
         with mp.workdps(ctx.dps):
-            columns = [_gamma_terms(ctx, 1, k) for k in (0, 1)]
+            columns = [_as_mp(_gamma_terms(ctx, 1, k)) for k in (0, 1)]
         ns = [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
         assert [len(column) for column in columns] == [len(ns)] * 2
         tol = mp.mpf(10) ** -(ctx.dps - 5)
@@ -505,6 +527,26 @@ class TestLambdaSymmetries:
         for t in (1 / 32, 3.7, 8):
             assert lambda_value(ctx11, mp.mpc(1, t)).value.imag == 0
             assert lambda_value(ctx37, mp.mpc(1, t)).value.real == 0
+
+    @pytest.mark.parametrize("ainvs, w", [(E389, 1), (E37, -1)], ids=["389a", "37a"])
+    def test_critical_line_matches_gammainc_oracle(self, ainvs, w):
+        # Lambda(1+it) = sum a_n [f_n(s) + w conj f_n(s)], f_n(s) = A^s Gamma(s, x_n),
+        # by mp.gammainc with 40 extra digits over the same n <= n_max
+        ctx = AnalyticContext(WeierstrassCurve(*ainvs))
+        assert ctx.w == w
+        tol = mp.mpf(10) ** -(ctx.dps - 5)
+        for t in (1 / 32, 2.5, 7.75):
+            s = mp.mpc(1, t)
+            value = lambda_value(ctx, s).value
+            assert (value.imag if w == 1 else value.real) == 0
+            with mp.workdps(ctx.dps + 40):
+                oracle = mp.mpf(0)
+                for n in range(1, ctx.n_max + 1):
+                    if ctx.coefficient(n):
+                        A = mp.sqrt(ctx.N) / (2 * mp.pi * n)
+                        f = A**s * mp.gammainc(s, 1 / A)
+                        oracle += ctx.coefficient(n) * (f + w * mp.conj(f))
+                assert abs(value - oracle) <= tol, (t, mp.nstr(abs(value - oracle), 3))
 
 
 class TestCoefficientTable:

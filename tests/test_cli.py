@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpmath as mp
+
 from hasseweil import cli, errors
 from hasseweil.cli import main
+from hasseweil.curves import WeierstrassCurve
 
 
 def run_cli(args):
@@ -138,6 +141,31 @@ class TestValues:
         )
         assert code == 0
         assert json.loads(out)["L"] == {"value": "0.0", "err": "0.0"}
+
+    def test_value_shows_only_the_digits_its_bound_supports(self):
+        # 389a: Lambda(1) is 0 to far below its err, so no digit is printed
+        code, out = run_cli(["lambda", "--json", "0", "1", "1", "-2", "0", "--s", "1"])
+        assert code == 0
+        assert json.loads(out)["Lambda"] == {"value": "0.0", "err": "1.28e-30"}
+        # 11a: err 2.94e-25 keeps 25 of the 30 digits, the last one rounded
+        _, out = run_cli(["lvalue", "--json", "0", "-1", "1", "-10", "-20", "--s", "1"])
+        assert json.loads(out)["L"] == {"value": "0.2538418608559106843377589",
+                                        "err": "2.94e-25"}
+
+    def test_bounded_format(self):
+        fmt = cli._fmt_bounded
+        with mp.workdps(40):
+            assert fmt(mp.mpf("0.12345678901234567890123456"), mp.mpf("1e-24"), 30) == (
+                "0.123456789012345678901235")
+            assert fmt(mp.mpf("0.123456789"), mp.mpf("3e-5"), 30) == "0.12346"
+            assert fmt(mp.mpf("-1.23456789"), mp.mpf("1e-20"), 4) == "-1.235"
+            assert fmt(mp.mpf("4e-7"), mp.mpf("1e-6"), 30) == "0.0"
+            assert fmt(mp.mpc("1.5", "1e-9"), mp.mpf("1e-6"), 30) == "1.5"
+            assert fmt(mp.mpc("1e-9", "0.25"), mp.mpf("1e-6"), 30) == "0.0+0.25i"
+            assert fmt(mp.mpc("0.5", "-0.2500001"), mp.mpf("1e-3"), 30) == "0.5-0.25i"
+            # err 0 keeps every digit asked for
+            assert fmt(mp.mpf("0.123456789"), mp.mpf(0), 4) == "0.1235"
+            assert fmt(mp.mpf(0), mp.mpf(0), 30) == "0.0"
 
     def test_lambda_functional_equation(self):
         _, out_a = run_cli(["lambda", "--json", "0", "0", "1", "-1", "0", "--s", "1.3"])
@@ -411,6 +439,36 @@ class TestSnf:
         code, out = run_cli(["snf", "--file", str(tmp_path / "absent.json")])
         assert (code, out) == (2, "")
         assert capsys.readouterr().err.startswith("parse error: cannot read")
+
+
+class TestParser:
+    E37 = ["0", "0", "1", "-1", "0"]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_share_no_state(self, monkeypatch):
+        from hasseweil import analytic, bsd
+
+        reports, contexts = [], []
+
+        def report(curve, gens, digits):
+            reports.append((len(gens), digits))
+            raise errors.PrecisionExhausted("stop")
+
+        def value(ctx, s):
+            contexts.append((ctx.n_max, ctx.digits))
+            return analytic.ValueWithBound(mp.mpf(0), mp.mpf(0))
+
+        monkeypatch.setattr(bsd, "bsd_report", report)
+        monkeypatch.setattr(analytic, "l_value", value)
+        for argv in (["--gen", "0,0", "--gen=1,0", "--prec", "20"], [], ["--gen", "0,0"]):
+            assert run_cli(["bsd", *self.E37, *argv])[0] == 4
+        assert reports == [(2, 20), (0, 30), (1, 30)]
+        default = analytic.AnalyticContext(WeierstrassCurve(*map(int, self.E37))).n_max
+        for argv in (["--nmax", "5000", "--prec", "12"], []):
+            assert run_cli(["lvalue", *self.E37, *argv])[0] == 0
+        assert contexts == [(5000, 12), (default, 30)]
 
 
 PACKAGE_ERRORS = [cls for cls in vars(errors).values()

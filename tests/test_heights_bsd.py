@@ -124,6 +124,26 @@ class TestCanonicalHeight:
             fast = canonical_height(curve, point)
             assert abs(exact - fast) <= err + 1e-12
 
+    def test_doubling_oracle_checks_its_forms(self, e37, monkeypatch):
+        # the first doubling by the integer forms must match the group law
+        from hasseweil import heights
+
+        F, G = _duplication_forms(e37)
+        monkeypatch.setattr(heights, "_duplication_forms",
+                            lambda curve: (F[:-1] + (F[-1] + 1,), G))
+        with pytest.raises(ArithmeticError, match="group law"):
+            height_doubling_exact(e37, e37.point(2, 2), 3)
+
+    def test_doubling_oracle_on_a_non_integral_model(self, e37):
+        # u = 2 divides a3 = 1 by 8: the forms carry the common denominator
+        iso = IsomorphismData(2)
+        image = iso.apply(e37)
+        assert not image.is_integral()
+        P = e37.point(2, 2)
+        exact, err = height_doubling_exact(e37, P, 8)
+        scaled, scaled_err = height_doubling_exact(image, iso.apply_point(P), 8)
+        assert abs(exact - scaled) <= err + scaled_err
+
     def test_quadraticity(self, e37):
         P = e37.point(0, 0)
         h1 = canonical_height(e37, P)

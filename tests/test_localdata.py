@@ -259,6 +259,26 @@ class TestKernel:
     def test_backend_name(self):
         assert kernels.backend() == "python"
 
+    def test_count_matches_per_y_count(self):
+        # the square-root table against a count of every (x, y) mod p, on
+        # random coefficients, at the primes dividing the discriminant too
+        rng = random.Random(17)
+        singular = 0
+        for _ in range(40):
+            a1, a2, a3, a4, a6 = (rng.randint(-40, 40) for _ in range(5))
+            b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+            b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+            disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+            primes = [p for p in primes_up_to(100) if p < 40 or disc % p == 0]
+            for p in primes:
+                per_y = 1 + sum(
+                    1 for x in range(p) for y in range(p)
+                    if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0)
+                assert _kernels_py.count_points_mod_p(a1, a2, a3, a4, a6, p) == per_y, (
+                    (a1, a2, a3, a4, a6), p)
+                singular += disc % p == 0
+        assert singular >= 40
+
     def test_bsgs_all_matches_brute_force(self):
         # every m in [lo, hi] with mP = O, against trying each m; the
         # multiples (n/d)P of a random point of order n give every order d
