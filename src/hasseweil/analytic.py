@@ -4,14 +4,13 @@ Method: with A_n = sqrt(N)/(2 pi n) and x_n = 1/A_n,
 
     Lambda(s) = sum_n a_n [ A_n^s Gamma(s, x_n) + w A_n^{2-s} Gamma(2-s, x_n) ]
 
-where Gamma(.,.) is the upper incomplete gamma function.  The two terms are
-the two halves of the cusp-form integral split at 1/sqrt(N); the relative
-sign of the second half is exactly the functional-equation sign w, which is
-measured from the theta involution f(i/(N y)) = w N y^2 f(iy) rather than
-assumed, and needs only the a_n of f(iy) near y = 1/sqrt(N).
+where Gamma(.,.) is the upper incomplete gamma function: the two halves of
+the cusp-form integral split at 1/sqrt(N), the second signed by w, which is
+measured from the theta involution f(i/(N y)) = w N y^2 f(iy) (only the a_n
+of f(iy) near y = 1/sqrt(N)) rather than assumed.
 
-One engine gives the terms at s = 1 and at non-integer s: all x_n share
-s, so A_n^a Gamma(a, x_n) is x_n^{-a} Gamma(a) less e^{-x_n} times one
+One engine gives the terms at every non-integer s: all x_n share s, so
+A_n^a Gamma(a, x_n) is x_n^{-a} Gamma(a) less e^{-x_n} times one
 polynomial in x_n/x_max (the lower-gamma series at 0), summed by integer
 Horner in fixed point at a precision sized to the cancellation.  Over power
 series in a - 1 it gives one Taylor coefficient at a = 1 per Horner pass,
@@ -19,22 +18,21 @@ all that Lambda^(k)(1) needs.  The per-n work is integer arithmetic: the
 series coefficients come from an integer recurrence (a is an exact binary
 fraction), the rows x_n -> (log x_n, 1/x_n, e^{-x_n}) are fixed-point
 integers (e^{-x_n} = Q^n, log n summed over prime factors), x_n^{-a} is
-x_1^{-a} n^{-a} with n^{-a} completely multiplicative, each term is one
-integer difference, and f(iy) is one integer sum of a_n q^n.  The engine
-hands back a column of integers, and every Lambda-series sum (Lambda(s),
-the rank's scale, Lambda^(k)(1)) is one integer dot product with the a_n,
-rounded once.  On Re s = 1, 2 - s = conj(s), so the sign w keeps only the
-real (w = +1) or imaginary (w = -1) part of each term, and only that part
-is built.  At a = 1 and order 0 (Lambda(1), L(E, 1) and the rank's scale)
-the term is e^{-x_n}/x_n in closed form, with no series.  Only a
-user-asked integer s != 1 calls mpmath's gammainc per term (s or 2 - s is
-a pole of the lower series); nothing in the package evaluates Lambda
-there.  The series of `incgamma_upper_deriv_at_1`, finite differences and
-the Dirichlet series are the tests' oracles, never used here.
+x_1^{-a} n^{-a} with n^{-a} completely multiplicative, and f(iy) is one
+integer sum of a_n q^n.  Every Lambda-series sum (Lambda(s), the rank's
+scale, Lambda^(k)(1)) is one integer dot product with the a_n, rounded
+once.  On Re s = 1, w keeps only the real or the imaginary part of each
+term, and only that part is built.  At an integer s, a pole of the lower
+series for s or 2 - s, Gamma(a + 1, x) = a Gamma(a, x) + x^a e^{-x} gives
+both halves from one column at a = 1: e^{-x_n}/x_n in closed form at s = 1,
+else E_1(x_n) = x_n [e] f_n(1 + e).  `incgamma_upper_deriv_at_1`, mpmath's
+incomplete gamma, finite differences and the Dirichlet series are the
+tests' oracles, never used here.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from dataclasses import dataclass
@@ -167,6 +165,9 @@ def root_number(ctx: AnalyticContext, samples=(1.1, 1.3, 1.7, 2.3)) -> int:
     than two stable samples, a first ratio not near +-1, or any ratio more
     than 1e-6 from it raises PrecisionExhausted.
     """
+    if ctx.target_log10 < 20:  # w is a sign: measured at 20 digits at least, on a copy
+        ctx = copy.copy(ctx)
+        ctx.digits, ctx.target_log10 = max(ctx.digits, 28), 20
     with mp.workdps(ctx.dps):
         ratios = []
         for c in samples:
@@ -187,28 +188,6 @@ def root_number(ctx: AnalyticContext, samples=(1.1, 1.3, 1.7, 2.3)) -> int:
                     f"involution ratio {r} deviates from {eps}"
                 )
         return -eps
-
-
-# -- Lambda, L, and derivatives -------------------------------------------------
-
-
-def _lambda_terms(ctx: AnalyticContext, s):
-    """(a_n, A^s Gamma(s,x), A^{2-s} Gamma(2-s,x)) for each nonzero a_n, n <= n_max,
-    at an integer s != 1.
-
-    Reached only when a caller asks for Lambda or L there, it calls mpmath
-    per term: mpmath has closed forms at integer s, and s or 2 - s is a pole
-    of the lower series that `_gamma_terms` sums.
-    """
-    coeffs = ctx.coefficients(ctx.n_max)
-    two_pi = 2 * mp.pi
-    for n in range(1, ctx.n_max + 1):
-        a_n = coeffs[n]
-        if not a_n:
-            continue
-        A = ctx.sqrtN_mp / (two_pi * n)
-        x = 1 / A
-        yield a_n, A**s * mp.gammainc(s, x), A ** (2 - s) * mp.gammainc(2 - s, x)
 
 
 # -- the Lambda-series terms: one Taylor engine for A^a Gamma(a, x_n) -----------
@@ -442,26 +421,43 @@ def _x_rows(ctx: AnalyticContext, bits: int) -> tuple[int, list]:
     return width, rows
 
 
-def _lambda_series(ctx: AnalyticContext, s, w: int, absolute: bool = False):
-    """sum a_n [A^s Gamma(s,x) + w A^{2-s} Gamma(2-s,x)] at working precision
-    (|a_n| for a_n if `absolute`).
+# -- Lambda, L, and derivatives -------------------------------------------------
 
-    On the engine's s each column is one integer dot product with the a_n,
-    and the whole sum is rounded once.  At s = 1, 2 - s = s.  On Re s = 1,
-    2 - s = conj(s), so Lambda(1+it) = (1 + w) sum a_n Re f_n(s) +
-    i (1 - w) sum a_n Im f_n(s) and only the part that w keeps is built:
-    Im Lambda(1+it) is exactly 0 when w = +1, and Re Lambda(1+it) exactly 0
-    when w = -1.
+
+def _lambda_series(ctx: AnalyticContext, s, w: int, absolute: bool = False):
+    """sum a_n [f(s) + w f(2 - s)], f(a) = A^a Gamma(a, x), at working precision
+    (|a_n| for a_n if `absolute`), as one integer dot product rounded once.
+
+    At an integer s, K = |s - 1|, one column gives f(1) = e^{-x}/x (K = 0) or
+    f(0) = E_1(x) = x [e] f(1 + e), and Gamma(a + 1, x) = a Gamma(a, x) +
+    x^a e^{-x} the rest on the rows of `_x_rows`: up, f(a + 1) = (a f(a) +
+    e^{-x})/x adds positive terms; down, f(a - 1) = (x f(a) - e^{-x})/(a - 1).
+    The column carries log2 of their error growth in extra bits: of
+    prod_{a <= K} max(1, a/x_1) up, of x_max prod_{0 < j < K} max(1, x_max/j)
+    down.  On Re s = 1, 2 - s = conj(s): w keeps only Re f_n(s) (w = 1) or
+    Im f_n(s) (w = -1), only that part is built, and the other is exactly 0.
     """
     s = mp.mpmathify(s)
-    if s != 1 and mp.isint(s):
-        total = mp.mpf(0)
-        for a_n, p, q in _lambda_terms(ctx, s):
-            total += (abs(a_n) if absolute else a_n) * (p + w * q)
-        return total
-    if s == 1:
-        bits, column = _gamma_terms(ctx, 1)
-        return mp.mpf(((1 + w) * _dot(ctx, column, absolute), -bits))
+    if mp.isint(s):
+        m = int(mp.re(s))
+        K, start = abs(m - 1), int(m == 1)  # the recurrence starts at f(start)
+        x_hi = 2 * math.pi * ctx.n_max / ctx.sqrtN
+        up = sum(math.log2(max(1, a * ctx.n_max / x_hi)) for a in range(1, K + 1))
+        down = sum(math.log2(max(1, x_hi / max(j, 1))) for j in range(K))
+        with mp.workprec(mp.mp.prec + math.ceil(max(up, down)) + 2 * K.bit_length()):
+            bits, column = _gamma_terms(ctx, 1, 1 - start)
+        width, rows = _x_rows(ctx, 0)
+        x_1 = (1 << 2 * width) // rows[0][3]  # 1/x_n at n = 1 (a_1 = 1)
+        total = 0
+        for (n, a_n, _, inv_x, exp_x), term in zip(rows, column):
+            high = low = term << (width - bits) if start else x_1 * n * term >> bits
+            for a in range(start, K + 1):
+                high = (a * high + exp_x) * inv_x >> width
+            for a in range(start, 1 - K, -1):
+                low = ((x_1 * n * low >> width) - exp_x) // (a - 1)
+            first, second = (high, low) if m >= 1 else (low, high)
+            total += (abs(a_n) if absolute else a_n) * (first + w * second)
+        return mp.mpf((total, -width))
     if mp.re(s) == 1:
         bits, column = _gamma_terms(ctx, s, part="re" if w == 1 else "im")
         half = mp.mpf((2 * _dot(ctx, column, absolute), -bits))
@@ -490,9 +486,13 @@ def _lambda_scale(ctx: AnalyticContext, s) -> mp.mpf:
 
 
 def lambda_value(ctx: AnalyticContext, s) -> ValueWithBound:
-    """Completed Lambda(E, s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(E, s)."""
+    """Completed Lambda(E, s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(E, s); PrecisionExhausted
+    where the tail bound needs more n: x_{n_max} < 2(max(|s|, |2 - s|) + 2)."""
     with mp.workdps(ctx.dps):
         s = mp.mpmathify(s)
+        reach = max(abs(complex(s)), abs(2 - complex(s)))
+        if 2 * math.pi * ctx.n_max / ctx.sqrtN < 2 * (reach + 2):
+            raise PrecisionExhausted(f"max(|s|, |2 - s|) = {reach:.4g} needs a larger n_max")
         value = _lambda_series(ctx, s, ctx.w)
         return ValueWithBound(value, mp.mpf(ctx.tail_bound()) + mp.mpf(10) ** (-ctx.digits))
 

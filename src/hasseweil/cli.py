@@ -444,10 +444,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_values(argv: list[str]) -> list[str]:
+    """argv with '--s X' and '--gen X' written '--s=X', '--gen=X' when X starts
+    with one '-': argparse takes '-1.5+0.25i' or '-1,1' for an option."""
+    joined: list[str] = []
+    for arg in argv:
+        if (joined and joined[-1] in ("--s", "--gen")
+                and arg.startswith("-") and not arg.startswith("--")):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:

@@ -10,7 +10,7 @@ from hasseweil.analytic import (
     AnalyticContext,
     _gamma_terms,
     _lambda_scale,
-    _lambda_terms,
+    _lambda_series,
     analytic_rank,
     f_on_imaginary_axis,
     incgamma_upper_deriv_at_1,
@@ -91,12 +91,19 @@ class TestRootNumber:
             factor = ctx.sqrtN_mp**s0 * (2 * mp.pi) ** (-s0) * mp.gamma(s0)
             direct = factor * l_dir
             noise = factor * (tail + 1e-12)
-            first = second = mp.mpf(0)
-            for a_n, p, q in _lambda_terms(ctx, s0):
-                first += a_n * p
-                second += a_n * q
-            assert abs(first + ctx.w * second - direct) < noise
-            assert abs(first - ctx.w * second - direct) > 10 * noise
+            assert abs(_lambda_series(ctx, s0, ctx.w) - direct) < noise
+            assert abs(_lambda_series(ctx, s0, -ctx.w) - direct) > 10 * noise
+
+    @pytest.mark.parametrize("ainvs, w", [(E11, 1), (E37, -1), (E389, 1), (E5077, -1)],
+                             ids=["11a", "37a", "389a", "5077a"])
+    def test_low_precision_keeps_reference_sign(self, ainvs, w):
+        # w is measured at 20 digits at least, whatever the context's precision
+        curve = WeierstrassCurve(*ainvs)
+        for digits in range(5, 16):
+            ctx = AnalyticContext(curve, digits=digits)
+            target = ctx.target_log10
+            assert ctx.w == w, digits
+            assert (ctx.digits, ctx.target_log10) == (digits, target)
 
 
 class TestFunctionalEquation:
@@ -292,7 +299,7 @@ class TestSharedSeriesEngine:
                     err = max(abs(first[i] - first_oracle), abs(second[i] - second_oracle))
                     assert err <= tol, (s, ns[i], mp.nstr(err, 3))
 
-    def test_integer_s_keeps_mpmath_path(self, ctx11, monkeypatch):
+    def test_no_gammainc_at_any_s(self, ctx11, monkeypatch):
         calls = []
         gammainc = mp.gammainc
 
@@ -301,16 +308,40 @@ class TestSharedSeriesEngine:
             return gammainc(*args, **kwargs)
 
         monkeypatch.setattr(mp, "gammainc", counting)
-        for s in (complex(2, 0), 2):
-            calls.clear()
+        # integer s, s = 1 among them, come from the recurrence on one column
+        for s in (complex(2, 0), 2, -3, 0, 7, mp.mpc(1, 0.5), 1.3, 1, mp.mpf(1),
+                  mp.mpc(1, 0), mp.mpc(0.5, 2)):
             lambda_value(ctx11, s)
-            assert len(calls) == 2 * sum(1 for n in range(1, ctx11.n_max + 1)
-                                         if ctx11.coefficient(n))
-        calls.clear()
-        # s = 1 is a pole of neither half, so the engine serves it too
-        for s in (mp.mpc(1, 0.5), 1.3, 1, mp.mpf(1), mp.mpc(1, 0), mp.mpc(0.5, 2)):
-            lambda_value(ctx11, s)
+            l_value(ctx11, s)
         assert calls == []
+
+
+class TestIntegerS:
+    """Lambda at integer s against mp.gammainc with 40 extra digits over the same n."""
+
+    @pytest.mark.parametrize("ainvs", [E11, E37, E389, E5077],
+                             ids=["11a", "37a", "389a", "5077a"])
+    def test_matches_gammainc_oracle(self, ainvs):
+        ctx = AnalyticContext(WeierstrassCurve(*ainvs))
+        x_max = 2 * math.pi * ctx.n_max / ctx.sqrtN
+        ns = [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
+        oracles = {}
+
+        def f(a, n):  # A^a Gamma(a, x_n), each (a, n) once for the whole sweep
+            if (a, n) not in oracles:
+                A = mp.sqrt(ctx.N) / (2 * mp.pi * n)
+                oracles[a, n] = A**a * mp.gammainc(a, 1 / A)
+            return oracles[a, n]
+
+        for s in (-10, -5, -2, -1, 0, 2, 3, 6, 12):
+            assert x_max >= 2 * (max(abs(s), abs(2 - s)) + 2)  # inside the domain guard
+            value = lambda_value(ctx, s).value
+            with mp.workdps(ctx.dps + 40):
+                oracle = sum(ctx.coefficient(n) * (f(s, n) + ctx.w * f(2 - s, n)) for n in ns)
+                # 10^-digits, and the one rounding of a value held at dps digits:
+                # 5077a's Lambda(12) is 1.8e20, so that rounding alone is ~1e-27
+                tol = mp.mpf(10) ** -ctx.digits + abs(oracle) * mp.mpf(10) ** -(ctx.dps - 2)
+                assert abs(value - oracle) <= tol, (s, mp.nstr(abs(value - oracle), 3))
 
 
 class TestDerivativeTable:

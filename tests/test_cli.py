@@ -203,6 +203,39 @@ class TestValues:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err.startswith("parse error: ")
 
+    def test_s_past_the_tail_bound_is_precision_exhausted(self, capsys):
+        # the tail bound needs x_{n_max} >= 2(max(|s|, |2 - s|) + 2); past it the
+        # reported err does not hold, and the largest s used to run for minutes
+        e11, e37 = ["0", "-1", "1", "-10", "-20"], ["0", "0", "1", "-1", "0"]
+        for curve, s in ((e11, "45"), (e11, "3+60i"), (e37, "200"), (e37, "1+1e5i"),
+                         (e37, "1e5+0.5i"), (e37, "1e300+1i"), (e37, "-1e5")):
+            started = time.perf_counter()
+            code, out = run_cli(["lvalue", *curve, f"--s={s}"])
+            assert (code, out) == (4, ""), s
+            assert "needs a larger n_max" in capsys.readouterr().err
+            assert time.perf_counter() - started < 5, s
+        # --nmax widens the domain: x_50 = 2 pi 50/sqrt(11) = 94.7 >= 2 (45 + 2)
+        code, _ = run_cli(["lvalue", *e11, "--s", "45", "--nmax", "50"])
+        assert code == 0
+
+    def test_negative_complex_s_space_separated(self):
+        # argparse reads '-1.5+0.25i' as an option unless it follows '='
+        spaced = run_cli(["lambda", "--json", "0", "1", "1", "-2", "0", "--s", "-1.5+0.25i"])
+        assert spaced == run_cli(["lambda", "--json", "0", "1", "1", "-2", "0",
+                                  "--s=-1.5+0.25i"])
+        assert spaced[0] == 0
+        assert json.loads(spaced[1])["s"] == "-1.5+0.25i"
+        spaced = run_cli(["bsd", "--json", "0", "0", "1", "-1", "0", "--gen", "-1,0"])
+        assert spaced == run_cli(["bsd", "--json", "0", "0", "1", "-1", "0", "--gen=-1,0"])
+        assert spaced[0] == 0
+
+    def test_low_precision_root_number(self):
+        # w is measured at 20 digits whatever --prec asks for
+        code, out = run_cli(["lvalue", "--json", "0", "0", "1", "-7", "6", "--s", "1+2i",
+                             "--prec", "12"])
+        assert code == 0
+        assert json.loads(out)["root_number"] == -1
+
     def test_rank_four(self):
         code, out = run_cli(["rank", "--json", "1", "-1", "0", "-79", "289"])  # 234446a
         assert code == 0

@@ -136,9 +136,9 @@ def _package_owners(name: str) -> set[str]:
     }
 
 
-def test_gammainc_only_in_lambda_terms():
-    # one home for incomplete-gamma code: the integer-s branch of the Lambda series
-    assert _package_owners("gammainc") == {"analytic._lambda_terms"}
+def test_no_gammainc_in_package():
+    # the Lambda series at every s, integer s included, is the package's own engine
+    assert _package_owners("gammainc") == set()
 
 
 def test_horner_only_in_gamma_terms():
