@@ -75,7 +75,7 @@ class AnalyticContext:
         self._coeffs = dirichlet_coefficients(self.curve, self.n_max)
         self._w: int | None = None
         self._x_table: tuple | None = None  # (n_max, bits, width, rows) of `_x_rows`
-        self._terms: tuple | None = None  # ((a, order, n_max), prec, terms) of `_gamma_terms`
+        self._terms: tuple | None = None  # ((a, order, n_max, part), prec, terms)
 
     # coefficient access, extending on demand -------------------------------
 

@@ -372,6 +372,11 @@ def cmd_snf(args) -> int:
     return 0
 
 
+_VALUE = re.compile(r"-[\d.ij]", re.IGNORECASE)
+"""A token that argparse must read as a value, not an option: '-' and then a
+digit, '.' or the imaginary unit, as in -5/2, -1e1, -1.5+0.25i, -1,1 or -i."""
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -441,26 +446,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_snf)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _VALUE
     return parser
-
-
-def _joined_values(argv: list[str]) -> list[str]:
-    """argv with '--s X' and '--gen X' written '--s=X', '--gen=X' when X starts
-    with one '-': argparse takes '-1.5+0.25i' or '-1,1' for an option."""
-    joined: list[str] = []
-    for arg in argv:
-        if (joined and joined[-1] in ("--s", "--gen")
-                and arg.startswith("-") and not arg.startswith("--")):
-            joined[-1] += "=" + arg
-        else:
-            joined.append(arg)
-    return joined
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:

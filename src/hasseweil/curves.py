@@ -35,6 +35,31 @@ class InvariantSet(NamedTuple):
     j: Fraction
 
 
+def _binvs(a):
+    """b2, b4, b6, b8, c4, c6 and the discriminant of the coefficients a1..a6."""
+    a1, a2, a3, a4, a6 = a
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, c4, c6, disc
+
+
+def _translate(a, r=0, s=0, t=0):
+    """The coefficients a1..a6 after x = x' + r, y = y' + s x' + t (u = 1)."""
+    a1, a2, a3, a4, a6 = a
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
+
+
 @dataclass(frozen=True)
 class CurvePoint:
     """Point on a Weierstrass curve: infinity or exact affine coordinates."""
@@ -79,17 +104,8 @@ class IsomorphismData:
             raise ValueError("scaling factor u must be nonzero")
 
     def apply(self, curve: "WeierstrassCurve") -> "WeierstrassCurve":
-        u, r, s, t = self.u, self.r, self.s, self.t
-        a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-        return WeierstrassCurve(
-            (a1 + 2 * s) / u,
-            (a2 - s * a1 + 3 * r - s * s) / u**2,
-            (a3 + r * a1 + 2 * t) / u**3,
-            (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t)
-            / u**4,
-            (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1)
-            / u**6,
-        )
+        a = _translate(curve.ainvs(), self.r, self.s, self.t)
+        return WeierstrassCurve(*(ai / self.u**i for ai, i in zip(a, (1, 2, 3, 4, 6))))
 
     def apply_point(self, point: CurvePoint) -> CurvePoint:
         if point.is_infinity:
@@ -161,14 +177,7 @@ class WeierstrassCurve:
 
     @cached_property
     def _inv(self) -> InvariantSet:
-        a1, a2, a3, a4, a6 = self.ainvs()
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        c4 = b2 * b2 - 24 * b4
-        c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
-        disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        b2, b4, b6, b8, c4, c6, disc = _binvs(self.ainvs())
         j = c4**3 / disc if disc != 0 else Fraction(0)
         return InvariantSet(b2, b4, b6, b8, c4, c6, disc, j)
 

@@ -4,6 +4,15 @@ Point counts over F_{p^k}, traces a_p, reduction classification, the full
 Tate algorithm (Kodaira type, conductor exponent f_p, Tamagawa number c_p,
 geometric component count m), and the global conductor.
 
+Tate's algorithm follows Silverman, Advanced Topics, IV 9, with Cremona's
+closed-form coordinate changes (Algorithms for Modular Elliptic Curves,
+3.2): each step moves the model by one (r, s, t) read off its coefficients
+mod p (the singular point to (0, 0); the I0* normalization p | a1, a2,
+p^2 | a3, a4, p^3 | a6; the double or triple root of T^3 + bT^2 + cT + d,
+which two discriminants tell apart; the roots in the I_n* loop).  Nothing
+is searched.  A model found non-minimal is divided by p^i in a_i and run
+again.
+
 Counting rule: a_p at a good prime comes from the kernel's enumeration sweep
 up to BSGS_SWEEP_THRESHOLD and from baby-step giant-step order finding in
 the Hasse interval above it; at a bad prime it comes from Tate's algorithm.
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import kernels
-from .curves import WeierstrassCurve
+from .curves import WeierstrassCurve, _binvs, _translate
 from .errors import BadReduction
 from .finitefield import GaloisField, _poly_gcd_mod, _poly_pow_mod
 from .numtheory import factorize, legendre_symbol, primes_up_to, require_prime, valuation
@@ -148,7 +157,6 @@ def _count_points_gf(coeffs, p: int, k: int, seed: int = 0) -> int:
     code of an element.  p = 2: the trace test of `solve_quadratic_y`.
     """
     gf = GaloisField(p, k, seed)
-    a1, a2, a3, a4, a6 = coeffs
     if p == 2:
         A1, A2, A3, A4, A6 = (gf.from_int(a) for a in coeffs)
         count = 1
@@ -160,9 +168,8 @@ def _count_points_gf(coeffs, p: int, k: int, seed: int = 0) -> int:
             )
             count += gf.solve_quadratic_y(gf.add(gf.mul(A1, x), A3), rhs)
         return count
-    b2 = (a1 * a1 + 4 * a2) % p
-    b4x2 = (4 * a4 + 2 * a1 * a3) % p
-    b6 = (a3 * a3 + 4 * a6) % p
+    b2, b4, b6 = _binvs(coeffs)[:3]
+    b2, b4x2, b6 = b2 % p, 2 * b4 % p, b6 % p
     weights = [p**i for i in range(k)]
 
     def code(a) -> int:
@@ -181,7 +188,7 @@ def _count_points_gf(coeffs, p: int, k: int, seed: int = 0) -> int:
     return count
 
 
-# -- cubics and quadratics mod p for Tate's algorithm -------------------------
+# -- Tate's algorithm -----------------------------------------------------------
 
 
 def _count_roots_cubic(c2: int, c1: int, c0: int, p: int) -> int:
@@ -197,42 +204,6 @@ def _count_roots_cubic(c2: int, c1: int, c0: int, p: int) -> int:
     return max(0, len(_poly_gcd_mod(xp_minus_x, f, p)) - 1)
 
 
-def _cubic_analysis(c2: int, c1: int, c0: int, p: int):
-    """Multiplicity structure of a monic cubic mod p.
-
-    Returns ("distinct", n_roots_in_Fp), ("double", r), or ("triple", r).
-    """
-    c2, c1, c0 = c2 % p, c1 % p, c0 % p
-    if p <= 3:
-        roots = [x for x in range(p) if (((x + c2) * x + c1) * x + c0) % p == 0]
-        for r in roots:
-            # multiplicity via exact division
-            q2 = (c2 + r) % p
-            q1 = (c1 + r * q2) % p
-            # f = (x - r)(x^2 + q2 x + q1); check multiplicity of r in quadratic
-            if (r * r + q2 * r + q1) % p == 0:
-                q0 = (q2 + r) % p
-                if (r + q0) % p == 0:
-                    return ("triple", r)
-                return ("double", r)
-        return ("distinct", len(roots))
-    g = _poly_gcd_mod([c0, c1, c2, 1], [c1, 2 * c2, 3], p)
-    if len(g) <= 1:
-        return ("distinct", _count_roots_cubic(c2, c1, c0, p))
-    if len(g) == 2:  # linear: one double root
-        return ("double", (-g[0]) % p)
-    # g quadratic: triple root, g = (x - r)^2
-    r = (-g[1] * pow(2, -1, p)) % p
-    return ("triple", r)
-
-
-def _quad_separable(alpha: int, beta: int, gamma: int, p: int) -> bool:
-    """Is alpha Y^2 + beta Y + gamma separable mod p (alpha nonzero mod p)?"""
-    if p == 2:
-        return beta % 2 == 1
-    return (beta * beta - 4 * alpha * gamma) % p != 0
-
-
 def _quad_has_root(alpha: int, beta: int, gamma: int, p: int) -> bool:
     if p == 2:
         return any((alpha * y * y + beta * y + gamma) % 2 == 0 for y in (0, 1))
@@ -240,200 +211,127 @@ def _quad_has_root(alpha: int, beta: int, gamma: int, p: int) -> bool:
     return disc == 0 or legendre_symbol(disc, p) == 1
 
 
-def _quad_double_root(alpha: int, beta: int, gamma: int, p: int) -> int:
-    """The double root of an inseparable quadratic mod p."""
-    if p == 2:
-        # beta even: alpha Y^2 + gamma = alpha (Y^2 + gamma/alpha)
-        return (gamma * alpha) % 2
-    return (-beta) * pow(2 * alpha, -1, p) % p
-
-
-# -- Tate's algorithm ----------------------------------------------------------
-
-
-def _binvs(a):
-    a1, a2, a3, a4, a6 = a
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    return b2, b4, b6, b8, disc
-
-
-def _translate(a, r=0, s=0, t=0):
-    """Integral coordinate change with u = 1."""
-    a1, a2, a3, a4, a6 = a
-    return (
-        a1 + 2 * s,
-        a2 - s * a1 + 3 * r - s * s,
-        a3 + r * a1 + 2 * t,
-        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
-        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
-    )
-
-
-def _move_singular_point_to_origin(a, p):
-    a1, a2, a3, a4, a6 = a
-    if p == 2:
-        for x0 in (0, 1):
-            for y0 in (0, 1):
-                eq = (y0 * y0 + a1 * x0 * y0 + a3 * y0
-                      - x0**3 - a2 * x0 * x0 - a4 * x0 - a6) % 2
-                fx = (a1 * y0 + x0 * x0 + a4) % 2
-                fy = (a1 * x0 + a3) % 2
-                if eq == 0 and fx == 0 and fy == 0:
-                    return _translate(a, r=x0, t=y0)
-        raise AssertionError("no singular point found mod 2")
-    # odd p: the singular x is the repeated root of 4x^3 + b2x^2 + 2b4x + b6
-    b2, b4, b6, _, _ = _binvs(a)
-    inv4 = pow(4, -1, p)
-    inv2 = pow(2, -1, p)
-    kind, data = _cubic_analysis(b2 * inv4 % p, b4 * inv2 % p, b6 * inv4 % p, p)
-    if kind == "distinct":
-        raise AssertionError("reduction not singular at p")
-    x0 = data
-    y0 = (-(a1 * x0 + a3) * inv2) % p
-    return _translate(a, r=x0, t=y0)
-
-
-def _normalize_additive(a, p):
-    """Arrange p|a1,a2, p^2|a3,a4, p^3|a6 (entry conditions of the I0*
-    branch); assumes the singular point sits at the origin and p | b2."""
-    if p == 2:
-        for s in range(8):
-            for r in range(0, 16, 2):
-                for t in range(0, 16, 2):
-                    cand = _translate(a, r=r, s=s, t=t)
-                    if _additive_normalized(cand, p):
-                        return cand
-        raise AssertionError("step-6 normalization failed at p=2")
-    inv2 = pow(2, -1, p * p)
-    s = (-a[0] * inv2) % (p * p)
-    a = _translate(a, s=s)
-    t = (-a[2] * inv2) % (p * p)
-    a = _translate(a, t=t)
-    if not _additive_normalized(a, p):
-        raise AssertionError("step-6 normalization failed")
-    return a
-
-
-def _additive_normalized(a, p):
-    a1, a2, a3, a4, a6 = a
-    return (
-        a1 % p == 0
-        and a2 % p == 0
-        and a3 % p**2 == 0
-        and a4 % p**2 == 0
-        and a6 % p**3 == 0
-    )
-
-
 def _tate_at_prime(a, p):
     """Tate's algorithm on integral coefficients, p-minimal or not.
 
     Returns (kodaira, f, c, m, reduction, n_min, restarts) where n_min is
-    ord_p of the discriminant of the p-minimal model reached.
+    ord_p of the discriminant of the p-minimal model reached and restarts
+    counts the divisions by p^i in a_i that reached it.
     """
     restarts = 0
     while True:
         result = _tate_once(a, p)
-        if result == "non-minimal":
-            a1, a2, a3, a4, a6 = a
-            a = (
-                a1 // p,
-                a2 // p**2,
-                a3 // p**3,
-                a4 // p**4,
-                a6 // p**6,
-            )
-            restarts += 1
-            continue
-        kodaira, f, c, m, reduction, n = result
-        return kodaira, f, c, m, reduction, n, restarts
+        if result[0] != "non-minimal":
+            return (*result, restarts)
+        a = result[1]
+        restarts += 1
 
 
 def _tate_once(a, p):
-    b2, b4, b6, b8, disc = _binvs(a)
-    if disc % p != 0:
+    """One pass of Tate's algorithm (Silverman, Advanced Topics, IV 9;
+    Cremona, Algorithms for Modular Elliptic Curves, 3.2).
+
+    Each step is one closed-form coordinate change.  Returns the first six
+    entries of `_tate_at_prime`, or ("non-minimal", the model reached
+    divided by p^i in a_i).
+    """
+    b2, b4, b6, b8, c4, c6, disc = _binvs(a)
+    if disc % p:
         return ("I0", 0, 1, 1, ReductionType.GOOD, 0)
     n = valuation(disc, p)
-    a = _move_singular_point_to_origin(a, p)
+    h = (p + 1) // 2  # 1/2 mod p at odd p
+    # step 2: the singular point of the reduction to (0, 0)
     a1, a2, a3, a4, a6 = a
-    b2, b4, b6, b8, disc = _binvs(a)
-
-    if b2 % p != 0:
-        # multiplicative: tangent directions from T^2 + a1 T - a2
-        split = _quad_has_root(1, a1, -a2, p)
-        if split:
-            c = n
-            red = ReductionType.SPLIT_MULTIPLICATIVE
+    if p == 2:
+        r = (a4 if b2 % 2 == 0 else a3) % 2
+        t = r * (1 + a2 + a4) + a6 if b2 % 2 == 0 else r + a4
+    else:
+        if p == 3:
+            r = -b6 if b2 % 3 == 0 else -b2 * b4
+        elif c4 % p == 0:
+            r = -b2 * pow(12, -1, p)
         else:
-            c = 2 if n % 2 == 0 else 1
-            red = ReductionType.NONSPLIT_MULTIPLICATIVE
-        return (f"I{n}", 1, c, n, red, n)
+            r = -(c6 + b2 * c4) * pow(12 * c4, -1, p)
+        r %= p
+        t = -(a1 * r + a3) * h
+    a = a1, a2, a3, a4, a6 = _translate(a, r, 0, t % p)
+    if a3 % p or a4 % p or a6 % p:
+        raise AssertionError("the reduction is not singular at (0, 0)")
+    b2, b4, b6, b8 = _binvs(a)[:4]
+
+    if b2 % p:  # multiplicative: the tangents at the node are T^2 + a1 T - a2
+        if _quad_has_root(1, a1, -a2, p):
+            return (f"I{n}", 1, n, n, ReductionType.SPLIT_MULTIPLICATIVE, n)
+        return (f"I{n}", 1, 2 - n % 2, n, ReductionType.NONSPLIT_MULTIPLICATIVE, n)
 
     red = ReductionType.ADDITIVE
-    if _val(a6, p) < 2:
+    if a6 % p**2:
         return ("II", n, 1, 1, red, n)
-    if _val(b8, p) < 3:
+    if b8 % p**3:
         return ("III", n - 1, 2, 2, red, n)
-    if _val(b6, p) < 3:
+    if b6 % p**3:
         c = 3 if _quad_has_root(1, a3 // p, -(a6 // p**2), p) else 1
         return ("IV", n - 2, c, 3, red, n)
 
-    a = _normalize_additive(a, p)
-    a1, a2, a3, a4, a6 = a
-    kind, data = _cubic_analysis(a2 // p, a4 // p**2, a6 // p**3, p)
-    if kind == "distinct":
-        c = 1 + _count_roots_cubic(
-            (a2 // p) % p, (a4 // p**2) % p, (a6 // p**3) % p, p
-        )
-        return ("I0*", n - 4, c, 5, red, n)
+    # step 6: p | a1, a2; p^2 | a3, a4; p^3 | a6
+    if p == 2:
+        s, t = a2 % 2, 2 * (a6 // 4 % 2)
+    else:
+        s, t = -a1 * h, -a3 * h
+    a = a1, a2, a3, a4, a6 = _translate(a, 0, s, t)
+    if a1 % p or a2 % p or a3 % p**2 or a4 % p**2 or a6 % p**3:
+        raise AssertionError("the additive model is not normalized")
 
-    if kind == "double":
-        a = _translate(a, r=p * data)
-        a1, a2, a3, a4, a6 = a
+    # steps 6-8: the cubic T^3 + b T^2 + c T + d, by its discriminant -w
+    b, c, d = a2 // p, a4 // p**2, a6 // p**3
+    w = 27 * d * d - b * b * c * c + 4 * b**3 * d - 18 * b * c * d + 4 * c**3
+    x = 3 * c - b * b
+    if w % p:  # distinct roots
+        return ("I0*", n - 4, 1 + _count_roots_cubic(b, c, d, p), 5, red, n)
+
+    if x % p:  # a double root, moved to 0; the loop raises my | a3 and p mx | a4 in turn
+        if p == 2:
+            r = c
+        elif p == 3:
+            r = b * c
+        else:
+            r = (b * c - 9 * d) * pow(2 * x, -1, p)
+        a = a1, a2, a3, a4, a6 = _translate(a, p * (r % p))
+        mx = my = p * p
         nu = 1
         while True:
-            if nu % 2 == 1:
-                k = (nu + 3) // 2
-                A3, A6 = a3 // p**k, a6 // p ** (nu + 3)
-                if _quad_separable(1, A3, -A6, p):
-                    c = 4 if _quad_has_root(1, A3, -A6, p) else 2
+            xa2, xa3, xa4, xa6 = a2 // p, a3 // my, a4 // (p * mx), a6 // (mx * my)
+            if nu % 2:  # Y^2 + xa3 Y - xa6
+                if (xa3 * xa3 + 4 * xa6) % p:
+                    c = 4 if _quad_has_root(1, xa3, -xa6, p) else 2
                     return (f"I{nu}*", n - 4 - nu, c, nu + 5, red, n)
-                y1 = _quad_double_root(1, A3, -A6, p)
-                a = _translate(a, t=p**k * y1)
-            else:
-                k = (nu + 4) // 2
-                A2, A4, A6 = a2 // p, a4 // p**k, a6 // p ** (nu + 3)
-                if _quad_separable(A2, A4, A6, p):
-                    c = 4 if _quad_has_root(A2, A4, A6, p) else 2
+                t = my * (xa6 % 2 if p == 2 else -xa3 * h % p)
+                a = _translate(a, 0, 0, t)
+                my *= p
+            else:  # xa2 X^2 + xa4 X + xa6
+                if (xa4 * xa4 - 4 * xa2 * xa6) % p:
+                    c = 4 if _quad_has_root(xa2, xa4, xa6, p) else 2
                     return (f"I{nu}*", n - 4 - nu, c, nu + 5, red, n)
-                x1 = _quad_double_root(A2, A4, A6, p)
-                a = _translate(a, r=p ** (k - 1) * x1)
+                r = xa6 * xa2 % 2 if p == 2 else -xa4 * pow(2 * xa2, -1, p) % p
+                a = _translate(a, mx * r)
+                mx *= p
             a1, a2, a3, a4, a6 = a
             nu += 1
 
-    # triple root
-    a = _translate(a, r=p * data)
-    a1, a2, a3, a4, a6 = a
-    A3, A6 = a3 // p**2, a6 // p**4
-    if _quad_separable(1, A3, -A6, p):
-        c = 3 if _quad_has_root(1, A3, -A6, p) else 1
+    # a triple root, moved to 0
+    r = -d if p == 3 else -b * pow(3, -1, p)
+    a = a1, a2, a3, a4, a6 = _translate(a, p * (r % p))
+    x3, x6 = a3 // p**2, a6 // p**4
+    if (x3 * x3 + 4 * x6) % p:
+        c = 3 if _quad_has_root(1, x3, -x6, p) else 1
         return ("IV*", n - 6, c, 7, red, n)
-    y1 = _quad_double_root(1, A3, -A6, p)
-    a = _translate(a, t=p**2 * y1)
-    a1, a2, a3, a4, a6 = a
-    if _val(a4, p) < 4:
+    t = p * p * (x6 % 2 if p == 2 else -x3 * h % p)
+    a = a1, a2, a3, a4, a6 = _translate(a, 0, 0, t)
+    if a4 % p**4:
         return ("III*", n - 7, 2, 8, red, n)
-    if _val(a6, p) < 6:
+    if a6 % p**6:
         return ("II*", n - 8, 1, 9, red, n)
-    return "non-minimal"
-
-
-def _val(x: int, p: int) -> int:
-    return valuation(x, p) if x != 0 else 10**9
+    return "non-minimal", tuple(ai // p**i for ai, i in zip(a, (1, 2, 3, 4, 6)))
 
 
 # -- public per-prime operations -----------------------------------------------

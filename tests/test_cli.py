@@ -122,6 +122,34 @@ class TestAnalyze:
         code, _ = run_cli(["analyze", "0", "0", "one", "-1", "0"])
         assert code == 2
 
+    def test_negative_fraction_after_a_space(self):
+        # argparse read '-5/2' and '-1e1' as unknown options (exit 2)
+        spaced = run_cli(["analyze", "--json", "0", "-5/2", "1", "0", "0"])
+        assert spaced == run_cli(["analyze", "--json", '["0","-5/2","1","0","0"]'])
+        assert spaced[0] == 0
+        assert json.loads(run_cli(["analyze", "--json", "-1e1", "0", "1", "0", "0"])[1])[
+            "curve"] == ["-10", "0", "1", "0", "0"]
+        assert run_cli(["rank", "0", "-1/2", "1", "0", "0"])[0] == 0
+        assert run_cli(["zetacheck", "0", "-1/2", "1", "0", "0", "--pmax", "5"])[0] == 0
+        lvalue = ["lvalue", "--json", "0", "0", "1", "-1", "0"]
+        assert run_cli([*lvalue, "--s", "-i"]) == run_cli([*lvalue, "--s=-i"])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.builds(lambda n, d: f"{n}/{d}" if d > 1 else str(n),
+                              st.integers(-100, 100), st.sampled_from([1, 2, 3, 4, 6])),
+                    min_size=5, max_size=5))
+    def test_json_local_data_fuzz(self, coefficients):
+        code, out = run_cli(["analyze", "--json", *coefficients])
+        assert code in (0, 3), coefficients
+        if code == 3:
+            return
+        named = {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}
+        for d in json.loads(out)["local_data"]:
+            n = d["kodaira"][1:].rstrip("*")
+            m = named.get(d["kodaira"]) or (int(n) + 5 if d["kodaira"].endswith("*") else int(n))
+            assert d["m"] == m, (coefficients, d)
+            assert d["f_p"] == d["ord_disc"] + 1 - d["m"], (coefficients, d)
+
 
 class TestValues:
     def test_lvalue_e11(self):

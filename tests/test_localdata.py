@@ -6,7 +6,9 @@ import pytest
 
 from hasseweil import cli, kernels, localdata, _kernels_py
 from hasseweil.curves import WeierstrassCurve
-from hasseweil.errors import BadReduction, BSGSFailure, HasseWeilError, NotPrime
+from hasseweil.analytic import AnalyticContext, analytic_rank, root_number
+from hasseweil.bsd import bsd_report
+from hasseweil.errors import BadReduction, BSGSFailure, HasseWeilError, NotPrime, SingularCurve
 from hasseweil.finitefield import GaloisField, irreducible_polynomial
 from hasseweil.localdata import (
     BSGS_SWEEP_THRESHOLD,
@@ -441,6 +443,22 @@ class TestTate:
             ((0, 0, 0, 1, 0), {2: ("II", 6, 1)}),
             ((0, 0, 0, -25, 0), {5: ("I0*", 2, 4)}),  # twist of 32a by 5
             ((0, 0, 0, 0, 3125), {5: ("II*", 2, 1)}),
+            # one curve per additive type at p = 2 and at p = 3
+            ((0, 0, 0, -1, 0), {2: ("III", 5, 2)}),  # 32a
+            ((0, 0, 0, 0, 1), {2: ("IV", 2, 3), 3: ("III", 2, 2)}),  # 36a
+            ((0, 0, 0, 0, -4), {2: ("I0*", 4, 2)}),
+            ((0, 0, 0, 1, 2), {2: ("I1*", 3, 4)}),
+            ((0, 0, 0, 0, 4), {2: ("IV*", 2, 3)}),
+            ((0, -1, 0, 0, -4), {2: ("III*", 3, 2)}),
+            ((0, 0, 0, 0, -16), {2: ("II*", 4, 1)}),
+            ((0, 0, 1, 0, 2), {3: ("IV", 5, 3)}),
+            ((0, 0, 0, 9, 0), {3: ("I0*", 2, 2)}),
+            ((1, -1, 0, -18, 0), {3: ("I1*", 2, 4)}),
+            ((1, -1, 0, 9, 0), {3: ("I2*", 2, 2)}),
+            ((0, 0, 0, 0, -27), {3: ("III*", 2, 2)}),
+            ((0, 0, 0, 54, 54), {3: ("II*", 3, 1)}),
+            ((1, 1, 0, 125, 0), {5: ("I2*", 2, 4)}),
+            ((0, 0, 0, 343, 0), {7: ("III*", 2, 2)}),
         ]
         for ai, table in catalog:
             curve = WeierstrassCurve(*ai)
@@ -497,6 +515,39 @@ class TestTate:
         kodaira, f, c, m, red, n, restarts = _tate_at_prime((0, 0, 0, 0, 64), 2)
         assert restarts == 1
         assert (kodaira, f, c, m) == ("IV", 2, 3, 3)
+        # y^2 + y = x^3 scaled by u = 3: the p = 3 case of the restart
+        assert _tate_at_prime((0, 0, 27, 0, 0), 3) == (
+            "II", 3, 1, 1, ReductionType.ADDITIVE, 3, 1)
+        # (0, 0, 0, 0, 64) moved by (r, s, t) = (5, 1, 3): the restart divides
+        # the model Tate's algorithm reached, not the translated input
+        assert _tate_at_prime((2, 14, 6, 69, 180), 2) == (
+            "IV", 2, 3, 3, ReductionType.ADDITIVE, 4, 1)
+
+    def test_theta_involution_and_bsd_check_conductor_and_tamagawa(self):
+        # Ogg's formula f_p = ord_p(disc) + 1 - m ties m, and so the Kodaira
+        # family, to f_p.  The theta involution holds only for the true
+        # conductor, and at rank 0 a wrong prod c_p moves Sha off a square.
+        rng = random.Random(7)
+        seen = 0
+        while seen < 40:
+            q = rng.choice((2, 3))
+            ai = [rng.randint(-1, 1) for _ in range(3)] + [
+                q ** rng.randint(0, 3) * rng.randint(-9, 9),
+                q ** rng.randint(0, 5) * rng.randint(-9, 9),
+            ]
+            try:
+                curve = WeierstrassCurve(*ai)
+            except SingularCurve:
+                continue
+            additive = [p for p in (2, 3) if p in bad_primes(curve)
+                        and tate_local(curve, p).reduction is ReductionType.ADDITIVE]
+            if conductor(curve) > 2 * 10**4 or not additive:
+                continue
+            seen += 1
+            ctx = AnalyticContext(curve)
+            root_number(ctx)  # raises PrecisionExhausted at a wrong conductor
+            if analytic_rank(ctx).rank == 0:
+                assert "sha-not-near-square" not in bsd_report(curve).flags, ai
 
     def test_scaling_invariance(self, e11):
         from hasseweil.curves import IsomorphismData
