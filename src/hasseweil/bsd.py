@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 
-from .analytic import AnalyticContext, analytic_rank, l_value, lambda_derivative
+from .analytic import AnalyticContext, analytic_rank, lambda_derivative
 from .curves import CurvePoint, WeierstrassCurve
 from .errors import DependentGenerators, PrecisionExhausted
 from .heights import canonical_height
@@ -199,29 +199,24 @@ def bsd_report(
 ) -> BsdReport:
     """Assemble the full numerical BSD consistency report.
 
-    sha_predicted = L* t^2 / (Omega R prod(c_p)); a generator count that
-    differs from the analytic rank sets a mismatch flag instead of failing.
+    sha_predicted = L* t^2 / (Omega R prod(c_p)), with the leading Taylor
+    coefficient L* = L^(r)(1)/r! = Lambda^(r)(1) 2 pi / (sqrt(N) r!) at every
+    rank r; a generator count that differs from the analytic rank sets a
+    mismatch flag instead of failing.
     """
     generators = list(generators or [])
     ctx = AnalyticContext(curve, digits=digits)
     flags: list[str] = []
     rank = analytic_rank(ctx, rank_tol)
     r = rank.rank
-    w = ctx.w
-    if r % 2 != (0 if w == 1 else 1):
-        flags.append("rank-parity-mismatch")
     if len(generators) != r:
         flags.append("generator-count-mismatch")
 
     with mp.workdps(ctx.dps):
-        if r == 0:
-            leading = l_value(ctx, 1)
-            lead_val, lead_err = float(mp.re(leading.value)), float(leading.bound)
-        else:
-            lam_r, lam_err = lambda_derivative(ctx, r)
-            factor = (2 * mp.pi) / ctx.sqrtN_mp / mp.factorial(r)
-            lead_val = float(lam_r * factor)
-            lead_err = float(lam_err * factor)
+        lam_r, lam_err = lambda_derivative(ctx, r)
+        factor = (2 * mp.pi) / ctx.sqrtN_mp / mp.factorial(r)
+        lead_val = float(lam_r * factor)
+        lead_err = float(lam_err * factor)
 
     omega, omega_err = real_period(curve, digits)
     try:
@@ -255,7 +250,7 @@ def bsd_report(
     return BsdReport(
         curve=curve.ainvs(),
         conductor=ctx.N,
-        root_number=w,
+        root_number=ctx.w,
         rank_analytic=r,
         leading_coefficient=lead_val,
         leading_coefficient_err=lead_err,

@@ -14,6 +14,7 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -360,7 +361,7 @@ def cmd_snf(args) -> int:
         "D": D,
         "V": V,
         "elementary_divisors": divisors,
-        "torsion_order": intlinalg.torsion_order(matrix),
+        "torsion_order": math.prod(d for d in divisors if d),
     }
     lines = [
         f"elementary divisors: {divisors}",

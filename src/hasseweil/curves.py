@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import PointNotOnCurve, SingularCurve
@@ -137,8 +137,9 @@ class WeierstrassCurve:
     """Immutable nonsingular Weierstrass model with exact invariants.
 
     Derived facts are computed on first use and kept on the instance: the
-    invariants, the minimal model, and the per-prime data that `localdata`
-    attaches as `_local`.  They live and die with the curve.
+    invariants, the minimal model with its discriminant's factorization, the
+    torsion subgroup, and the per-prime data that `localdata` attaches as
+    `_local`.  They live and die with the curve.
     """
 
     _local = None
@@ -256,11 +257,19 @@ class WeierstrassCurve:
         return result
 
     def order_of_point(self, P: CurvePoint, cap: int = 12) -> int | None:
-        """Exact order of P if at most cap, else None."""
+        """Exact order of P if at most cap, else None.
+
+        On an integral model each multiple of a torsion point is O, of order 2
+        (2y + a1 x + a3 = 0) or integral (Nagell-Lutz), so any other multiple
+        with fractional x ends the walk.
+        """
+        integral = self.is_integral()
         Q = P
         for n in range(1, cap + 1):
             if Q.is_infinity:
                 return n
+            if integral and Q.x.denominator != 1 and 2 * Q.y + self.a1 * Q.x + self.a3:
+                return None
             Q = self.add(Q, P)
         return None
 
@@ -276,10 +285,14 @@ class WeierstrassCurve:
 
     def minimal_model(self) -> tuple["WeierstrassCurve", IsomorphismData]:
         """Global minimal model and the transformation reaching it (computed once)."""
-        return self._minimal
+        return self._minimal[0]
+
+    def minimal_disc_factors(self) -> dict[int, int]:
+        """{p: ord_p} of the minimal discriminant, from the minimal model's factorization."""
+        return self._minimal[1]
 
     @cached_property
-    def _minimal(self) -> tuple["WeierstrassCurve", IsomorphismData]:
+    def _minimal(self) -> tuple[tuple["WeierstrassCurve", IsomorphismData], dict[int, int]]:
         integral, iso0 = self.integral_model()
         inv = integral.invariants()
         c4, c6, disc = int(inv.c4), int(inv.c6), int(inv.disc)
@@ -288,15 +301,17 @@ class WeierstrassCurve:
             return valuation(n, p) if n != 0 else INF
 
         u = 1
-        primes = set(factorize(disc))
-        for p in sorted(primes):
-            k = min(val(c4, p) // 4, val(c6, p) // 6, val(disc, p) // 12)
+        factors = {}
+        for p, e in factorize(disc).items():
+            k = min(val(c4, p) // 4, val(c6, p) // 6, e // 12)
             if p in (2, 3):
                 while k > 0 and not _kraus_ok(
                     c4 // p ** (4 * k), c6 // p ** (6 * k), p
                 ):
                     k -= 1
             u *= p**k
+            if e > 12 * k:
+                factors[p] = e - 12 * k
         c4m, c6m = c4 // u**4, c6 // u**6
         minimal = curve_from_c4c6(c4m, c6m)
 
@@ -308,7 +323,7 @@ class WeierstrassCurve:
         iso1 = IsomorphismData(uf, r, s, t)
         if iso1.apply(integral) != minimal:
             raise AssertionError("minimal-model transformation failed to verify")
-        return minimal, iso0.compose(iso1)
+        return (minimal, iso0.compose(iso1)), factors
 
     # -- rational points -----------------------------------------------------
 
@@ -354,17 +369,50 @@ class WeierstrassCurve:
         Returns a structure string ("trivial", "Z/n", or "Z/2 x Z/n") and
         generators in *this* curve's coordinates.
         """
-        structure, gens, _ = self._torsion_data()
+        structure, gens, _ = self._torsion_data
         return structure, gens
 
     def torsion_order(self) -> int:
-        return self._torsion_data()[2]
+        return self._torsion_data[2]
 
+    @cached_property
     def _torsion_data(self) -> tuple[str, list[CurvePoint], int]:
+        # psi2 = 2y + a1 x + a3 has psi2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6.  On the
+        # integral minimal model a torsion point has psi2 = 0 (order 2, 4x in Z)
+        # or integral x and psi2^2 | 2^4 3^6 disc (Nagell-Lutz on the model
+        # (36x + 3 b2, 108 psi2)); X = 4x is an integer root of
+        # X^3 + b2 X^2 + 8 b4 X + 16 (b6 - psi2^2).
         minimal, iso = self.minimal_model()
-        structure, gens_min, order = _torsion_of_minimal(minimal)
+        b2, b4, b6 = (int(b) for b in minimal.invariants()[:3])
+        exponents = dict(self.minimal_disc_factors())
+        exponents[2] = exponents.get(2, 0) + 4
+        exponents[3] = exponents.get(3, 0) + 6
+        divisors = {1}
+        for p, e in exponents.items():
+            divisors = {d * p**k for d in divisors for k in range(e // 2 + 1)}
+        found = []
+        for d in [0, *divisors]:
+            for X in _integer_cubic_roots(b2, 8 * b4, 16 * (b6 - d * d)):
+                if d and X % 4:
+                    continue  # not 2-torsion, so x must be integral
+                x = Fraction(X, 4)
+                n = minimal.order_of_point(CurvePoint(x, (d - minimal.a1 * x - minimal.a3) / 2))
+                if n is not None:  # -P, at psi2 = -d, has the same order
+                    found += [(x, psi, CurvePoint(x, (psi - minimal.a1 * x - minimal.a3) / 2), n)
+                              for psi in {d, -d}]
+        found.sort(key=lambda f: f[:2])
+        t = len(found) + 1
+        if t == 1:
+            return "trivial", [], 1
+        max_order = max(n for *_, n in found)
+        gens = [next(P for *_, P, n in found if n == max_order)]
+        if max_order < t:
+            # nontrivial 2-part: Z/2 x Z/max_order, of size 2 * max_order
+            cyc = {minimal.mul(k, gens[0]) for k in range(max_order)}
+            gens.append(next(P for *_, P, n in found if n == 2 and P not in cyc))
+        structure = f"Z/{t}" if max_order == t else f"Z/2 x Z/{max_order}"
         back = iso.inverse()
-        return structure, [back.apply_point(P) for P in gens_min], order
+        return structure, [back.apply_point(P) for P in gens], t
 
 
 def _kraus_ok(c4: int, c6: int, p: int) -> bool:
@@ -486,53 +534,6 @@ def _integer_cubic_roots(c2: int, c1: int, c0: int) -> list[int]:
             else:
                 a, flo = mid, fm
     return sorted(r for r in roots if f(r) == 0)
-
-
-@lru_cache(maxsize=128)
-def _torsion_points_short(A: int, B: int) -> tuple[tuple[int, int], ...]:
-    """Nagell-Lutz candidates on y^2 = x^3 + Ax + B that verify as torsion."""
-    D = abs(4 * A**3 + 27 * B * B)
-    ys = {1}
-    for d, e in factorize(D).items():
-        ys = {y * d**k for y in ys for k in range(e // 2 + 1)}
-    ys.add(0)
-    curve = WeierstrassCurve(0, 0, 0, A, B)
-    found = []
-    for y in sorted(ys):
-        for x in _integer_cubic_roots(0, A, B - y * y):
-            for yy in {y, -y}:
-                P = CurvePoint(Fraction(x), Fraction(yy))
-                if curve.contains(P) and curve.order_of_point(P) is not None:
-                    found.append((x, yy))
-    return tuple(sorted(set(found)))
-
-
-def _torsion_of_minimal(
-    curve: WeierstrassCurve,
-) -> tuple[str, list[CurvePoint], int]:
-    inv = curve.invariants()
-    A, B = int(-27 * inv.c4), int(-54 * inv.c6)
-    b2, a1, a3 = inv.b2, curve.a1, curve.a3
-    points: list[CurvePoint] = []
-    for X, Y in _torsion_points_short(A, B):
-        x = (Fraction(X) - 3 * b2) / 36
-        y = (Fraction(Y) / 108 - a1 * x - a3) / 2
-        P = CurvePoint(x, y)
-        if curve.contains(P) and curve.order_of_point(P) is not None:
-            points.append(P)
-    pts = [O] + points
-    orders = {P: curve.order_of_point(P) for P in pts}
-    t = len(pts)
-    max_order = max(orders.values())
-    gen = next(P for P in pts if orders[P] == max_order)
-    if t == 1:
-        return "trivial", [], 1
-    if max_order == t:
-        return f"Z/{t}", [gen], t
-    # nontrivial 2-part: Z/2 x Z/max_order, of size 2 * max_order
-    cyc = {curve.mul(k, gen) for k in range(max_order)}
-    extra = next(P for P in pts if orders[P] == 2 and P not in cyc)
-    return f"Z/2 x Z/{max_order}", [gen, extra], 2 * max_order
 
 
 def parse_curve(tokens: Iterable[str] | str) -> WeierstrassCurve:

@@ -36,7 +36,7 @@ from . import kernels
 from .curves import WeierstrassCurve, _binvs, _translate
 from .errors import BadReduction
 from .finitefield import GaloisField, _poly_gcd_mod, _poly_pow_mod
-from .numtheory import factorize, legendre_symbol, primes_up_to, require_prime, valuation
+from .numtheory import legendre_symbol, primes_up_to, require_prime, valuation
 
 ENUM_LIMIT = 10**6  # largest field counted by enumerating its elements
 
@@ -100,7 +100,7 @@ class _CurveData:
         inv = minimal.invariants()
         self.coeffs = tuple(int(a) for a in minimal.ainvs())
         self.disc, self.c4, self.c6 = int(inv.disc), int(inv.c4), int(inv.c6)
-        self.bad = sorted(factorize(self.disc))
+        self.bad = sorted(curve.minimal_disc_factors())
         self.conductor: int | None = None
         self.local: dict[int, LocalData] = {}
         self.counts: dict[tuple[int, int], int] = {}

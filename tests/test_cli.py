@@ -151,6 +151,28 @@ class TestAnalyze:
             assert d["f_p"] == d["ord_disc"] + 1 - d["m"], (coefficients, d)
 
 
+def test_discriminant_factored_once_per_command(monkeypatch):
+    # the minimal model's factorization gives the bad primes and the torsion search
+    from hasseweil import numtheory
+
+    calls, factorize = [], numtheory.factorize
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hasseweil") and getattr(module, "factorize", None) is factorize:
+            monkeypatch.setattr(module, "factorize", counting)
+    # 11a, minimal and as its image under u = 1/6, (r, s, t) = (1, 1, 1)
+    for ainvs in (["0", "-1", "1", "-10", "-20"], ["12", "36", "648", "-15552", "-1492992"]):
+        for command in ("analyze", "bsd"):
+            calls.clear()
+            code, _ = run_cli([command, "--json", *ainvs])
+            assert code == 0
+            assert sum(n % 161051 == 0 for n in calls) == 1, (command, ainvs, calls)
+
+
 class TestValues:
     def test_lvalue_e11(self):
         code, out = run_cli(

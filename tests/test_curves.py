@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -168,6 +169,32 @@ class TestIsomorphisms:
         assert image.contains(iso.apply_point(P))
 
 
+# One curve per torsion group Mazur's theorem allows, given minimal and as
+# its image under u = 1/6, (r, s, t) = (1, 1, 1): structure, then each
+# model's generators (in its own coordinates) with their orders.
+MAZUR = [
+    ("trivial", (0, 0, 1, -1, 0), [], [], []),
+    ("Z/2", (0, -1, 0, -5, 6), [("2", "0")], [("36", "-432")], [2]),
+    ("Z/3", (0, 0, 1, 0, 0), [("0", "-1")], [("-36", "-216")], [3]),
+    ("Z/4", (1, 0, 0, -290, 2100), [("10", "-20")], [("324", "-6480")], [4]),
+    ("Z/5", (0, -1, 1, -10, -20), [("5", "-6")], [("144", "-2376")], [5]),
+    ("Z/6", (0, 0, 0, 0, 1), [("2", "-3")], [("36", "-1080")], [6]),
+    ("Z/7", (1, -1, 1, -3, 3), [("-1", "-2")], [("-72", "-216")], [7]),
+    ("Z/8", (1, 1, 1, 35, -28), [("2", "-9")], [("36", "-2376")], [8]),
+    ("Z/9", (1, -1, 1, -14, 29), [("-3", "-5")], [("-144", "-432")], [9]),
+    ("Z/10", (1, 0, 0, -45, 81), [("-6", "-9")], [("-252", "-648")], [10]),
+    ("Z/12", (1, -1, 1, -122, 1721), [("-9", "-41")], [("-360", "-6912")], [12]),
+    ("Z/2 x Z/2", (0, 0, 0, -1, 0), [("-1", "0"), ("0", "0")],
+     [("-72", "216"), ("-36", "0")], [2, 2]),
+    ("Z/2 x Z/4", (1, 1, 1, -10, -10), [("-2", "-2"), ("-13/4", "9/8")],
+     [("-108", "0"), ("-153", "945")], [4, 2]),
+    ("Z/2 x Z/6", (1, 0, 1, -19, 26), [("-2", "-7"), ("-5", "2")],
+     [("-108", "-1080"), ("-216", "1512")], [6, 2]),
+    ("Z/2 x Z/8", (1, 0, 0, -1070, 7812), [("-26", "-122"), ("-36", "18")],
+     [("-972", "-20736"), ("-1332", "11664")], [8, 2]),
+]
+
+
 class TestTorsion:
     def test_e11_z5(self, e11):
         structure, gens = e11.torsion_subgroup()
@@ -203,6 +230,19 @@ class TestTorsion:
                 for k in range(1, n):
                     assert not curve.mul(k, g).is_infinity
                 assert curve.mul(n, g).is_infinity
+
+    @pytest.mark.parametrize("structure, ainvs, gens, gens_scaled, orders", MAZUR,
+                             ids=[m[0] for m in MAZUR])
+    def test_mazur_groups(self, structure, ainvs, gens, gens_scaled, orders):
+        minimal = WeierstrassCurve(*ainvs)
+        scaled = IsomorphismData(Fraction(1, 6), 1, 1, 1).apply(minimal)
+        assert scaled.minimal_model()[0] == minimal
+        for curve, expected in ((minimal, gens), (scaled, gens_scaled)):
+            found, points = curve.torsion_subgroup()
+            assert found == structure
+            assert [(str(P.x), str(P.y)) for P in points] == expected
+            assert [curve.order_of_point(P) for P in points] == orders
+            assert curve.torsion_order() == max(1, math.prod(orders))
 
 
 class TestPointSearch:
@@ -253,3 +293,45 @@ class TestParsingAndHelpers:
             assert _integer_cubic_roots(c2, c1, c0) == sorted(set(roots))
         assert _integer_cubic_roots(0, 0, 5) == []
         assert _integer_cubic_roots(0, -1, 0) == [-1, 0, 1]
+        rng = random.Random(19)
+        for _ in range(200):
+            # double and triple roots
+            r, q = rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)
+            assert _integer_cubic_roots(*_planted([r, r, q])) == sorted({r, q})
+            assert _integer_cubic_roots(*_planted([r, r, r])) == [r]
+            # one integer root times an irreducible quadratic
+            b, c = rng.randint(-10**4, 10**4), rng.randint(-10**8, 10**8)
+            disc = b * b - 4 * c
+            if disc < 0 or math.isqrt(disc) ** 2 != disc:
+                assert _integer_cubic_roots(*_planted([r], (b, c))) == [r]
+            # no integer root: three consecutive integers multiply to 0 mod 6,
+            # so f(k) = 3 or -3 mod 6; and no cube is twice a cube
+            c2, c1, c0 = _planted([r, r + 1, r + 2])
+            assert _integer_cubic_roots(c2, c1, c0 + rng.choice([3, -3])) == []
+            n = rng.choice([1, -1]) * rng.randint(1, 10**4)
+            assert _integer_cubic_roots(0, 0, 2 * n**3) == []
+            # |c_i| <= 10^12, a root at the Fujiwara bound 2 max(|c2|, |c1|^(1/2), |c0|^(1/3))
+            big = rng.choice([-1, 1]) * rng.randint(1, 10**12)
+            m, k = big % 10**6, big % 10**4
+            for roots, quadratic in (([big, 0, 0], None),  # x^3 - big x^2
+                                     ([m, -m, rng.randint(-1, 1)], None),  # |c1| = m^2
+                                     ([k], (k, k * k))):  # x^3 - k^3
+                c2, c1, c0 = _planted(roots, quadratic)
+                assert max(abs(c2), abs(c1), abs(c0)) <= 10**12
+                assert _integer_cubic_roots(c2, c1, c0) == sorted(set(roots))
+
+
+def _planted(roots, quadratic=None):
+    """(c2, c1, c0) of prod(x - r), times x^2 + b x + c for quadratic = (b, c)."""
+    poly = [1]  # coefficients from x^0 up
+    factors = [[-r, 1] for r in roots]
+    if quadratic is not None:
+        factors.append([quadratic[1], quadratic[0], 1])
+    for f in factors:
+        out = [0] * (len(poly) + len(f) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(f):
+                out[i + j] += a * b
+        poly = out
+    c0, c1, c2, _ = poly
+    return c2, c1, c0

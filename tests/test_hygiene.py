@@ -144,3 +144,13 @@ def test_no_gammainc_in_package():
 def test_horner_only_in_gamma_terms():
     # one Taylor engine sums the lower-gamma series, for every s and order
     assert _package_owners("_horner") == {"analytic._gamma_terms"}
+
+
+def test_factorize_only_for_the_minimal_model_and_heights():
+    # the discriminant is factored once per curve, with the minimal model;
+    # heights factor a point's denominator, and sigma0 serves the tests
+    assert _package_owners("factorize") == {
+        "curves.<module>", "curves._minimal",
+        "heights.<module>", "heights.canonical_height_breakdown",
+        "numtheory.sigma0",
+    }
