@@ -1,40 +1,62 @@
 """Numerical evaluation of L(E, s) and the completed Lambda(E, s).
 
-Method: with A_n = sqrt(N)/(2 pi n) and x_n = 1/A_n,
+Method: Lambda(s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(E, s) is the Mellin
+transform N^{s/2} int_0^oo f(iy) y^{s-1} dy of the cusp form on the
+imaginary axis.  With y = e^u/sqrt(N) and x_n = 2 pi n/sqrt(N) it is the
+integral over the real line of g(u) e^{su}, g(u) = f(i e^u/sqrt(N)) =
+sum_n a_n exp(-x_n e^u).  The theta involution f(i/(N y)) = w N y^2 f(iy),
+g(-u) = w e^{2u} g(u), folds it onto u > 0:
 
-    Lambda(s) = sum_n a_n [ A_n^s Gamma(s, x_n) + w A_n^{2-s} Gamma(2-s, x_n) ]
+    Lambda(s)     = int_0^oo g(u) [e^{su} + w e^{(2-s)u}] du,
+    Lambda^(k)(1) = (1 + (-1)^k w) int_0^oo g(u) u^k e^u du.
 
-where Gamma(.,.) is the upper incomplete gamma function: the two halves of
-the cusp-form integral split at 1/sqrt(N), the second signed by w, which is
-measured from the theta involution f(i/(N y)) = w N y^2 f(iy) (only the a_n
-of f(iy) near y = 1/sqrt(N)) rather than assumed.
+The sign w is measured from the involution (only the a_n of f(iy) near
+y = 1/sqrt(N)) rather than assumed.  The integrand is analytic in the strip
+|Im u| < pi/2 and decays double-exponentially, so the trapezoidal rule with
+step h converges geometrically in 1/h (Trefethen and Weideman, SIAM Review
+56 (2014), Thm 5.1; the method of PARI's lfun, Molin 2010).  Folded at 0,
+the rule on the whole line is h [g(0) (1 + w)/2 [k = 0] + sum_{j >= 1}
+g(jh) K_j], K_j the kernel in brackets above at u = jh.  h = 2^-m, so a
+finer grid reuses every node of a coarser one: the nodes g(jh), each one
+integer q-series sum in fixed point (the loop of `f_on_imaginary_axis`),
+are a table cached on the context.  Each kernel is a geometric progression
+in fixed point, (e^{sh})^j and (e^{(2-s)h})^j or j^k (e^h)^j, and each
+Lambda(s) or Lambda^(k)(1) is one integer dot product of kernel and nodes.
+On Re s = 1, 2 - s = conj(s): w keeps only the real (w = 1) or imaginary
+(w = -1) part of the kernel, and the other part of the value is exactly 0.
+Lambda(1) and the rank's scale are the closed form sum_{n <= n_max} a_n
+2 e^{-x_n}/x_n (|a_n| for the scale).
 
-One engine gives the terms at every non-integer s: all x_n share s, so
-A_n^a Gamma(a, x_n) is x_n^{-a} Gamma(a) less e^{-x_n} times one
-polynomial in x_n/x_max (the lower-gamma series at 0), summed by integer
-Horner in fixed point at a precision sized to the cancellation.  Over power
-series in a - 1 it gives one Taylor coefficient at a = 1 per Horner pass,
-all that Lambda^(k)(1) needs.  The per-n work is integer arithmetic: the
-series coefficients come from an integer recurrence (a is an exact binary
-fraction), the rows x_n -> (log x_n, 1/x_n, e^{-x_n}) are fixed-point
-integers (e^{-x_n} = Q^n, log n summed over prime factors), x_n^{-a} is
-x_1^{-a} n^{-a} with n^{-a} completely multiplicative, and f(iy) is one
-integer sum of a_n q^n.  Every Lambda-series sum (Lambda(s), the rank's
-scale, Lambda^(k)(1)) is one integer dot product with the a_n, rounded
-once.  On Re s = 1, w keeps only the real or the imaginary part of each
-term, and only that part is built.  At an integer s, a pole of the lower
-series for s or 2 - s, Gamma(a + 1, x) = a Gamma(a, x) + x^a e^{-x} gives
-both halves from one column at a = 1: e^{-x_n}/x_n in closed form at s = 1,
-else E_1(x_n) = x_n [e] f_n(1 + e).  `incgamma_upper_deriv_at_1`, mpmath's
-incomplete gamma, finite differences and the Dirichlet series are the
-tests' oracles, never used here.
+Error budget, for a total below 2^-prec, prec the ambient precision; each
+of the four parts is held below 2^-(prec + 2):
+
+- discretization: at most 2M/(e^{2 pi d/h} - 1) for any d < pi/2, M the
+  integral of |integrand| along Im u = +-d.  |a_n| <= 2n gives
+  |g(u + iv)| <= 2e^{-c}/(1 - e^{-c})^2, c = x_1 e^u cos v, and on u < 0
+  the involution turns g(u + iv) into e^{-2(u + iv)} w g(-u - iv); with
+  |e^{s(u + iv)}| <= e^{sigma u + |t| d} each side is a Gamma(a, c_0)
+  integral, c_0 = x_1 cos d (u^k e^u: (u + d)^k <= (k/(e b))^k e^{b(u + d)}).
+  The bound is minimized over a grid of d, and m is the least that meets it;
+- the node range: nodes stop at the first j whose term bound
+  h |g(jh)| |K_j|, |g(u)| <= 2e^{-c}/(1 - e^{-c})^2 with c = x_1 e^u, is
+  below half the share and falls by half or more at each later j;
+- each node: q^n by one floored product per n, so q^n is within 2n units of
+  2^-bits and the sum of M terms within 2(M + 1)^3; the q-series stops where
+  its tail sum_{n > M} 2n q^n is below one unit.  The bits pay log2 of that
+  times h sum_j |K_j|;
+- the kernel: E^j by one floored complex product per j is within
+  4 j max(1, |E|)^j units of 2^-kbits, weighted by h |g(jh)| over the nodes.
+
+A large |t| or Re s asks for a smaller h or more bits.  The reported bound,
+the n_max tail plus 10^-digits, stays above this error.
+`incgamma_upper_deriv_at_1`, mpmath's incomplete gamma, finite differences
+and the Dirichlet series are the tests' oracles, never used here.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,10 +66,11 @@ from .curves import WeierstrassCurve
 from .errors import PrecisionExhausted
 from .lseries import dirichlet_coefficients
 from .localdata import conductor
-from .numtheory import smallest_prime_factors
 
 GUARD_DIGITS = 15
 GUARD_BITS = 24
+NODE_HEADROOM = 32  # extra bits a node table is built with, so nearby requests share it
+LN2 = math.log(2)
 
 
 class ValueWithBound(NamedTuple):
@@ -74,8 +97,7 @@ class AnalyticContext:
         self.n_max = tail_cutoff(self.N, self.target_log10 + 2)
         self._coeffs = dirichlet_coefficients(self.curve, self.n_max)
         self._w: int | None = None
-        self._x_table: tuple | None = None  # (n_max, bits, width, rows) of `_x_rows`
-        self._terms: tuple | None = None  # ((a, order, n_max, part), prec, terms)
+        self._nodes: tuple | None = None  # (m, bits, [g(j 2^-m) 2^bits]) of `_node_table`
 
     # coefficient access, extending on demand -------------------------------
 
@@ -131,6 +153,17 @@ def tail_cutoff(N: int, target_log10: int, s_max: float = 4.0) -> int:
 # -- the cusp form on the imaginary axis ---------------------------------------
 
 
+def _q_series(coeffs: list[int], q: int, bits: int, count: int) -> int:
+    """sum_{n <= count} a_n q^n in fixed point at `bits`, q = q 2^-bits:
+    q^n by one floored product per n."""
+    q_n, total = 1 << bits, 0
+    for a_n in coeffs[1 : count + 1]:
+        q_n = q_n * q >> bits
+        if a_n:
+            total += a_n * q_n
+    return total
+
+
 def f_on_imaginary_axis(ctx: AnalyticContext, y) -> mp.mpf:
     """f(iy) = sum a_n e^{-2 pi n y} for real y > 0 (adaptive truncation).
 
@@ -147,12 +180,7 @@ def f_on_imaginary_axis(ctx: AnalyticContext, y) -> mp.mpf:
         bits = mp.mp.prec + GUARD_BITS + n_needed.bit_length()
         with mp.workprec(bits + 8):
             q = int(mp.ldexp(mp.exp(-2 * mp.pi * y), bits))
-        q_n, total = 1 << bits, 0
-        for a_n in coeffs[1 : n_needed + 1]:
-            q_n = q_n * q >> bits
-            if a_n:
-                total += a_n * q_n
-        return mp.mpf((total, -bits))
+        return mp.mpf((_q_series(coeffs, q, bits, n_needed), -bits))
 
 
 def root_number(ctx: AnalyticContext, samples=(1.1, 1.3, 1.7, 2.3)) -> int:
@@ -190,299 +218,219 @@ def root_number(ctx: AnalyticContext, samples=(1.1, 1.3, 1.7, 2.3)) -> int:
         return -eps
 
 
-# -- the Lambda-series terms: one Taylor engine for A^a Gamma(a, x_n) -----------
+# -- the trapezoidal rule: error budget, node table, kernels --------------------
 
 
-def _gamma_terms(ctx: AnalyticContext, a, order: int = 0, part: str | None = None):
-    """[e^order] A_n^(a+e) Gamma(a+e, x_n) for each nonzero a_n, n <= n_max, in fixed point.
+def _log_bump(c: float) -> float:
+    """log of 2e^{-c}/(1 - e^{-c})^2, the bound on |g| where Re(x_1 e^z) >= c."""
+    return LN2 - c - 2 * math.log(-math.expm1(-c))
 
-    Returns (bits, column), term n being column[n] 2^-bits.  For real a the
-    column is one list of integers; for complex a it is the pair (re, im) of
-    lists, or only the list that `part` ("re" or "im") names.
 
-    With A = 1/x, Gamma(a, x) = Gamma(a) - x^a e^{-x} sum_k x^k/(a)_{k+1}
-    gives f(a) = A^a Gamma(a, x) = x^{-a} Gamma(a) - e^{-x} S(x), with
-    S(x) = sum_k c_k u^k, u = x/x_max = n/n_max and c_k = x_max^k/(a)_{k+1}
-    (the series at 0 of Dokchitser, math/0207280).  The c_k are built once
-    per call as integers at `work` bits, as power series in e truncated at
-    e^order: the k-th multiplies by x_max and divides by a + k + e, where
-    a = m 2^-E is exact, so a division is a product by the conjugate of
-    m + k 2^E and a floor quotient by its squared modulus.  Column `order`
-    of S(x_n) is integer Horner in fixed point at P bits, each step a
-    product and a quotient by small integers.  The first part, the head, is
-    x^{-a} sum_m (-log x)^(order-m)/(order-m)! [e^m] Gamma(a + e); order > 0
-    is allowed at a = 1 only.  Each term is the difference of two integers
-    at P bits, the head from the fixed-point rows of `_x_rows` (at a = 1) or
-    from x_n^{-a} = x_1^{-a} n^{-a} with n^{-a} completely multiplicative
-    (`_power_table`), and e^{-x} S(x) one product of row and Horner sum.  At
-    a = 1 and order 0 the term is e^{-x}/x exactly, one product of two row
-    entries, with no series at all.
+def _log_mellin(a: float, c: float) -> float:
+    """An upper bound on log(c^-a Gamma(a, c)) = log int_0^oo e^{-c e^u + au} du:
+    e^{-c}/c for a <= 1, c^-a Gamma(a) above."""
+    return -c - math.log(c) if a <= 1 else math.lgamma(a) - a * math.log(c)
 
-    Precision: each x_n stops at its first degree past 2x + |Re a| (past
-    there the terms at least halve) whose term, weighted by e^{-x}, is below
-    2^-(prec + guard), prec the ambient precision.  Each c_k and each Horner
-    step costs one unit of 2^-P, and a relative error in a c_k that much of
-    e^{-x} |c_k| u^k, so P adds to prec log2 of what the difference cancels
-    against: the larger of max_x e^{-x} sum_k |c_k| u^k (x^k e^{-x} peaks at
-    x = k) and the head, at most x^{-1} max(1, Gamma(Re a) x^{1-Re a})
-    times sum_{j <= order} l^j/j!, l the largest |log x_n| (as
-    |[e^m] Gamma(1 + e)| <= 1).  It adds log2 |a|, 2 log2 K for K
-    coefficients and steps, and the guard bits.  The recurrence keeps
-    absolute precision, so `work` is at least P + log2 K, plus log2 of
-    1/|c_j| for a c_j below 1 ahead of the largest c_k, which that c_k
-    inherits magnified; magnitudes are bit lengths.  Kept on the context as
-    `_terms` = ((a, order, n_max, part), prec, (bits, column)), and reused
-    for the same key at no more bits.
+
+def _log_discretization(x_1: float, t: float, k: int, exponents) -> list[tuple[float, float]]:
+    """[(d, log M)] over a grid of strip half-widths d < pi/2, for the trapezoid's
+    discretization bound 2M/(e^{2 pi d/h} - 1).
+
+    M bounds the integral of |integrand| on each line Im u = v, |v| < d
+    (module docstring): e^{|t| d} 2/(1 - e^{-c_0})^2 sum_a c_0^-a Gamma(a, c_0)
+    over the exponents a, c_0 = x_1 cos d; for Lambda^(k)(1), twice
+    (k/(e b))^k e^{b d} times the a = 1 + b term, the best of a few b > 0.
     """
-    prec = mp.mp.prec
-    key = (a, order, ctx.n_max, part)
-    cached = ctx._terms
-    if cached is not None and cached[0] == key and cached[1] >= prec:
-        return cached[2]
-    if order and a != 1:
-        raise ValueError("Taylor coefficients in a are taken at a = 1 only")
-    if a == 1 and not order:
-        width, rows = _x_rows(ctx, prec + GUARD_BITS)
-        terms = (width, [inv_x * exp_x >> width for _, _, _, inv_x, exp_x in rows])
-        ctx._terms = (key, prec, terms)
-        return terms
-    # the parts built: 0 the real, 1 the imaginary
-    parts = {"re": (0,), "im": (1,)}.get(part, (0, 1) if mp.im(a) else (0,))
-    stop = -(prec + GUARD_BITS)
-    sigma = float(mp.re(a))
-    x_hi = 2 * math.pi * ctx.n_max / ctx.sqrtN
-    x_lo = x_hi / ctx.n_max
-    size = -math.log2(x_lo)
-    if sigma > 1:
-        size = max(size, math.lgamma(sigma) / math.log(2) - sigma * math.log2(x_lo))
-    log_max = max(abs(math.log(x_lo)), abs(math.log(x_hi)))
-    size += math.log2(sum(log_max**j / math.factorial(j) for j in range(order + 1)))
-    (m_re, e_re), (m_im, e_im) = _dyadic(mp.re(a)), _dyadic(mp.im(a))
-    E = max(0, -e_re, -e_im)  # a = (m_re + i m_im) 2^-E
-    m_re, m_im = m_re << (E + e_re), m_im << (E + e_im)
-    limit = 2 * x_hi + abs(sigma) + 1
-    work = prec + GUARD_BITS + 64
+    strips = []
+    for i in range(1, 16):
+        d = math.pi / 2 * i / 16
+        c_0 = x_1 * math.cos(d)
+        side = LN2 - 2 * math.log(-math.expm1(-c_0)) + abs(t) * d
+        if k:
+            side += LN2 + min(k * math.log(k / (math.e * b)) + b * d + _log_mellin(1 + b, c_0)
+                              for b in (0.25, 0.5, 1.0, 2.0))
+        else:
+            first, second = (_log_mellin(a, c_0) for a in exponents)
+            side += max(first, second) + math.log1p(math.exp(-abs(first - second)))
+        strips.append((d, side))
+    return strips
+
+
+def _q_terms(x: float, bits: int) -> int:
+    """Smallest M with sum_{n > M} 2n e^{-xn} <= 2^-bits (at most 2q^{M+1}(M + 1)/(1 - q)^2)."""
+    base = (bits + 1) * LN2 - 2 * math.log(-math.expm1(-x))
+    n = max(1, math.ceil(base / x))
+    while n * x < base + math.log(n):
+        n = math.ceil((base + math.log(n)) / x)
+    return n - 1
+
+
+class _Plan(NamedTuple):
+    m: int  # step h = 2^-m
+    count: int  # nodes j < count
+    bits: int  # node fixed point
+    kbits: int  # kernel fixed point
+
+
+def _plan(ctx: AnalyticContext, prec: int, sigma: float, t: float = 0.0, k: int = 0) -> _Plan:
+    """Step, node range and bits for Lambda(sigma + it) (k = 0) or Lambda^(k)(1)
+    (k >= 1) within 2^-prec, from the error budget of the module docstring.
+
+    The kernel is at most 2 e^{au} u^k on the real line, a = max(sigma,
+    2 - sigma) (1 for Lambda^(k)), increasing in u; its rounding error at
+    node j is at most 4j times that many units.  The sums over the nodes are
+    bounded by the count times their largest term.
+    """
+    x_1 = 2 * math.pi / ctx.sqrtN
+    share = -(prec + 2) * LN2
+    exponents = (1.0,) if k else (sigma, 2 - sigma)
+    strips = _log_discretization(x_1, t, k, exponents)
+    m = 1  # 2M/(e^x - 1) <= 4M e^-x for x = 2 pi d/h >= ln 2
+    while min(2 * LN2 + side - 2 * math.pi * d * 2**m for d, side in strips) > share:
+        m += 1
+    h = 2.0**-m
+    log_h, a, j, worst = math.log(h), max(exponents), 0, -math.inf
     while True:
-        with mp.workprec(work + 16):
-            x_max = int(mp.ldexp(2 * mp.pi * ctx.n_max / mp.sqrt(ctx.N), work))
-        coeffs, mags = [], []
-        series = [(1 << work, 0)] + [(0, 0)] * order
-        while len(coeffs) <= limit or mags[-1] - x_hi / math.log(2) >= stop:
-            k = len(coeffs)
-            # times x_max from k = 1, divided by a + k + e: a product by the
-            # conjugate of m + k 2^E, then a quotient by its squared modulus
-            d_re = m_re + (k << E)
-            norm = d_re * d_re + m_im * m_im
-            step, prev_re, prev_im = [], 0, 0
-            for c_re, c_im in series:
-                if k:
-                    c_re, c_im = c_re * x_max >> work, c_im * x_max >> work
-                c_re, c_im = c_re - prev_re, c_im - prev_im
-                prev_re = ((c_re * d_re + c_im * m_im) << E) // norm
-                prev_im = ((c_im * d_re - c_re * m_im) << E) // norm
-                step.append((prev_re, prev_im))
-            series = step
-            coeffs.append(series[order])
-            mags.append(_mag(*series[order]) - work)
-        peak = mags[0]
-        for k in range(1, len(mags)):
-            x = min(k, x_hi)
-            peak = max(peak, mags[k] + k * math.log2(x / x_hi) - x / math.log(2))
-        steps = len(coeffs).bit_length()
-        bits = (prec + max(math.ceil(max(peak + steps, size)), 0) + max(mp.mag(a), 0)
-                + 2 * steps + GUARD_BITS)
-        top = mags.index(max(mags))
-        need = bits + steps + max(0, -min(mags[: top + 1]))
-        if work >= need:
+        u, c = j * h, x_1 * math.exp(j * h)
+        log_kernel = LN2 + a * u + (k * math.log(u) if j else 0.0)
+        log_bump = _log_bump(c)
+        ratio = a * h - c * math.expm1(h) + (k * math.log1p(1 / j) if j else 0.0)
+        if j and log_h + log_bump + log_kernel + LN2 <= share and ratio <= -LN2:
             break
-        work = need + 8
-    width, rows = _x_rows(ctx, bits)
-    fixed = [[c[j] >> (work - bits) for c in coeffs] for j in parts]
-    if order:  # a = 1: x^{-1} times a polynomial in log x
-        shift = width - bits
-        with mp.workprec(bits):  # [e^m] Gamma(1 + e) for m <= order
-            gammas = [int(mp.ldexp(g / math.factorial(m), bits))
-                      for m, g in enumerate(_gamma_derivs_at_1(order))]
-        heads = []
-        for _, _, log_x, inv_x, _ in rows:
-            minus_log, power = -(log_x >> shift), 1 << bits
-            head = gammas[order]
-            for j in range(1, order + 1):
-                power = (power * minus_log >> bits) // j
-                head += gammas[order - j] * power >> bits
-            heads.append(head * inv_x >> width)
-        heads = [heads]
-    else:  # Gamma(a) x_1^{-a} n^{-a}
-        with mp.workprec(bits + 64):
-            scale = mp.gamma(a) * (2 * mp.pi / mp.sqrt(ctx.N)) ** -a
-        # a unit of n^{-a}'s 2^-table_bits, counted once per prime factor, times
-        # |scale| stays below 2^-bits; so does one of scale's times |n^{-a}|
-        table_bits = (bits + max(mp.mag(scale), 0) + ctx.n_max.bit_length().bit_length()
-                      + math.ceil(max(-sigma, 0) * math.log2(ctx.n_max)) + 4)
-        powers = _power_table(a, ctx.n_max, table_bits)
-        scale_re = int(mp.ldexp(mp.re(scale), table_bits))
-        scale_im = int(mp.ldexp(mp.im(scale), table_bits))
-        down = 2 * table_bits - bits
-        heads = [[(scale_re * powers[n][0] - scale_im * powers[n][1] if j == 0
-                   else scale_re * powers[n][1] + scale_im * powers[n][0]) >> down
-                  for n, *_ in rows] for j in parts]
-    columns, degree = [[] for _ in parts], 0
-    for index, (n, _, _, _, exp_x) in enumerate(rows):
-        # the first degree past 2x + |Re a| whose weighted term is below 2^stop; grows with n
-        x = x_lo * n
-        log2_u = math.log2(n / ctx.n_max)
-        degree = max(degree, min(math.ceil(2 * x + abs(sigma)), len(coeffs) - 1))
-        while (degree < len(coeffs) - 1
-               and mags[degree] + degree * log2_u - x / math.log(2) >= stop):
-            degree += 1
-        for column, c, head in zip(columns, fixed, heads):
-            column.append(head[index] - (exp_x * _horner(c, degree, n, ctx.n_max) >> width))
-    terms = (bits, columns[0] if len(columns) == 1 else tuple(columns))
-    ctx._terms = (key, prec, terms)
-    return terms
+        if j:
+            worst = max(worst, log_bump + math.log(4 * j) + log_kernel)
+        j += 1
+    count = j
+    log2_weights = math.log2(count) + (log_h + log_kernel) / LN2  # h sum_j |K_j|
+    bits = prec + 2 + math.ceil(log2_weights)
+    while True:  # node 0 sums the most terms
+        need = prec + 2 + math.ceil(log2_weights + math.log2(2 * (_q_terms(x_1, bits) + 1) ** 3 + 1))
+        if need <= bits:
+            break
+        bits = need
+    kbits = prec + 3 + max(0, math.ceil(math.log2(count) + (log_h + worst) / LN2))
+    return _Plan(m, count, bits, kbits)
 
 
-def _dyadic(x: mp.mpf) -> tuple[int, int]:
-    """(m, e) with x = m 2^e exactly."""
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man), exp
+def _node_table(ctx: AnalyticContext, m: int, count: int, bits: int) -> tuple[int, list[int]]:
+    """(width, [g(j 2^-m) 2^width for j < count]) with width >= bits.
 
-
-def _mag(re: int, im: int) -> int:
-    """mpmath's mag of re + i im: |re + i im| <= 2^mag, from bit lengths."""
-    if re and im:
-        return 1 + max(abs(re).bit_length(), abs(im).bit_length())
-    return abs(re or im).bit_length()
-
-
-def _horner(fixed: list[int], degree: int, num: int, den: int) -> int:
-    """sum_{k <= degree} fixed[k] (num/den)^k, each step floored to an integer."""
-    acc = 0
-    for c in fixed[degree::-1]:
-        acc = acc * num // den + c
-    return acc
-
-
-def _power_table(a, n_max: int, bits: int) -> list:
-    """n^{-a} for 1 <= n <= n_max as (Re, Im) integers in fixed point at `bits`.
-
-    n^{-a} is completely multiplicative: one mpmath power per prime, and one
-    fixed-point product p^{-a} (n/p)^{-a} per composite n, p its smallest
-    prime factor.  Index 0 is unused.
+    g(u) = sum a_n q^n with q = exp(-x_1 e^u), one `_q_series` per node at
+    the count of `_q_terms`, e^u by one product per step.  Kept on the context
+    as `_nodes` = (level, width, values), the nodes j 2^-level: a request at
+    a coarser step takes every 2^(level - m)-th node, a finer one computes
+    only the nodes between, and one for more bits rebuilds the table at
+    NODE_HEADROOM bits more than asked.
     """
-    table = [None, (1 << bits, 0)]
+    cached = ctx._nodes
+    if cached is None or cached[1] < bits:
+        cached = (m, bits + NODE_HEADROOM, [])
+    level, width, values = cached
+    top = max(level, m)
+    spread = 1 << (top - level)  # an old node's step at the finer level
+    size = max((count - 1) << (top - m), (len(values) - 1) * spread) + 1
+    if top > level or size > len(values):
+        x_1 = 2 * math.pi / ctx.sqrtN
+        terms = [_q_terms(x_1 * math.exp(j * 2.0**-top), width) for j in range(size)]
+        coeffs = ctx.coefficients(terms[0])
+        new = []
+        with mp.workprec(width + 32):
+            step = mp.exp(mp.ldexp(1, -top))
+            x = 2 * mp.pi / mp.sqrt(ctx.N)
+            for j in range(size):
+                if j % spread == 0 and j // spread < len(values):
+                    new.append(values[j // spread])
+                else:
+                    q = int(mp.ldexp(mp.exp(-x), width))
+                    new.append(_q_series(coeffs, q, width, terms[j]))
+                x *= step
+        level, values = top, new
+        ctx._nodes = (level, width, values)
+    stride = 1 << (level - m)
+    return width, values[: (count - 1) * stride + 1 : stride]
+
+
+def _powers(a, m: int, bits: int, count: int) -> list[tuple[int, int]]:
+    """[E^j for j < count], E = e^{a 2^-m}, as (re, im) integers at `bits`: one floored
+    complex product per j."""
     with mp.workprec(bits + 16):
-        for n, p in enumerate(smallest_prime_factors(2, n_max), 2):
-            if p == n:
-                z = mp.mpf(p) ** -a
-                table.append((int(mp.ldexp(mp.re(z), bits)), int(mp.ldexp(mp.im(z), bits))))
-            else:
-                (u_re, u_im), (v_re, v_im) = table[p], table[n // p]
-                table.append(((u_re * v_re - u_im * v_im) >> bits,
-                              (u_re * v_im + u_im * v_re) >> bits))
-    return table
+        base = mp.exp(a * mp.ldexp(1, -m))
+        b_re, b_im = (int(mp.ldexp(part, bits)) for part in (mp.re(base), mp.im(base)))
+    re, im, out = 1 << bits, 0, []
+    for _ in range(count):
+        out.append((re, im))
+        re, im = (re * b_re - im * b_im) >> bits, (re * b_im + im * b_re) >> bits
+    return out
 
 
-def _x_rows(ctx: AnalyticContext, bits: int) -> tuple[int, list]:
-    """(width, rows): (n, a_n, log x_n, 1/x_n, e^{-x_n}) for each nonzero a_n, n <= n_max.
+def _fixed_value(re: int, im: int | None, exponent: int):
+    """(re + i im) 2^exponent as an mpf (im None) or mpc, rounded at 2^-(prec +
+    GUARD_BITS) absolute rather than at prec bits relative, prec the ambient
+    precision: a large value keeps the absolute accuracy its bound states."""
+    prec = mp.mp.prec
+    top = max(abs(re), abs(im or 0)).bit_length() + exponent
+    with mp.workprec(max(prec, top + prec + GUARD_BITS)):
+        value = mp.mpf((re, exponent))
+        return value if im is None else mp.mpc(value, mp.mpf((im, exponent)))
 
-    The three reals are integers in fixed point at `width` bits, which is
-    `bits` plus x_max/ln 2 plus log2(n_max), so that e^{-x_n} keeps `bits`
-    relative bits up to x_max.  e^{-x_n} = Q^n takes one product by
-    Q = e^{-2 pi/sqrt(N)} per n; 1/x_n is (sqrt(N)/(2 pi)) // n; and
-    log x_n = log(2 pi/sqrt(N)) + log n, with log n built additively over
-    smallest prime factors (one mpmath log per prime).  Each is within
-    log2(n) + 2 units of 2^-width (e^{-x_n} within n units).  Kept on the
-    context at `bits` or more, and rebuilt when n_max has changed (the
-    CLI's --nmax raises it after construction) or more bits are asked for;
-    the 64 bits of headroom let nearby s share one table.
+
+def _lambda_at_1(ctx: AnalyticContext, absolute: bool = False) -> mp.mpf:
+    """sum_{n <= n_max} a_n 2 e^{-x_n}/x_n (|a_n| if `absolute`): Lambda(1) at w = 1, and
+    the rank's scale.
+
+    One integer loop at `width` bits: e^{-x_n} = Q^n by one floored product
+    by Q = e^{-2 pi/sqrt(N)} per n, within 2n units, times (sqrt(N)/(2 pi))
+    // n; each term is within sqrt(N)/pi + 2 units of 2^-width, and the sum
+    within 2 n_max^2 times that, which the width pays in bits.
     """
-    cached = ctx._x_table
-    if cached is not None and cached[0] == ctx.n_max and cached[1] >= bits:
-        return cached[2], cached[3]
-    bits += 64
     n_max = ctx.n_max
     coeffs = ctx.coefficients(n_max)
-    width = bits + math.ceil(2 * math.pi * n_max / ctx.sqrtN / math.log(2)) + n_max.bit_length()
+    width = (mp.mp.prec + GUARD_BITS + 2 * n_max.bit_length()
+             + math.ceil(math.log2(ctx.sqrtN / math.pi + 2)) + 2)
     with mp.workprec(width + 16):
         step = 2 * mp.pi / mp.sqrt(ctx.N)
         q = int(mp.ldexp(mp.exp(-step), width))
         inv_step = int(mp.ldexp(1 / step, width))
-        log_step = int(mp.ldexp(mp.log(step), width))
-        log_n = [0, 0]
-        for n, p in enumerate(smallest_prime_factors(2, n_max), 2):
-            log_n.append(int(mp.ldexp(mp.log(p), width)) if p == n else log_n[p] + log_n[n // p])
-    rows, exp_x = [], 1 << width
-    for n in range(1, n_max + 1):
-        exp_x = exp_x * q >> width
-        if coeffs[n]:
-            rows.append((n, coeffs[n], log_step + log_n[n], inv_step // n, exp_x))
-    ctx._x_table = (n_max, bits, width, rows)
-    return width, rows
+    q_n, total = 1 << width, 0
+    for n, a_n in enumerate(coeffs[1:], 1):
+        q_n = q_n * q >> width
+        if a_n:
+            total += (abs(a_n) if absolute else a_n) * (q_n * inv_step // n)
+    return _fixed_value(2 * total, None, -2 * width)
 
 
 # -- Lambda, L, and derivatives -------------------------------------------------
 
 
-def _lambda_series(ctx: AnalyticContext, s, w: int, absolute: bool = False):
-    """sum a_n [f(s) + w f(2 - s)], f(a) = A^a Gamma(a, x), at working precision
-    (|a_n| for a_n if `absolute`), as one integer dot product rounded once.
+def _lambda_series(ctx: AnalyticContext, s, w: int):
+    """int_0^oo g(u) [e^{su} + w e^{(2-s)u}] du within 2^-prec, prec the ambient precision.
 
-    At an integer s, K = |s - 1|, one column gives f(1) = e^{-x}/x (K = 0) or
-    f(0) = E_1(x) = x [e] f(1 + e), and Gamma(a + 1, x) = a Gamma(a, x) +
-    x^a e^{-x} the rest on the rows of `_x_rows`: up, f(a + 1) = (a f(a) +
-    e^{-x})/x adds positive terms; down, f(a - 1) = (x f(a) - e^{-x})/(a - 1).
-    The column carries log2 of their error growth in extra bits: of
-    prod_{a <= K} max(1, a/x_1) up, of x_max prod_{0 < j < K} max(1, x_max/j)
-    down.  On Re s = 1, 2 - s = conj(s): w keeps only Re f_n(s) (w = 1) or
-    Im f_n(s) (w = -1), only that part is built, and the other is exactly 0.
+    With the true w this is Lambda(s), by the trapezoidal rule at the step,
+    nodes and bits `_plan` sets: h sum_j g(jh) K_j, the node j = 0 weighted
+    (1 + w)/2, as one integer dot product.  On Re s = 1, 2 - s = conj(s),
+    so K_j = 2 Re e^{sjh} (w = 1) or 2i Im e^{sjh} (w = -1): only that part
+    enters, and the other is exactly 0.  s = 1 is the closed form.
     """
     s = mp.mpmathify(s)
-    if mp.isint(s):
-        m = int(mp.re(s))
-        K, start = abs(m - 1), int(m == 1)  # the recurrence starts at f(start)
-        x_hi = 2 * math.pi * ctx.n_max / ctx.sqrtN
-        up = sum(math.log2(max(1, a * ctx.n_max / x_hi)) for a in range(1, K + 1))
-        down = sum(math.log2(max(1, x_hi / max(j, 1))) for j in range(K))
-        with mp.workprec(mp.mp.prec + math.ceil(max(up, down)) + 2 * K.bit_length()):
-            bits, column = _gamma_terms(ctx, 1, 1 - start)
-        width, rows = _x_rows(ctx, 0)
-        x_1 = (1 << 2 * width) // rows[0][3]  # 1/x_n at n = 1 (a_1 = 1)
-        total = 0
-        for (n, a_n, _, inv_x, exp_x), term in zip(rows, column):
-            high = low = term << (width - bits) if start else x_1 * n * term >> bits
-            for a in range(start, K + 1):
-                high = (a * high + exp_x) * inv_x >> width
-            for a in range(start, 1 - K, -1):
-                low = ((x_1 * n * low >> width) - exp_x) // (a - 1)
-            first, second = (high, low) if m >= 1 else (low, high)
-            total += (abs(a_n) if absolute else a_n) * (first + w * second)
-        return mp.mpf((total, -width))
+    if s == 1:
+        return _lambda_at_1(ctx) if w == 1 else mp.mpf(0)
+    sigma, t = float(mp.re(s)), float(mp.im(s))
+    plan = _plan(ctx, mp.mp.prec, sigma, t)
+    width, nodes = _node_table(ctx, plan.m, plan.count, plan.bits)
+    kbits, exponent = plan.kbits, -(width + plan.kbits + plan.m)
+    first = _powers(s, plan.m, kbits, plan.count)
+    head = nodes[0] << kbits if w == 1 else 0  # g(0) (1 + w)/2
     if mp.re(s) == 1:
-        bits, column = _gamma_terms(ctx, s, part="re" if w == 1 else "im")
-        half = mp.mpf((2 * _dot(ctx, column, absolute), -bits))
-        return mp.mpc(half, 0) if w == 1 else mp.mpc(0, half)
-    sums = []
-    for weight, a in ((1, s), (w, mp.fsub(2, s, exact=True))):
-        bits, column = _gamma_terms(ctx, a)
-        parts = column if isinstance(column, tuple) else (column,)
-        sums.append((bits, [weight * _dot(ctx, part, absolute) for part in parts]))
-    (b1, first), (b2, second) = sums
-    bits = max(b1, b2)  # the two columns aligned by a shift
-    values = [mp.mpf(((x << (bits - b1)) + (y << (bits - b2)), -bits))
-              for x, y in zip(first, second)]
-    return values[0] if len(values) == 1 else mp.mpc(*values)
-
-
-def _dot(ctx: AnalyticContext, column: list[int], absolute: bool = False) -> int:
-    """sum_n a_n column[n] over the nonzero a_n (|a_n| if `absolute`), exactly."""
-    coeffs = (abs(row[1]) if absolute else row[1] for row in _x_rows(ctx, 0)[1])
-    return sum(map(operator.mul, coeffs, column))
-
-
-def _lambda_scale(ctx: AnalyticContext, s) -> mp.mpf:
-    """Absolute-value version of the series, for relative comparisons."""
-    return _lambda_series(ctx, mp.mpf(abs(complex(s).real)), 1, absolute=True)
+        part = 0 if w == 1 else 1
+        half = sum(g * power[part] for g, power in zip(nodes[1:], first[1:]))
+        total = head + 2 * half
+        return _fixed_value(total, 0, exponent) if w == 1 else _fixed_value(0, total, exponent)
+    second = _powers(mp.fsub(2, s, exact=True), plan.m, kbits, plan.count)
+    re = head + sum(g * (a[0] + w * b[0]) for g, a, b in zip(nodes[1:], first[1:], second[1:]))
+    if not t:
+        return _fixed_value(re, None, exponent)
+    im = sum(g * (a[1] + w * b[1]) for g, a, b in zip(nodes[1:], first[1:], second[1:]))
+    return _fixed_value(re, im, exponent)
 
 
 def lambda_value(ctx: AnalyticContext, s) -> ValueWithBound:
@@ -509,15 +457,21 @@ def l_value(ctx: AnalyticContext, s) -> ValueWithBound:
 
 def lambda_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
     """d^k/ds^k Lambda(E, s) at s = 1, termwise (no finite differences):
-    (1 + w (-1)^k) k! sum_n a_n [e^k] A_n^(1+e) Gamma(1+e, x_n), one column
-    of `_gamma_terms`."""
+    (1 + w (-1)^k) h sum_j g(jh) (jh)^k e^{jh} by the trapezoidal rule
+    (the closed form at k = 0)."""
     k = order
     with mp.workdps(ctx.dps):
         parity = 1 + ctx.w * (-1) ** k
         if parity == 0:
             return ValueWithBound(mp.mpf(0), mp.mpf(0))
-        bits, column = _gamma_terms(ctx, 1, k)
-        total = mp.mpf((parity * math.factorial(k) * _dot(ctx, column), -bits))
+        if k == 0:
+            total = _lambda_at_1(ctx)
+        else:
+            plan = _plan(ctx, mp.mp.prec, 1.0, k=k)
+            width, nodes = _node_table(ctx, plan.m, plan.count, plan.bits)
+            powers = _powers(1, plan.m, plan.kbits, plan.count)
+            dot = sum(g * j**k * power[0] for j, (g, power) in enumerate(zip(nodes, powers)))
+            total = _fixed_value(parity * dot, None, -(width + plan.kbits + plan.m * (k + 1)))
         bound = (mp.mpf(ctx.tail_bound()) * (1 + mp.log(ctx.n_max)) ** k
                  + mp.mpf(10) ** (-ctx.digits))
         return ValueWithBound(total, bound)
@@ -539,7 +493,7 @@ def l_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
 class RankEstimate:
     rank: int
     tol: float
-    derivative_values: tuple  # (order, magnitude) pairs actually inspected
+    derivative_values: tuple  # (order, |Lambda^(k)(1)|/k!, its bound/k!) actually inspected
     note: str = "numerical order of vanishing at the given tolerance"
 
     @property
@@ -556,12 +510,13 @@ def analytic_rank(ctx: AnalyticContext, tol: float = 1e-10) -> RankEstimate:
     if tol <= 0:
         raise ValueError("tol must be positive")
     with mp.workdps(ctx.dps):
-        scale = _lambda_scale(ctx, 1) + 1
+        scale = _lambda_at_1(ctx, absolute=True) + 1
         inspected = []
         start = 0 if ctx.w == 1 else 1
         for k in range(start, start + 8, 2):
-            val = abs(lambda_derivative(ctx, k).value) / math.factorial(k)
-            inspected.append((k, float(val)))
+            value, bound = lambda_derivative(ctx, k)
+            val = abs(value) / math.factorial(k)
+            inspected.append((k, float(val), float(bound / math.factorial(k))))
             if val > tol * scale:
                 return RankEstimate(k, tol, tuple(inspected))
         raise PrecisionExhausted(
@@ -583,7 +538,7 @@ def incgamma_upper_deriv_at_1(i: int, x):
     is Horner's rule in u.  The working precision (x/ln 10 + 10 extra digits,
     against the alternating-series cancellation) and the stopping rule
     (m > 4x + 20 and |term| < 10^{-(dps+5)}) are those of the direct sum.
-    An independent check of `_gamma_terms`, used by the tests only.
+    An independent check of the trapezoidal Lambda^(k)(1), used by the tests only.
     """
     if i == 0:
         return mp.e ** (-x)

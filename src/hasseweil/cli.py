@@ -246,7 +246,9 @@ def cmd_rank(args) -> int:
         "rank_analytic": estimate.rank,
         "tolerance": _fmt(estimate.tol, 3),
         "root_number": ctx.w,
-        "inspected": [[k, _fmt(v, 6)] for k, v in estimate.derivative_values],
+        # each magnitude to the decimal place of its bound: a vanishing order prints 0.0
+        "inspected": [[k, _fmt_rounded(mp.mpf(v), _fraction(mp.mpf(err)), 6)]
+                      for k, v, err in estimate.derivative_values],
         "note": estimate.note,
     }
     _emit(args, payload, [

@@ -220,6 +220,10 @@ class WeierstrassCurve:
         """Chord-tangent addition."""
         self._require_on_curve(P)
         self._require_on_curve(Q)
+        return self._chord_tangent(P, Q)
+
+    def _chord_tangent(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+        """P + Q for points known to lie on the curve (unchecked)."""
         if P.is_infinity:
             return Q
         if Q.is_infinity:
@@ -244,15 +248,16 @@ class WeierstrassCurve:
         return CurvePoint(x3, y3)
 
     def mul(self, n: int, P: CurvePoint) -> CurvePoint:
-        """Scalar multiple nP by double-and-add."""
-        self._require_on_curve(P)
+        """Scalar multiple nP by double-and-add, P checked once."""
         if n < 0:
-            return self.mul(-n, self.neg(P))
+            n, P = -n, self.neg(P)
+        else:
+            self._require_on_curve(P)
         result, addend = O, P
         while n:
             if n & 1:
-                result = self.add(result, addend)
-            addend = self.add(addend, addend)
+                result = self._chord_tangent(result, addend)
+            addend = self._chord_tangent(addend, addend)
             n >>= 1
         return result
 
@@ -263,6 +268,7 @@ class WeierstrassCurve:
         (2y + a1 x + a3 = 0) or integral (Nagell-Lutz), so any other multiple
         with fractional x ends the walk.
         """
+        self._require_on_curve(P)
         integral = self.is_integral()
         Q = P
         for n in range(1, cap + 1):
@@ -270,7 +276,7 @@ class WeierstrassCurve:
                 return n
             if integral and Q.x.denominator != 1 and 2 * Q.y + self.a1 * Q.x + self.a3:
                 return None
-            Q = self.add(Q, P)
+            Q = self._chord_tangent(Q, P)
         return None
 
     # -- minimal model (Laska-Kraus-Connell) --------------------------------

@@ -143,7 +143,7 @@ def canonical_height_breakdown(
     # the series below correctly converges to 0 for it.
     Q = P
     for _ in range(4):
-        Q = minimal.add(Q, Q)
+        Q = minimal._chord_tangent(Q, Q)  # P is on the curve, checked above
         if Q.is_infinity:
             return HeightBreakdown(0.0, 0.0, {})
 

@@ -13,6 +13,7 @@ import random
 from .errors import NotPrime
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+RHO_BATCH = 128  # rho steps per gcd
 
 
 def is_prime(n: int) -> bool:
@@ -68,17 +69,38 @@ def smallest_prime_factors(start: int, stop: int) -> list[int]:
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:
+    """A nontrivial factor of composite n: Pollard rho with Brent's cycle finding.
+
+    x runs x -> x^2 + c mod n; y is x saved at powers of two of the step
+    count.  The gcd is taken once per RHO_BATCH steps, of the product of the
+    x - y mod n; a batch whose product shares all of n with it (a cycle
+    closed inside it) is replayed one step at a time from its start.
+    """
     if n % 2 == 0:
         return 2
     while True:
         c = rng.randrange(1, n)
-        f = lambda x: (x * x + c) % n
-        x = y = rng.randrange(2, n)
-        d = 1
+        x = rng.randrange(2, n)
+        d, span = 1, 1
         while d == 1:
-            x = f(x)
-            y = f(f(y))
-            d = math.gcd(abs(x - y), n)
+            y = x  # x at the last power of two
+            for _ in range(span):
+                x = (x * x + c) % n
+            done = 0
+            while done < span and d == 1:
+                start = x
+                product = 1
+                for _ in range(min(RHO_BATCH, span - done)):
+                    x = (x * x + c) % n
+                    product = product * (x - y) % n
+                d = math.gcd(product, n)
+                done += RHO_BATCH
+            span *= 2
+        if d == n:  # replay the last batch step by step
+            d = 1
+            while d == 1:
+                start = (start * start + c) % n
+                d = math.gcd(start - y, n)
         if d != n:
             return d
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from hasseweil.analytic import (
     AnalyticContext,
-    _gamma_terms,
-    _lambda_scale,
+    _gamma_derivs_at_1,
     _lambda_series,
     analytic_rank,
     f_on_imaginary_axis,
@@ -251,7 +250,7 @@ class TestPrecisionControl:
 
 
 # non-integer s: Re s and Im s over a box, plus points next to the poles of
-# Gamma(2 - s) at 0 and -1, where the engine's difference cancels 50 to 100 bits
+# Gamma(2 - s) at 0 and -1, where the incomplete-gamma split cancels 50 to 100 bits
 ENGINE_BOX = [
     complex(re, im)
     for re in (-1.5, -0.5, 0.5, 1, 1.3, 2.5, 4.7)
@@ -260,44 +259,93 @@ ENGINE_BOX = [
 ] + [2 + 1e-15j, 3 + 1e-12j, 2 + 1e-30j]
 
 
-def _as_mp(terms) -> list:
-    """A fixed-point column of `_gamma_terms` as mpf (or mpc) values at the ambient precision."""
-    bits, column = terms
-    if isinstance(column, tuple):
-        return [mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits))) for re, im in zip(*column)]
-    return [mp.mpf((term, -bits)) for term in column]
+def _oracle_count(ctx, tol, reach: float = 0.0) -> int:
+    """The n an oracle sums to: where the |a_n| <= 2n tail bound of the Lambda
+    series (valid from x_n >= 2(reach + 2)) is below tol/10, not n_max."""
+    M = ctx.n_max
+    while tail_bound_after(ctx.N, M) > tol / 10 or 2 * math.pi * M / ctx.sqrtN < 2 * (reach + 2):
+        M += M // 8 + 1
+    return M
+
+
+class _LowerSeriesOracle:
+    """sum_{n <= M} a_n F(a, x_n), F(a, x) = x^-a Gamma(a, x), in mpmath at the
+    ambient precision, by the lower-gamma series at 0 (Dokchitser, math/0207280):
+    F(a, x) = x^-a Gamma(a) - e^-x sum_k x^k/(a)_{k+1}.  Summed over n first,
+    the series needs only the moments S_k = sum_n a_n e^-x_n x_n^k, which every
+    a shares, so each a costs one exponential per n and one pass over k.
+    Independent of the package's fixed-point code, and checked against
+    mp.gammainc term by term."""
+
+    def __init__(self, ctx, M: int):
+        ns = [n for n in range(1, M + 1) if ctx.coefficient(n)]
+        self.coeffs = [ctx.coefficient(n) for n in ns]
+        self.xs = [2 * mp.pi * n / mp.sqrt(ctx.N) for n in ns]
+        self.logs = [mp.log(x) for x in self.xs]
+        self.x_max = float(self.xs[-1])
+        # a_n e^-x_n x_n^k and |a_n| e^-x_n x_n^k at the next k
+        self._next = [a_n * mp.exp(-x) for a_n, x in zip(self.coeffs, self.xs)]
+        self._next_abs = [abs(p) for p in self._next]
+        self.moments, self.bounds = [], []
+
+    def _moment(self, k: int):
+        while len(self.moments) <= k:
+            self.moments.append(mp.fsum(self._next))
+            self.bounds.append(mp.fsum(self._next_abs))
+            self._next = [p * x for p, x in zip(self._next, self.xs)]
+            self._next_abs = [p * x for p, x in zip(self._next_abs, self.xs)]
+        return self.moments[k], self.bounds[k]
+
+    def series(self, a, tol) -> list:
+        """[1/(a)_{k+1}] to the first k past 2 x_max + |a| + 10 (where the terms at
+        least halve) whose term bound over all n is below tol."""
+        out, c, k = [], 1 / a, 0
+        while True:
+            _, bound = self._moment(k)
+            out.append(c)
+            if k > 2 * self.x_max + abs(a) + 10 and bound * abs(c) < tol:
+                return out
+            k += 1
+            c /= a + k
+
+    def total(self, a, tol):
+        c = self.series(a, tol)
+        head = mp.fsum(a_n * mp.exp(-a * log_x) for a_n, log_x in zip(self.coeffs, self.logs))
+        return mp.gamma(a) * head - mp.fsum(c_k * S_k for c_k, S_k in zip(c, self.moments))
+
+    def term(self, a, x, tol):
+        return x**-a * mp.gamma(a) - mp.exp(-x) * mp.polyval(self.series(a, tol)[::-1], x)
 
 
 class TestSharedSeriesEngine:
-    """`_gamma_terms` at non-integer s and 2 - s against mp.gammainc with 40 extra digits."""
+    """Lambda at non-integer s against the lower-series oracle with 40 extra digits,
+    summed to the tail, the oracle itself against mp.gammainc term by term."""
 
     @pytest.mark.parametrize("ainvs", [E11, E389], ids=["11a", "389a"])
     @pytest.mark.parametrize("digits", [30, 60])
     def test_terms_match_gammainc_oracle(self, ainvs, digits):
-        from hasseweil.curves import WeierstrassCurve
-
         ctx = AnalyticContext(WeierstrassCurve(*ainvs), digits=digits)
-        ns = [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
-        # the smallest and largest x_n and a few between
-        picks = sorted({0, len(ns) - 1, *range(0, len(ns), max(1, len(ns) // 4))})
         tol = mp.mpf(10) ** -(ctx.dps - 5)
+        M = _oracle_count(ctx, tol, max(max(abs(s), abs(2 - s)) for s in ENGINE_BOX))
+        # 20 digits for the oracle's own cancellation and 30 for 2 - s at 1e-30 from a pole
+        with mp.workdps(ctx.dps + 90):
+            oracle = _LowerSeriesOracle(ctx, M)
+            picks = (oracle.xs[0], oracle.xs[-1])  # the smallest and the largest x_n
         for s in ENGINE_BOX:
             with mp.workdps(ctx.dps):
                 s_exact = mp.mpmathify(s)
-                columns = [_gamma_terms(ctx, a) for a in (s_exact, mp.fsub(2, s_exact, exact=True))]
-                if s.imag:  # each part alone is that part of the pair, bit for bit
-                    bits, (re, im) = columns[0]
-                    assert _gamma_terms(ctx, s_exact, part="re") == (bits, re)
-                    assert _gamma_terms(ctx, s_exact, part="im") == (bits, im)
-                first, second = (_as_mp(column) for column in columns)
-            assert len(first) == len(second) == len(ns)
-            with mp.workdps(ctx.dps + 40):
-                for i in picks:
-                    A = mp.sqrt(ctx.N) / (2 * mp.pi * ns[i])
-                    first_oracle = A**s_exact * mp.gammainc(s_exact, 1 / A)
-                    second_oracle = A ** (2 - s_exact) * mp.gammainc(2 - s_exact, 1 / A)
-                    err = max(abs(first[i] - first_oracle), abs(second[i] - second_oracle))
-                    assert err <= tol, (s, ns[i], mp.nstr(err, 3))
+                value = lambda_value(ctx, s_exact).value
+            with mp.workdps(ctx.dps + 90):
+                halves = (s_exact, mp.fsub(2, s_exact, exact=True))
+                for a in halves:
+                    for x in picks:
+                        with mp.workdps(ctx.dps + 40):
+                            exact = x**-a * mp.gammainc(a, x)
+                        err = abs(oracle.term(a, x, tol / 100) - exact)
+                        assert err <= tol / 100, (s, a, x, mp.nstr(err, 3))
+                expected = oracle.total(halves[0], tol / 100) + ctx.w * oracle.total(halves[1], tol / 100)
+                err = abs(value - expected)
+                assert err <= tol, (s, mp.nstr(err, 3))
 
     def test_no_gammainc_at_any_s(self, ctx11, monkeypatch):
         calls = []
@@ -308,7 +356,7 @@ class TestSharedSeriesEngine:
             return gammainc(*args, **kwargs)
 
         monkeypatch.setattr(mp, "gammainc", counting)
-        # integer s, s = 1 among them, come from the recurrence on one column
+        # integer s, s = 1 among them, come from the same trapezoid
         for s in (complex(2, 0), 2, -3, 0, 7, mp.mpc(1, 0.5), 1.3, 1, mp.mpf(1),
                   mp.mpc(1, 0), mp.mpc(0.5, 2)):
             lambda_value(ctx11, s)
@@ -317,14 +365,15 @@ class TestSharedSeriesEngine:
 
 
 class TestIntegerS:
-    """Lambda at integer s against mp.gammainc with 40 extra digits over the same n."""
+    """Lambda at integer s against mp.gammainc with 40 extra digits, summed to the tail."""
 
     @pytest.mark.parametrize("ainvs", [E11, E37, E389, E5077],
                              ids=["11a", "37a", "389a", "5077a"])
     def test_matches_gammainc_oracle(self, ainvs):
         ctx = AnalyticContext(WeierstrassCurve(*ainvs))
         x_max = 2 * math.pi * ctx.n_max / ctx.sqrtN
-        ns = [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
+        ns = [n for n in range(1, _oracle_count(ctx, mp.mpf(10) ** -ctx.digits, 12) + 1)
+              if ctx.coefficient(n)]
         oracles = {}
 
         def f(a, n):  # A^a Gamma(a, x_n), each (a, n) once for the whole sweep
@@ -344,122 +393,166 @@ class TestIntegerS:
                 assert abs(value - oracle) <= tol, (s, mp.nstr(abs(value - oracle), 3))
 
 
+def _incgamma_derivs_at_1(x, order: int = 4) -> list:
+    """[d^i/da^i Gamma(a, x) at a = 1 for i <= order] from one pass of the alternating
+    series of `incgamma_upper_deriv_at_1`, at its working precision.
+
+    Gamma^(i)(1) less d^i/da^i of gamma(a, x) = sum_m (-1)^m x^(a+m)/(m! (a+m)),
+    which is sum_j C(i, j) (log x)^(i-j) (-1)^j j! T_j with
+    T_j = sum_m (-1)^m x^(m+1)/(m! (m+1)^(j+1)): each m adds one term to every T_j.
+    """
+    target_dps = mp.mp.dps
+    with mp.workdps(target_dps + int(float(x) / math.log(10)) + 10):
+        x = mp.mpf(x)
+        log_x = mp.log(x)
+        sums = [mp.mpf(0)] * (order + 1)
+        m_min = 4 * float(x) + 20
+        # below the direct sum's 10^-(dps + 5) by the largest C(i, j) j! |log x|^(i-j)
+        threshold = mp.mpf(10) ** (-(target_dps + 5)) / (math.factorial(order) * 2**order
+                                                           * max(1, abs(log_x)) ** order)
+        weight, m = x, 0  # x^(m+1)/m!
+        while True:
+            term, u = weight, mp.mpf(1) / (m + 1)
+            for j in range(order + 1):
+                term *= u
+                sums[j] += -term if m & 1 else term
+            m += 1
+            weight *= x / m
+            if m > m_min and weight < threshold:
+                break
+        gammas = _gamma_derivs_at_1(order)
+        derivs = [gammas[i] - mp.fsum(math.comb(i, j) * log_x ** (i - j) * (-1) ** j
+                                      * math.factorial(j) * sums[j] for j in range(i + 1))
+                  for i in range(order + 1)]
+    return [+d for d in derivs]
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Record the arguments of each call of analytic.<name>."""
+    from hasseweil import analytic
+
+    calls = []
+    function = getattr(analytic, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, name, counting)
+    return calls
+
+
 class TestDerivativeTable:
-    """`_gamma_terms` at a = 1 against the series oracle with 40 extra digits."""
+    """Lambda^(k)(1) from the trapezoid against the series oracle with 40 extra digits."""
 
     @pytest.mark.parametrize("ainvs", [E11, E37, E389, E5077],
                              ids=["11a", "37a", "389a", "5077a"])
     @pytest.mark.parametrize("digits", [30, 60])
     def test_matches_series_oracle_at_every_x(self, ainvs, digits):
-        from hasseweil.curves import WeierstrassCurve
-
         ctx = AnalyticContext(WeierstrassCurve(*ainvs), digits=digits)
-        with mp.workdps(ctx.dps):
-            columns = [_as_mp(_gamma_terms(ctx, 1, k)) for k in range(5)]
-        ns = [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
-        assert [len(column) for column in columns] == [len(ns)] * 5
+        values = {k: lambda_derivative(ctx, k).value for k in range(1, 5)}
         tol = mp.mpf(10) ** -(ctx.dps - 5)
+        sums = dict.fromkeys(values, 0)
         with mp.workdps(ctx.dps + 40):
-            for index, n in enumerate(ns):
+            for n in range(1, _oracle_count(ctx, tol) + 1):
+                a_n = ctx.coefficient(n)
+                if not a_n:
+                    continue
                 x = 2 * mp.pi * n / mp.sqrt(ctx.N)
                 minus_log = -mp.log(x)
-                derivs = [incgamma_upper_deriv_at_1(i, x) for i in range(5)]
-                for k in range(5):
-                    # d^k/da^k x^{-a} Gamma(a, x) at a = 1
-                    oracle = sum(math.comb(k, i) * minus_log ** (k - i) * derivs[i]
-                                 for i in range(k + 1)) / x
-                    err = abs(math.factorial(k) * columns[k][index] - oracle)
-                    assert err <= tol, (n, k, mp.nstr(err, 3))
+                derivs = _incgamma_derivs_at_1(x)
+                for k in sums:  # d^k/da^k x^{-a} Gamma(a, x) at a = 1
+                    sums[k] += a_n * mp.fsum(math.comb(k, i) * minus_log ** (k - i) * derivs[i]
+                                             for i in range(k + 1)) / x
+            for k, total in sums.items():
+                err = abs(values[k] - (1 + ctx.w * (-1) ** k) * total)
+                assert err <= tol, (k, mp.nstr(err, 3))
 
-    def test_rebuilt_only_when_more_is_asked(self, e37):
+    def test_rebuilt_only_when_more_is_asked(self, e37, monkeypatch):
+        from hasseweil.analytic import _node_table, _q_terms
+
         ctx = AnalyticContext(e37)
         first = lambda_derivative(ctx, 1).value
-        key, _, terms = ctx._terms
-        assert key == (1, 1, ctx.n_max, None)
+        level, width, nodes = ctx._nodes
         assert lambda_derivative(ctx, 1).value == first
-        with mp.workdps(ctx.dps - 10):
-            assert _gamma_terms(ctx, 1, 1) is terms
-        with mp.workdps(ctx.dps + 20):
-            assert _gamma_terms(ctx, 1, 1) is not terms
-        terms = ctx._terms[2]
-        assert abs(lambda_derivative(ctx, 1).value - first) < mp.mpf(10) ** -ctx.digits
-        assert ctx._terms[2] is terms
-        lambda_derivative(ctx, 3)
-        assert ctx._terms[0] == (1, 3, ctx.n_max, None)
-        terms = ctx._terms[2]
-        ctx.n_max += 10
-        lambda_derivative(ctx, 3)
-        assert ctx._terms[2] is not terms
-        assert len(ctx._terms[2][1]) == sum(
-            1 for n in range(1, ctx.n_max + 1) if ctx.coefficient(n))
+        assert ctx._nodes[2] is nodes
+        calls = _counting(monkeypatch, "_q_series")
+        # fewer bits, fewer nodes or a coarser step: read off the table
+        assert _node_table(ctx, level, len(nodes), width - 10) == (width, nodes)
+        assert _node_table(ctx, level, 5, width) == (width, nodes[:5])
+        assert _node_table(ctx, level - 1, 5, width) == (width, nodes[:9:2])
+        assert ctx._nodes[2] is nodes and calls == []
+        # a finer step computes only the nodes between
+        finer = _node_table(ctx, level + 1, 2 * len(nodes) - 1, width)[1]
+        assert finer[::2] == nodes and len(calls) == len(nodes) - 1
+        # more bits rebuild the table, with headroom
+        rebuilt_width, rebuilt = _node_table(ctx, level, len(nodes), width + 1)
+        assert rebuilt_width > width + 1 and len(calls) == 2 * len(nodes) - 1
+        units = 2 * (_q_terms(2 * math.pi / ctx.sqrtN, width) + 1) ** 3 + 1  # a node's budget
+        assert all(abs((a >> rebuilt_width - width) - b) <= 2 * units
+                   for a, b in zip(rebuilt, nodes))
 
-    @staticmethod
-    def _horner_calls(monkeypatch) -> list:
-        from hasseweil import analytic
-
-        calls = []
-        horner = analytic._horner
-
-        def counting(fixed, degree, num, den):
-            calls.append(num)
-            return horner(fixed, degree, num, den)
-
-        monkeypatch.setattr(analytic, "_horner", counting)
-        return calls
-
-    def test_one_horner_pass_per_term(self, monkeypatch):
-        from hasseweil.curves import WeierstrassCurve
-
+    def test_one_q_series_per_node(self, monkeypatch):
         ctx = AnalyticContext(WeierstrassCurve(*E5077))
         assert ctx.w == -1
-        calls = self._horner_calls(monkeypatch)
+        calls = _counting(monkeypatch, "_q_series")
         lambda_derivative(ctx, 3)
-        assert calls == [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
+        assert len(calls) == len(ctx._nodes[2])
+        lambda_derivative(ctx, 3)
+        assert len(calls) == len(ctx._nodes[2])
 
     @pytest.mark.parametrize("ainvs, w", [(E389, 1), (E37, -1)], ids=["389a", "37a"])
     def test_critical_line_builds_only_the_kept_part(self, ainvs, w, monkeypatch):
-        # 2 - s = conj(s) on Re s = 1, so w keeps only Re f_n (w = +1) or Im f_n
+        # 2 - s = conj(s) on Re s = 1: one progression e^{sjh}, of which w keeps
+        # only the real part (w = +1) or the imaginary part
         ctx = AnalyticContext(WeierstrassCurve(*ainvs))
         assert ctx.w == w
-        calls = self._horner_calls(monkeypatch)
-        lambda_value(ctx, mp.mpc(1, 3.7))
-        assert calls == [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
-        assert ctx._terms[0][3] == ("re" if w == 1 else "im")
+        calls = _counting(monkeypatch, "_powers")
+        value = lambda_value(ctx, mp.mpc(1, 3.7)).value
+        assert len(calls) == 1
+        assert (value.imag if w == 1 else value.real) == 0
 
-    def test_s1_shares_one_column(self, e11, monkeypatch):
+    def test_s1_shares_one_column(self, e11):
+        # analytic_rank's scale and order 0, then the BSD report's L(E, 1): the
+        # closed form at s = 1, with no node table built
         ctx = AnalyticContext(e11)
         assert ctx.w == 1
-        calls = self._horner_calls(monkeypatch)
-        # analytic_rank's scale and order 0, then the BSD report's L(E, 1):
-        # one cached column of e^{-x}/x, with no series summed
-        with mp.workdps(ctx.dps):
-            _lambda_scale(ctx, 1)
-        column = ctx._terms[2]
+        assert analytic_rank(ctx).rank == 0
         assert lambda_derivative(ctx, 0).value == lambda_value(ctx, 1).value
         l_value(ctx, 1)
-        assert ctx._terms[2] is column
-        assert calls == []
+        assert ctx._nodes is None
 
 
 class TestFixedPointOracles:
-    """The fixed-point engine against closed forms and mpmath sums, 40 digits up."""
+    """The fixed-point sums against closed forms and mpmath sums, 40 digits up."""
 
     @pytest.mark.parametrize("ainvs", [E11, E37, E389, E5077, E234446],
                              ids=["11a", "37a", "389a", "5077a", "234446a"])
     @pytest.mark.parametrize("digits", [30, 60])
     def test_low_orders_match_exponential_integrals(self, ainvs, digits):
-        # [e^0] and [e^1] of x^{-1-e} Gamma(1+e, x) are e^{-x}/x and E1(x)/x
+        # Lambda(1) is the closed form 2 sum_{n <= n_max} a_n e^{-x}/x (w = 1; its tail
+        # is the reported bound), and with x^{-a} Gamma(a, x) = E1(x) at a = 0,
+        # (1 + x) e^{-x}/x^2 at a = 2, and E1(x)/x for [e] at a = 1 + e, Lambda(0)
+        # and Lambda'(1) are sums of exponential integrals, to the tail
         ctx = AnalyticContext(WeierstrassCurve(*ainvs), digits=digits)
-        with mp.workdps(ctx.dps):
-            columns = [_as_mp(_gamma_terms(ctx, 1, k)) for k in (0, 1)]
-        ns = [n for n in range(1, ctx.n_max + 1) if ctx.coefficient(n)]
-        assert [len(column) for column in columns] == [len(ns)] * 2
+        w = ctx.w
+        at_1, at_0, slope = (lambda_value(ctx, 1).value, lambda_value(ctx, 0).value,
+                             lambda_derivative(ctx, 1).value)
         tol = mp.mpf(10) ** -(ctx.dps - 5)
+        sums = [0, 0, 0]
         with mp.workdps(ctx.dps + 40):
-            for index, n in enumerate(ns):
-                x = 2 * mp.pi * n / mp.sqrt(ctx.N)
-                assert abs(columns[0][index] - mp.exp(-x) / x) <= tol, n
-                assert abs(columns[1][index] - mp.e1(x) / x) <= tol, n
+            for n in range(1, _oracle_count(ctx, tol, 2) + 1):
+                a_n = ctx.coefficient(n)
+                if a_n:
+                    x = 2 * mp.pi * n / mp.sqrt(ctx.N)
+                    e1, exp_x = mp.e1(x), mp.exp(-x)
+                    if n <= ctx.n_max:
+                        sums[0] += a_n * exp_x / x
+                    sums[1] += a_n * (e1 + w * (1 + x) * exp_x / x**2)
+                    sums[2] += a_n * e1 / x
+            assert abs(at_1 - (1 + w) * sums[0]) <= tol
+            assert abs(at_0 - sums[1]) <= tol
+            assert abs(slope - (1 - w) * sums[2]) <= tol
 
     @pytest.mark.parametrize("ainvs", [E11, E37, E389, E5077, E234446],
                              ids=["11a", "37a", "389a", "5077a", "234446a"])
@@ -478,7 +571,8 @@ class TestFixedPointOracles:
                     assert abs(value - oracle) <= tol * max(1, abs(oracle)), (c, y)
 
     def test_no_mpmath_exp_or_log_per_term(self, monkeypatch):
-        # only one log per prime <= n_max, and a few fixed ones, in a rank-3 run
+        # a rank-3 run: one exp per node of the trapezoid and a few fixed ones, none
+        # per term, fewer than one per prime <= n_max
         from hasseweil.numtheory import primes_up_to
 
         ctx = AnalyticContext(WeierstrassCurve(*E5077))
@@ -493,6 +587,32 @@ class TestFixedPointOracles:
             monkeypatch.setattr(mp, name, counting)
         assert analytic_rank(ctx).rank == 3
         assert calls["exp"] + calls["log"] <= len(primes_up_to(ctx.n_max)) + 16, calls
+
+
+class TestErrorBound:
+    """The reported bound against the same value at 40 more digits, out to the domain guard."""
+
+    @pytest.mark.parametrize("ainvs", [E11, E389, E5077], ids=["11a", "389a", "5077a"])
+    def test_bound_holds_to_the_domain_guard(self, ainvs):
+        curve = WeierstrassCurve(*ainvs)
+        ctx, ref = AnalyticContext(curve), AnalyticContext(curve, digits=70)
+        reach = math.pi * ctx.n_max / ctx.sqrtN - 2  # max(|s|, |2 - s|) the guard allows
+        r = 0.98 * reach
+        box = [complex(1, math.sqrt(r * r - 1)), complex(r, 0), complex(2 - r, 0),
+               complex(0.69, 0.69) * reach, 2 - complex(0.69, 0.69) * reach,
+               complex(0.5, 0.7 * reach), complex(1.3, 1 / 32)]
+        for s in box:
+            value, bound = lambda_value(ctx, s)
+            exact = lambda_value(ref, s).value
+            with mp.workdps(ref.dps):
+                assert abs(value - exact) <= bound, (s, mp.nstr(abs(value - exact), 3))
+        for k in range(6):
+            value, bound = lambda_derivative(ctx, k)
+            exact = lambda_derivative(ref, k).value
+            with mp.workdps(ref.dps):
+                assert abs(value - exact) <= bound, (k, mp.nstr(abs(value - exact), 3))
+        with pytest.raises(PrecisionExhausted, match="larger n_max"):
+            lambda_value(ctx, complex(1, 1.01 * reach))
 
 
 def _f_by_mpmath(ctx, y):
@@ -562,17 +682,18 @@ class TestLambdaSymmetries:
     @pytest.mark.parametrize("ainvs, w", [(E389, 1), (E37, -1)], ids=["389a", "37a"])
     def test_critical_line_matches_gammainc_oracle(self, ainvs, w):
         # Lambda(1+it) = sum a_n [f_n(s) + w conj f_n(s)], f_n(s) = A^s Gamma(s, x_n),
-        # by mp.gammainc with 40 extra digits over the same n <= n_max
+        # by mp.gammainc with 40 extra digits, summed to the tail
         ctx = AnalyticContext(WeierstrassCurve(*ainvs))
         assert ctx.w == w
         tol = mp.mpf(10) ** -(ctx.dps - 5)
+        M = _oracle_count(ctx, tol, 8)
         for t in (1 / 32, 2.5, 7.75):
             s = mp.mpc(1, t)
             value = lambda_value(ctx, s).value
             assert (value.imag if w == 1 else value.real) == 0
             with mp.workdps(ctx.dps + 40):
                 oracle = mp.mpf(0)
-                for n in range(1, ctx.n_max + 1):
+                for n in range(1, M + 1):
                     if ctx.coefficient(n):
                         A = mp.sqrt(ctx.N) / (2 * mp.pi * n)
                         f = A**s * mp.gammainc(s, 1 / A)

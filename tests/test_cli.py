@@ -229,13 +229,15 @@ class TestValues:
         payload = json.loads(out)
         assert payload["rank_analytic"] == 1
         assert payload["root_number"] == -1
+        assert payload["inspected"] == [[1, "0.296239"]]  # six significant digits
 
     def test_rank_three(self):
         code, out = run_cli(["rank", "--json", "0", "0", "1", "-7", "6"])  # 5077a
         assert code == 0
         payload = json.loads(out)
         assert payload["rank_analytic"] == 3
-        assert [k for k, _ in payload["inspected"]] == [1, 3]
+        # the vanishing order only to the decimal place of its bound: 0.0
+        assert payload["inspected"] == [[1, "0.0"], [3, "19.6397"]]
 
     def test_non_finite_s_is_parse_error(self, capsys):
         for s in ("nan", "1e400", "nan+1i", "inf", "1-infi"):

@@ -81,6 +81,26 @@ class TestGroupLaw:
         assert e37.mul(-3, P) == e37.neg(e37.mul(3, P))
         assert e37.mul(0, P) == O
 
+    def test_walks_check_the_point_once(self, e11, monkeypatch):
+        # mul and order_of_point check P on the curve once, then walk unchecked
+        checked = []
+        require = WeierstrassCurve._require_on_curve
+        monkeypatch.setattr(WeierstrassCurve, "_require_on_curve",
+                            lambda self, point: checked.append(point) or require(self, point))
+        P = e11.point(5, 5)  # order 5
+        for n in (1, 6, 37, -11):
+            expected = e11.add(e11.mul(n % 5 - 1, P), P)
+            checked.clear()
+            assert e11.mul(n, P) == expected
+            assert len(checked) == 1, n
+        checked.clear()
+        assert e11.order_of_point(P) == 5
+        assert len(checked) == 1
+        with pytest.raises(PointNotOnCurve):
+            e11.mul(3, CurvePoint.affine(5, 6))
+        with pytest.raises(PointNotOnCurve):
+            e11.order_of_point(CurvePoint.affine(5, 6))
+
 
 class TestMinimalModel:
     def test_e37_already_minimal(self, e37):

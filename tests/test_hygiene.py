@@ -141,9 +141,11 @@ def test_no_gammainc_in_package():
     assert _package_owners("gammainc") == set()
 
 
-def test_horner_only_in_gamma_terms():
-    # one Taylor engine sums the lower-gamma series, for every s and order
-    assert _package_owners("_horner") == {"analytic._gamma_terms"}
+def test_q_series_only_for_f_and_the_node_table():
+    # one integer q-series loop sums f(iy) for the root number and every node
+    # of the trapezoid, for every s and order
+    assert _package_owners("_q_series") == {"analytic.f_on_imaginary_axis",
+                                             "analytic._node_table"}
 
 
 def test_factorize_only_for_the_minimal_model_and_heights():

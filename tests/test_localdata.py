@@ -655,3 +655,25 @@ class TestFiniteField:
             assert count == brute
             total += count
         assert total > 0
+
+
+class TestFactorize:
+    def test_planted_primes_up_to_2_50(self):
+        # Brent's rho with batched gcds gives back every planted prime, as one sorted
+        # dict: up to four primes of up to 32 bits, squares and cubes among them,
+        # and one of up to 50 bits to the first power (rho's steps grow as the
+        # square root of the prime it splits off)
+        from hasseweil.numtheory import factorize
+
+        rng = random.Random(20)
+        for case in range(60):
+            planted: dict[int, int] = {}
+            for size in [32] * rng.randint(1, 4) + [50] * (case % 2):
+                bits = rng.randint(2, size)
+                p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+                while not is_prime(p):
+                    p += 2
+                planted[p] = planted.get(p, 0) + (rng.randint(1, 3) if size == 32 else 1)
+            n = math.prod(p**e for p, e in planted.items())
+            assert factorize(n) == dict(sorted(planted.items())), planted
+            assert factorize(-2 * n) == factorize(2 * n)
