@@ -11,10 +11,20 @@ g(-u) = w e^{2u} g(u), folds it onto u > 0:
     Lambda^(k)(1) = (1 + (-1)^k w) int_0^oo g(u) u^k e^u du.
 
 The sign w is measured from the involution (only the a_n of f(iy) near
-y = 1/sqrt(N)) rather than assumed.  The integrand is analytic in the strip
-|Im u| < pi/2 and decays double-exponentially, so the trapezoidal rule with
-step h converges geometrically in 1/h (Trefethen and Weideman, SIAM Review
-56 (2014), Thm 5.1; the method of PARI's lfun, Molin 2010).  Folded at 0,
+y = 1/sqrt(N)) rather than assumed, at one accuracy whatever the context's:
+the ratio -f(i/(N y))/(N y^2 f(iy)) = -w is taken at y = t/sqrt(N), t in
+ROOT_SAMPLES (N y^2 = t^2 > 1), with each f within eps = 2^-ROOT_BITS <
+10^-18, where the computed |f(iy)| is at least tau = ROOT_SKIP = 10^-10.
+So each ratio is within eps/(t^2 tau) + eps/tau < 2 eps/tau = 2 10^-8 of
+-w, fifty times inside the 10^-6 agreement asked of the samples.  Each
+f(iy) is one `_q_series` over the `_q_terms` count (tail below eps/4) at a
+width that holds its 2(M + 1)^3 rounding units (as for the nodes below)
+and the final rounding each below eps/4.
+
+The integrand is analytic in the strip |Im u| < pi/2 and decays
+double-exponentially, so the trapezoidal rule with step h converges
+geometrically in 1/h (Trefethen and Weideman, SIAM Review 56 (2014), Thm
+5.1; the method of PARI's lfun, Molin 2010).  Folded at 0,
 the rule on the whole line is h [g(0) (1 + w)/2 [k = 0] + sum_{j >= 1}
 g(jh) K_j], K_j the kernel in brackets above at u = jh.  h = 2^-m, so a
 finer grid reuses every node of a coarser one: the nodes g(jh), each one
@@ -55,7 +65,6 @@ and the Dirichlet series are the tests' oracles, never used here.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -71,6 +80,9 @@ GUARD_DIGITS = 15
 GUARD_BITS = 24
 NODE_HEADROOM = 32  # extra bits a node table is built with, so nearby requests share it
 LN2 = math.log(2)
+ROOT_SAMPLES = (1.1, 1.3, 1.7, 2.3)  # t = y sqrt(N) where the involution is measured
+ROOT_SKIP = 1e-10  # tau: a sample with |f(iy)| below it is too near a zero of f
+ROOT_BITS = 60  # each f(iy) of the root number within eps = 2^-60 < 10^-18
 
 
 class ValueWithBound(NamedTuple):
@@ -87,12 +99,9 @@ class AnalyticContext:
 
     curve: WeierstrassCurve
     digits: int = 30
-    target_log10: int | None = None  # absolute accuracy ~ 10^-target_log10
 
     def __post_init__(self):
         self.N = conductor(self.curve)
-        if self.target_log10 is None:
-            self.target_log10 = self.digits - 8
         self.sqrtN = math.sqrt(self.N)
         self.n_max = tail_cutoff(self.N, self.target_log10 + 2)
         self._coeffs = dirichlet_coefficients(self.curve, self.n_max)
@@ -109,6 +118,11 @@ class AnalyticContext:
     def coefficients(self, n: int) -> list[int]:
         self.coefficient(n)
         return list(self._coeffs.coeffs[: n + 1])
+
+    @property
+    def target_log10(self) -> int:
+        """The n_max tail is held below 10^-(target_log10 + 2)."""
+        return self.digits - 8
 
     @property
     def dps(self) -> int:
@@ -165,44 +179,37 @@ def _q_series(coeffs: list[int], q: int, bits: int, count: int) -> int:
 
 
 def f_on_imaginary_axis(ctx: AnalyticContext, y) -> mp.mpf:
-    """f(iy) = sum a_n e^{-2 pi n y} for real y > 0 (adaptive truncation).
+    """f(iy) = sum a_n e^{-2 pi n y} for real y > 0, within 2^-ROOT_BITS
+    whatever ctx.digits is, by the rule of the module docstring.
 
-    One integer sum in fixed point at prec + guard + log2(n_needed) bits:
-    q^n is one product by q per n, and each product and the rounding of q
-    cost at most one unit of 2^-bits in each later q^n.
+    q^n is one floored product by q per n, and the value is rounded at the
+    sum's own width, so it depends on y only.
     """
-    with mp.workdps(ctx.dps):
-        y = mp.mpf(y)
-        n_needed = int(
-            (ctx.target_log10 + 4) * math.log(10) / (2 * math.pi * float(y))
-        ) + 8
-        coeffs = ctx.coefficients(n_needed)
-        bits = mp.mp.prec + GUARD_BITS + n_needed.bit_length()
-        with mp.workprec(bits + 8):
-            q = int(mp.ldexp(mp.exp(-2 * mp.pi * y), bits))
-        return mp.mpf((_q_series(coeffs, q, bits, n_needed), -bits))
+    count = _q_terms(2 * math.pi * float(y), ROOT_BITS + 2)
+    width = ROOT_BITS + 2 + math.ceil(math.log2(2 * (count + 1) ** 3 + 1))
+    coeffs = ctx.coefficients(count)
+    with mp.workprec(width + 8):
+        q = int(mp.ldexp(mp.exp(-2 * mp.pi * mp.mpf(y)), width))
+    with mp.workprec(width):
+        return mp.mpf((_q_series(coeffs, q, width, count), -width))
 
 
-def root_number(ctx: AnalyticContext, samples=(1.1, 1.3, 1.7, 2.3)) -> int:
+def root_number(ctx: AnalyticContext) -> int:
     """Sign w of the functional equation, from the theta involution.
 
-    The Fricke involution gives f(i/(N y)) = w N y^2 f(iy), so the ratio
-    -f(i/(N y)) / (N y^2 f(iy)) is -w at every y > 0.  It is measured at
-    y = t/sqrt(N) for each sample t, skipping a sample where |f(iy)| is
-    below 10^{-target/2} (too near a zero of f for a stable ratio).  Fewer
-    than two stable samples, a first ratio not near +-1, or any ratio more
-    than 1e-6 from it raises PrecisionExhausted.
+    The Fricke involution f(i/(N y)) = w N y^2 f(iy) makes each ratio of the
+    module docstring -w; they are formed at ROOT_BITS + GUARD_BITS bits,
+    whatever ctx.digits is.  Fewer than two samples with |f(iy)| >= ROOT_SKIP
+    (the others are too near a zero of f), a first ratio not near +-1, or
+    any ratio more than 1e-6 from it raises PrecisionExhausted.
     """
-    if ctx.target_log10 < 20:  # w is a sign: measured at 20 digits at least, on a copy
-        ctx = copy.copy(ctx)
-        ctx.digits, ctx.target_log10 = max(ctx.digits, 28), 20
-    with mp.workdps(ctx.dps):
+    with mp.workprec(ROOT_BITS + GUARD_BITS):
         ratios = []
-        for c in samples:
-            y = mp.mpf(c) / ctx.sqrtN
+        for t in ROOT_SAMPLES:
+            y = mp.mpf(t) / ctx.sqrtN
             fy = f_on_imaginary_axis(ctx, y)
-            if abs(fy) < mp.mpf(10) ** (-(ctx.target_log10 // 2)):
-                continue  # too close to a zero of f for a stable ratio
+            if abs(fy) < ROOT_SKIP:
+                continue
             fy_inv = f_on_imaginary_axis(ctx, 1 / (ctx.N * y))
             ratios.append(-fy_inv / (ctx.N * y**2 * fy))
         if len(ratios) < 2:
@@ -483,10 +490,15 @@ def l_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
     Valid as the leading series derivative when all lower Lambda-derivatives
     vanish at s = 1; for order 1 that is exactly the w = -1 case.
     """
+    return l_from_lambda(ctx, lambda_derivative(ctx, order))
+
+
+def l_from_lambda(ctx: AnalyticContext, lam: ValueWithBound) -> ValueWithBound:
+    """Lambda^(k)(1) (with its bound) times 2 pi/sqrt(N): L^(k)(1) where every
+    lower derivative vanishes."""
     with mp.workdps(ctx.dps):
-        lam_k, bound = lambda_derivative(ctx, order)
         factor = (2 * mp.pi) / ctx.sqrtN_mp
-        return ValueWithBound(lam_k * factor, bound * factor)
+        return ValueWithBound(lam.value * factor, lam.bound * factor)
 
 
 @dataclass(frozen=True)
@@ -494,6 +506,7 @@ class RankEstimate:
     rank: int
     tol: float
     derivative_values: tuple  # (order, |Lambda^(k)(1)|/k!, its bound/k!) actually inspected
+    leading: ValueWithBound  # Lambda^(rank)(1), the first value above the tolerance
     note: str = "numerical order of vanishing at the given tolerance"
 
     @property
@@ -514,11 +527,11 @@ def analytic_rank(ctx: AnalyticContext, tol: float = 1e-10) -> RankEstimate:
         inspected = []
         start = 0 if ctx.w == 1 else 1
         for k in range(start, start + 8, 2):
-            value, bound = lambda_derivative(ctx, k)
-            val = abs(value) / math.factorial(k)
-            inspected.append((k, float(val), float(bound / math.factorial(k))))
+            lam = lambda_derivative(ctx, k)
+            val = abs(lam.value) / math.factorial(k)
+            inspected.append((k, float(val), float(lam.bound / math.factorial(k))))
             if val > tol * scale:
-                return RankEstimate(k, tol, tuple(inspected))
+                return RankEstimate(k, tol, tuple(inspected), lam)
         raise PrecisionExhausted(
             f"no nonzero Lambda derivative found through order {start + 6}"
         )

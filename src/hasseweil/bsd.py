@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 
-from .analytic import AnalyticContext, analytic_rank, lambda_derivative
+from .analytic import AnalyticContext, analytic_rank, l_from_lambda
 from .curves import CurvePoint, WeierstrassCurve
 from .errors import DependentGenerators, PrecisionExhausted
 from .heights import canonical_height
@@ -201,8 +201,9 @@ def bsd_report(
 
     sha_predicted = L* t^2 / (Omega R prod(c_p)), with the leading Taylor
     coefficient L* = L^(r)(1)/r! = Lambda^(r)(1) 2 pi / (sqrt(N) r!) at every
-    rank r; a generator count that differs from the analytic rank sets a
-    mismatch flag instead of failing.
+    rank r, from the Lambda^(r)(1) that `analytic_rank` accepted; a generator
+    count that differs from the analytic rank sets a mismatch flag instead of
+    failing.
     """
     generators = list(generators or [])
     ctx = AnalyticContext(curve, digits=digits)
@@ -213,10 +214,9 @@ def bsd_report(
         flags.append("generator-count-mismatch")
 
     with mp.workdps(ctx.dps):
-        lam_r, lam_err = lambda_derivative(ctx, r)
-        factor = (2 * mp.pi) / ctx.sqrtN_mp / mp.factorial(r)
-        lead_val = float(lam_r * factor)
-        lead_err = float(lam_err * factor)
+        lead, lead_bound = l_from_lambda(ctx, rank.leading)
+        lead_val = float(lead / mp.factorial(r))
+        lead_err = float(lead_bound / mp.factorial(r))
 
     omega, omega_err = real_period(curve, digits)
     try:

@@ -389,20 +389,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, curve=True):
+    def add_common(p, curve=True, prec=True):
         if curve:
             p.add_argument("coefficients", nargs="+",
                            help="a1 a2 a3 a4 a6 (or one JSON array of five strings)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--prec", type=_positive_int, default=30,
-                       help="working precision digits")
+        if prec:
+            p.add_argument("--prec", type=_positive_int, default=30,
+                           help="working precision digits")
 
     def add_nmax(p):
         p.add_argument("--nmax", type=_positive_int, default=None,
                        help="least Dirichlet truncation")
 
     p = sub.add_parser("analyze", help="invariants, minimal model, local data")
-    add_common(p)
+    add_common(p, prec=False)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("lvalue", help="L(E, s)")
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bsd)
 
     p = sub.add_parser("zetacheck", help="trace-formula and zeta factorization checks")
-    add_common(p)
+    add_common(p, prec=False)
     p.add_argument("--pmax", type=_int_at_least(2, "an integer >= 2"), default=20,
                    help="check good primes p <= pmax")
     p.add_argument("--kmax", type=_positive_int, default=3,

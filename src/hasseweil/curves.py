@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import PointNotOnCurve, SingularCurve
-from .numtheory import factorize, valuation
+from .numtheory import factorize, iroot, valuation
 
 INF = 10**9  # stand-in for an infinite p-adic valuation
 
@@ -466,18 +466,6 @@ def _fraction_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _icbrt(n: int) -> int:
-    """Floor cube root of a nonnegative integer (Newton iteration)."""
-    if n == 0:
-        return 0
-    x = 1 << ((n.bit_length() + 2) // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
-
-
 def _integer_cubic_roots(c2: int, c1: int, c0: int) -> list[int]:
     """Integer roots of x^3 + c2 x^2 + c1 x + c0, exactly.
 
@@ -489,7 +477,7 @@ def _integer_cubic_roots(c2: int, c1: int, c0: int) -> list[int]:
         return ((x + c2) * x + c1) * x + c0
 
     # Fujiwara root bound for a monic cubic, with slack
-    bound = 2 + 2 * max(abs(c2), math.isqrt(abs(c1)) + 1, _icbrt(abs(c0)) + 1)
+    bound = 2 + 2 * max(abs(c2), math.isqrt(abs(c1)) + 1, iroot(abs(c0), 3) + 1)
     disc = c2 * c2 - 3 * c1  # discriminant of f'/1 = 3x^2 + 2 c2 x + c1
     intervals: list[tuple[int, int]]
     if disc <= 0:

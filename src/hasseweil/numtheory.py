@@ -68,6 +68,18 @@ def smallest_prime_factors(start: int, stop: int) -> list[int]:
     return spf
 
 
+def iroot(n: int, k: int) -> int:
+    """Floor k-th root of a nonnegative integer (Newton's iteration from above)."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _pollard_rho(n: int, rng: random.Random) -> int:
     """A nontrivial factor of composite n: Pollard rho with Brent's cycle finding.
 
@@ -121,16 +133,22 @@ def factorize(n: int) -> dict[int, int]:
     if n == 1:
         return dict(sorted(out.items()))
     rng = random.Random(0xC0FFEE)
-    stack = [n]
+    stack = [(n, 1)]  # (cofactor, the power of it that divides n)
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m, e = stack.pop()
         if is_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + e
             continue
-        d = _pollard_rho(m, rng)
-        stack.extend((d, m // d))
+        # m has no prime factor below 53 > 2^5, so m = r^k needs k <= bit_length/5;
+        # rho would split a power of a large prime only after ~sqrt(p) steps
+        for k in primes_up_to(m.bit_length() // 5):
+            root = iroot(m, k)
+            if root**k == m:
+                stack.append((root, e * k))
+                break
+        else:
+            d = _pollard_rho(m, rng)
+            stack.extend(((d, e), (m // d, e)))
     return dict(sorted(out.items()))
 
 

@@ -457,49 +457,25 @@ def monodromy_filtration(N_matrix) -> MonodromyFiltration:
     """The unique increasing filtration with N W_k ⊆ W_{k-2} and
     N^k : gr_k ≅ gr_{-k}.
 
-    Convolution formula: W_k = sum_i ( ker N^{k+i+1} ∩ im N^i ).
+    Convolution formula: W_k = sum_{i >= max(0, -k)} ( ker N^{k+i+1} ∩ im N^i ),
+    over N^0, ..., N^d = 0 (d = dim V), so W_{-d} = 0 and W_{d-1} = V.
     """
     N = to_matrix(N_matrix)
     d = len(N)
     if not is_nilpotent(N):
         raise NotNilpotent("monodromy operator must be nilpotent")
-    if d == 0:
-        return MonodromyFiltration(0, ())
-    kers: dict[int, list] = {}
-    ims: dict[int, list] = {}
-    for j in range(d + 2):
-        power = mat_pow(N, j)
-        kers[j] = nullspace(power) if j else []
-        ims[j] = column_space_basis(
-            [list(col) for col in zip(*power)]
-        ) if j else [list(r) for r in identity(d)]
-    # ker N^0 = 0, im N^0 = V handled above; extend ker beyond nilpotency
-    top = d + 1
-
-    def ker_of(j: int) -> list:
-        if j <= 0:
-            return []
-        return kers[min(j, top)] if min(j, top) in kers else kers[d + 1]
-
-    steps = []
-    prev_dim = 0
-    for k in range(-d - 1, d + 2):
-        vectors: list = []
-        for i in range(0, d + 2):
-            ki = ker_of(k + i + 1)
-            if not ki:
-                continue
-            ii = ims[min(i, d + 1)]
-            if not ii:
-                continue
-            piece = intersect_spans(ki, ii) if i > 0 else column_space_basis(ki)
-            vectors.extend(piece)
-        basis = column_space_basis(vectors)
-        if len(basis) != prev_dim:
+    powers = [identity(d)]
+    for _ in range(d):
+        powers.append(mat_mul(powers[-1], N))
+    kers = [nullspace(power) for power in powers]
+    ims = [column_space_basis([list(col) for col in zip(*power)]) for power in powers]
+    steps, prev = [], 0
+    for k in range(1 - d, d):
+        basis = column_space_basis([v for i in range(max(0, -k), d)
+                                    for v in intersect_spans(kers[min(k + i + 1, d)], ims[i])])
+        if len(basis) != prev:
             steps.append((k, tuple(tuple(v) for v in basis)))
-            prev_dim = len(basis)
-        if len(basis) == d:
-            break
+            prev = len(basis)
     return MonodromyFiltration(d, tuple(steps))
 
 

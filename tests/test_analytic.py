@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hasseweil.analytic import (
+    GUARD_BITS,
+    ROOT_BITS,
+    ROOT_SAMPLES,
     AnalyticContext,
     _gamma_derivs_at_1,
     _lambda_series,
@@ -95,14 +98,32 @@ class TestRootNumber:
 
     @pytest.mark.parametrize("ainvs, w", [(E11, 1), (E37, -1), (E389, 1), (E5077, -1)],
                              ids=["11a", "37a", "389a", "5077a"])
-    def test_low_precision_keeps_reference_sign(self, ainvs, w):
-        # w is measured at 20 digits at least, whatever the context's precision
+    def test_low_precision_keeps_reference_sign(self, ainvs, w, monkeypatch):
+        # w is measured at one fixed accuracy, whatever the context's precision:
+        # the same f(iy) calls and values at every digits, on the context
+        # itself, which keeps its digits
+        from hasseweil import analytic
+
+        f = analytic.f_on_imaginary_axis
+        calls = []
+
+        def recording(ctx, y):
+            value = f(ctx, y)
+            calls.append((ctx, y, value))
+            return value
+
+        monkeypatch.setattr(analytic, "f_on_imaginary_axis", recording)
         curve = WeierstrassCurve(*ainvs)
-        for digits in range(5, 16):
+        seen = []
+        for digits in [*range(5, 16), 30, 60]:
             ctx = AnalyticContext(curve, digits=digits)
-            target = ctx.target_log10
+            calls.clear()
             assert ctx.w == w, digits
-            assert (ctx.digits, ctx.target_log10) == (digits, target)
+            assert ctx.digits == digits
+            assert all(call[0] is ctx for call in calls), digits
+            seen.append([call[1:] for call in calls])
+        assert len(seen[0]) >= 4
+        assert all(entry == seen[0] for entry in seen)
 
 
 class TestFunctionalEquation:
@@ -558,17 +579,17 @@ class TestFixedPointOracles:
                              ids=["11a", "37a", "389a", "5077a", "234446a"])
     @pytest.mark.parametrize("digits", [30, 60])
     def test_f_matches_mpmath_sum_at_involution_samples(self, ainvs, digits):
+        # the eight points of the involution, each f(iy) within 2^-ROOT_BITS
+        # whatever the context's digits
         ctx = AnalyticContext(WeierstrassCurve(*ainvs), digits=digits)
-        tol = mp.mpf(10) ** -(ctx.dps - 5)
-        for c in (1.1, 1.3, 1.7, 2.3):  # root_number's samples and their images
-            with mp.workdps(ctx.dps):
-                y = mp.mpf(c) / ctx.sqrtN
-                ys = (y, 1 / (ctx.N * y))
-            for y in ys:
-                value = f_on_imaginary_axis(ctx, y)
-                with mp.workdps(ctx.dps + 40):
-                    oracle = _f_by_mpmath(ctx, y)
-                    assert abs(value - oracle) <= tol * max(1, abs(oracle)), (c, y)
+        with mp.workprec(ROOT_BITS + GUARD_BITS):
+            ys = [z for y in (mp.mpf(t) / ctx.sqrtN for t in ROOT_SAMPLES)
+                  for z in (y, 1 / (ctx.N * y))]
+        for y in ys:
+            value = f_on_imaginary_axis(ctx, y)
+            with mp.workdps(mp.libmp.prec_to_dps(ROOT_BITS) + 40):
+                oracle = _f_by_mpmath(ctx, y)
+                assert abs(value - oracle) <= mp.ldexp(1, -ROOT_BITS), y
 
     def test_no_mpmath_exp_or_log_per_term(self, monkeypatch):
         # a rank-3 run: one exp per node of the trapezoid and a few fixed ones, none
@@ -617,18 +638,16 @@ class TestErrorBound:
 
 def _f_by_mpmath(ctx, y):
     """f(iy) summed in mpmath at the ambient precision, q^n by one product per n,
-    over the same n as `f_on_imaginary_axis`."""
+    until the tail bound sum_{m > n} 2m q^m <= 2(n + 1) q^(n + 1)/(1 - q)^2 is below
+    10^-dps: past the count `f_on_imaginary_axis` takes for 2^-ROOT_BITS."""
     y = mp.mpf(y)
-    n_needed = int((ctx.target_log10 + 4) * math.log(10) / (2 * math.pi * float(y))) + 8
-    coeffs = ctx.coefficients(n_needed)
     q = mp.exp(-2 * mp.pi * y)
-    q_n = mp.mpf(1)
-    total = mp.mpf(0)
-    for n in range(1, n_needed + 1):
-        q_n *= q
-        if coeffs[n]:
-            total += coeffs[n] * q_n
-    return total
+    threshold = mp.mpf(10) ** -mp.mp.dps * (1 - q) ** 2 / 2
+    powers = [mp.mpf(1)]
+    while len(powers) * powers[-1] * q >= threshold:
+        powers.append(powers[-1] * q)
+    coeffs = ctx.coefficients(len(powers) - 1)
+    return mp.fsum(a_n * q_n for a_n, q_n in zip(coeffs[1:], powers[1:]) if a_n)
 
 
 def _random_curve(seed: int, max_conductor: int = 3000):

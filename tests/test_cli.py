@@ -282,7 +282,7 @@ class TestValues:
         assert spaced[0] == 0
 
     def test_low_precision_root_number(self):
-        # w is measured at 20 digits whatever --prec asks for
+        # w is measured at one fixed accuracy whatever --prec asks for
         code, out = run_cli(["lvalue", "--json", "0", "0", "1", "-7", "6", "--s", "1+2i",
                              "--prec", "12"])
         assert code == 0
@@ -335,9 +335,11 @@ class TestValues:
         e37 = ["0", "0", "1", "-1", "0"]
         for argv in (
             ["analyze", *e37, "--pmax", "5"],
+            ["analyze", *e37, "--prec", "20"],
             ["bsd", *e37, "--nmax", "100"],
             ["lvalue", *e37, "--kmax", "2"],
             ["zetacheck", *e37, "--nmax", "100"],
+            ["zetacheck", *e37, "--prec", "20"],
         ):
             assert run_cli(argv)[0] == 2, argv
 

@@ -334,6 +334,24 @@ class TestBsdReport:
             assert report.tamagawa == tamagawa
             assert abs(report.sha_predicted - 1) < 1e-6, (ai, report)
 
+    def test_leading_term_from_the_rank(self, monkeypatch):
+        # the report takes Lambda^(r)(1) from the rank's own evaluation: one
+        # derivative per inspected order, none again for the leading term
+        from hasseweil import analytic
+
+        orders = []
+        derivative = analytic.lambda_derivative
+
+        def counting(ctx, order=1):
+            orders.append(order)
+            return derivative(ctx, order)
+
+        for module in (analytic, bsd):
+            monkeypatch.setattr(module, "lambda_derivative", counting, raising=False)
+        report = bsd_report(WeierstrassCurve(0, 1, 1, -2, 0), [])  # 389a
+        assert report.rank_analytic == 2
+        assert orders == [0, 2]
+
     def test_json_schema(self, e11):
         import json
 

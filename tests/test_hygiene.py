@@ -148,6 +148,19 @@ def test_q_series_only_for_f_and_the_node_table():
                                              "analytic._node_table"}
 
 
+def test_root_number_at_one_fixed_accuracy():
+    # w is a sign: each f(iy) is counted by the certified tail rule alone, and
+    # the root number neither copies its context nor reads an accuracy from it
+    import dataclasses
+
+    from hasseweil.analytic import AnalyticContext
+
+    assert _package_owners("_q_terms") == {"analytic.f_on_imaginary_axis",
+                                            "analytic._plan", "analytic._node_table"}
+    assert _owners(_parse(PACKAGE / "analytic.py"), "copy") == []
+    assert "target_log10" not in {f.name for f in dataclasses.fields(AnalyticContext)}
+
+
 def test_factorize_only_for_the_minimal_model_and_heights():
     # the discriminant is factored once per curve, with the minimal model;
     # heights factor a point's denominator, and sigma0 serves the tests

@@ -669,11 +669,43 @@ class TestFactorize:
         for case in range(60):
             planted: dict[int, int] = {}
             for size in [32] * rng.randint(1, 4) + [50] * (case % 2):
-                bits = rng.randint(2, size)
-                p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
-                while not is_prime(p):
-                    p += 2
+                p = _random_prime(rng, rng.randint(2, size))
                 planted[p] = planted.get(p, 0) + (rng.randint(1, 3) if size == 32 else 1)
             n = math.prod(p**e for p, e in planted.items())
             assert factorize(n) == dict(sorted(planted.items())), planted
             assert factorize(-2 * n) == factorize(2 * n)
+
+    def test_powers_of_a_large_prime(self):
+        # an exact power is split by its integer k-th root at once, where rho
+        # would take ~sqrt(p) steps for a 50-bit p (over a minute for p^3)
+        import time
+
+        from hasseweil.numtheory import factorize
+
+        rng = random.Random(50)
+        q8, q14, q20, p = (_random_prime(rng, bits) for bits in (8, 14, 20, 50))
+        start = time.perf_counter()
+        assert factorize(p**3 * q8 * q14 * q20) == dict(sorted({p: 3, q8: 1, q14: 1, q20: 1}.items()))
+        assert factorize(p**6 * q20**2) == dict(sorted({p: 6, q20: 2}.items()))
+        assert factorize((p * q14) ** 5) == dict(sorted({p: 5, q14: 5}.items()))
+        assert time.perf_counter() - start < 1
+
+    def test_iroot_is_the_floor_root(self):
+        from hasseweil.numtheory import iroot
+
+        rng = random.Random(3)
+        for _ in range(300):
+            k = rng.randint(1, 12)
+            n = rng.getrandbits(rng.randint(0, 300))
+            r = iroot(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+            assert iroot(r**k, k) == r
+        assert [iroot(n, 3) for n in range(9)] == [0, 1, 1, 1, 1, 1, 1, 1, 2]
+
+
+def _random_prime(rng: random.Random, bits: int) -> int:
+    """The first prime at or above a random odd number of `bits` bits."""
+    p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+    while not is_prime(p):
+        p += 2
+    return p
