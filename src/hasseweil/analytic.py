@@ -111,12 +111,14 @@ class AnalyticContext:
     # coefficient access, extending on demand -------------------------------
 
     def coefficient(self, n: int) -> int:
-        if n > self._coeffs.n_max:
-            self._coeffs = dirichlet_coefficients(self.curve, n, self._coeffs)
+        if n > self._coeffs.n_max:  # doubled, so a loop over n extends O(log n) times
+            self._coeffs = dirichlet_coefficients(
+                self.curve, max(n, 2 * self._coeffs.n_max), self._coeffs)
         return self._coeffs[n]
 
     def coefficients(self, n: int) -> list[int]:
-        self.coefficient(n)
+        if n > self._coeffs.n_max:  # exactly to n: callers ask for the count they read
+            self._coeffs = dirichlet_coefficients(self.curve, n, self._coeffs)
         return list(self._coeffs.coeffs[: n + 1])
 
     @property

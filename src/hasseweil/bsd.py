@@ -1,8 +1,11 @@
 """BSD right-hand side: real period, regulator, and the consistency report.
 
-The period is the integral of |dx / (2y + a1 x + a3)| over every real
-component of the minimal model (two components for positive discriminant),
-computed both by the arithmetic-geometric mean and by direct quadrature.
+The period Omega is the integral of |dx / (2y + a1 x + a3)| over every real
+component of the minimal model (two components for positive discriminant).
+`real_period` encloses it by the arithmetic-geometric mean alone (Cremona,
+*Algorithms for Modular Elliptic Curves*, ch. 3; Cohen, GTM 138, 7.4), in
+interval arithmetic on exactly bracketed roots; direct quadrature,
+`real_period_quadrature`, is the tests' independent check.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ import math
 from dataclasses import dataclass, field
 
 import mpmath as mp
+from mpmath import iv
+from mpmath.libmp import dps_to_prec
 
 from .analytic import AnalyticContext, analytic_rank, l_from_lambda
-from .curves import CurvePoint, WeierstrassCurve
+from .curves import CurvePoint, WeierstrassCurve, _cubic_brackets
 from .errors import DependentGenerators, PrecisionExhausted
 from .heights import canonical_height
 from .localdata import bad_primes, tate_local
@@ -27,25 +32,6 @@ def _cubic_roots(curve: WeierstrassCurve):
     inv = curve.invariants()
     coeffs = [4, int(inv.b2), 2 * int(inv.b4), int(inv.b6)]
     return mp.polyroots([mp.mpf(c) for c in coeffs], maxsteps=200, extraprec=80)
-
-
-def real_period_agm(curve: WeierstrassCurve, digits: int = 30):
-    """Omega over all of E(R) by AGM identities on the root configuration."""
-    minimal, _ = curve.minimal_model()
-    disc = minimal.discriminant
-    with mp.workdps(digits + PERIOD_GUARD):
-        roots = _cubic_roots(minimal)
-        if disc > 0:
-            e = sorted((r.real for r in roots), reverse=True)
-            e1, e2, e3 = e
-            omega1 = mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
-            return 2 * omega1
-        e1 = next(r.real for r in roots if abs(r.imag) < mp.mpf(10) ** (-digits))
-        z = next(r for r in roots if abs(r.imag) > mp.mpf(10) ** (-digits))
-        a, b = z.real, abs(z.imag)
-        A = mp.sqrt((e1 - a) ** 2 + b * b)
-        # period = pi / agm(sqrt(A), sqrt((A + e1 - a)/2))
-        return mp.pi / mp.agm(mp.sqrt(A), mp.sqrt((A + (e1 - a)) / 2))
 
 
 def real_period_quadrature(curve: WeierstrassCurve, digits: int = 30):
@@ -77,24 +63,57 @@ def real_period_quadrature(curve: WeierstrassCurve, digits: int = 30):
         def integrand(t):
             return 2 / mp.sqrt(4 * ((t * t + e1 - a) ** 2 + b * b))
 
-        return 2 * mp.quad(integrand, [0, mp.inf])
+        # split where t^2 = a - e1: the poles sit b / (2 sqrt(a - e1)) off the axis there
+        return 2 * mp.quad(integrand, [0, mp.sqrt(abs(a - e1)), mp.inf])
+
+
+def _agm(a, b):
+    """[b_n, a_n] in `iv`, which holds AGM(a, b) for a >= b > 0, once it stops narrowing."""
+    width = iv.inf
+    while (a.b - b.a).b < width:
+        width = (a.b - b.a).b
+        a, b = (a + b) / 2, iv.sqrt(a * b)
+    return iv.mpf([b.a, a.b])
+
+
+def _period_enclosure(curve: WeierstrassCurve, digits: int = 30):
+    """Exact mpf ends (lo, hi) of an interval holding Omega: the AGM on bracketed roots.
+
+    The real roots e of 4x^3 + b2 x^2 + 2 b4 x + b6 are the sign changes, in
+    cells of 2^-(k+2), of its monic form in Y = 2^k 4x: three when disc > 0,
+    one when disc < 0, or the roots are too close to separate.
+    """
+    minimal, _ = curve.minimal_model()
+    b2, b4, b6 = (int(b) for b in minimal.invariants()[:3])
+    k = dps_to_prec(digits + PERIOD_GUARD)
+    brackets = _cubic_brackets(b2 << k, 8 * b4 << 2 * k, 16 * b6 << 3 * k)
+    if len(brackets) != (3 if minimal.discriminant > 0 else 1):
+        raise PrecisionExhausted(f"{len(brackets)} real roots bracketed at 2^-{k + 2}")
+    saved = iv.prec
+    iv.prec = max(k, *(abs(y).bit_length() for b in brackets for y in b)) + 8  # ends exact
+    try:
+        e = [iv.mpf(list(b)) / 2 ** (k + 2) for b in reversed(brackets)]  # e1 > e2 > e3
+        if len(e) == 3:
+            omega = 2 * iv.pi / _agm(iv.sqrt(e[0] - e[2]), iv.sqrt(e[0] - e[1]))
+        else:
+            e1 = e[0]
+            a = -(iv.mpf(b2) / 4 + e1) / 2  # Vieta: e1 + 2a = -b2/4, 2a e1 + |z|^2 = b4/2
+            A = iv.sqrt((e1 - a) ** 2 + iv.mpf(b4) / 2 - 2 * a * e1 - a * a)  # |e1 - a - bi|
+            omega = iv.pi / _agm(iv.sqrt(A), iv.sqrt((A + e1 - a) / 2))
+        with mp.workprec(iv.prec):
+            return mp.mpf(omega.a), mp.mpf(omega.b)
+    finally:
+        iv.prec = saved
 
 
 def real_period(curve: WeierstrassCurve, digits: int = 30) -> tuple[float, float]:
-    """(Omega, disagreement) with the AGM value as primary.
-
-    The quadrature oracle must agree to ~1e-10 or PrecisionExhausted is
-    raised; the reported disagreement doubles as an error estimate.
-    """
-    with mp.workdps(digits + PERIOD_GUARD):
-        agm_val = real_period_agm(curve, digits)
-        quad_val = real_period_quadrature(curve, min(digits, 30))
-        diff = abs(agm_val - quad_val)
-        if diff > mp.mpf(10) ** (-10) * max(1, abs(agm_val)):
-            raise PrecisionExhausted(
-                f"period methods disagree: {agm_val} vs {quad_val}"
-            )
-        return float(agm_val), float(diff)
+    """(Omega, err), the midpoint and radius of its AGM enclosure; err <= 10^-digits Omega."""
+    lo, hi = _period_enclosure(curve, digits)
+    value = float(mp.ldexp(mp.fadd(lo, hi, exact=True), -1))
+    err = float(mp.fsub(hi, lo, prec=53, rounding="u")) / 2
+    if not err <= value * mp.mpf(10) ** -digits:
+        raise PrecisionExhausted(f"real period enclosed only to {err} at {digits} digits")
+    return value, err
 
 
 def height_pairing(

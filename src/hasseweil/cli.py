@@ -439,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("motive", help="gamma factors / local factors from JSON data")
     add_common(p, curve=False)
     p.add_argument("--file", required=True, help="realization description JSON")
-    p.add_argument("--gamma", action="store_true",
-                   help="(implied) print the symbolic gamma product")
     p.add_argument("--s", default=None, help="also evaluate numerically at s")
     p.set_defaults(func=cmd_motive)
 

@@ -186,10 +186,6 @@ class WeierstrassCurve:
     def discriminant(self) -> Fraction:
         return self._inv.disc
 
-    @property
-    def j_invariant(self) -> Fraction:
-        return self._inv.j
-
     # -- point predicates and the group law ---------------------------------
 
     def equation_lhs_minus_rhs(self, x: Fraction, y: Fraction) -> Fraction:
@@ -467,10 +463,19 @@ def _fraction_sqrt(q: Fraction) -> Fraction | None:
 
 
 def _integer_cubic_roots(c2: int, c1: int, c0: int) -> list[int]:
-    """Integer roots of x^3 + c2 x^2 + c1 x + c0, exactly.
+    """Integer roots of x^3 + c2 x^2 + c1 x + c0, exactly: its one-point brackets."""
+    return [lo for lo, hi in _cubic_brackets(c2, c1, c0) if lo == hi]
 
-    Bisection on monotone pieces; the critical points of the cubic are
-    bracketed with exact integer comparisons, so no root can be missed.
+
+def _cubic_brackets(c2: int, c1: int, c0: int) -> list[tuple[int, int]]:
+    """Sorted integer brackets [lo, hi], hi - lo <= 1, of the real roots of
+    x^3 + c2 x^2 + c1 x + c0, exactly.
+
+    Cuts on either side of each critical point split the line into monotone
+    pieces and the unit cells that hold a critical point.  An integer root is
+    its own bracket [r, r]; each other sign change is bisected to a unit cell.
+    Two roots in one critical cell show no sign change: a caller that knows
+    the root count checks it.
     """
 
     def f(x: int) -> int:
@@ -479,55 +484,29 @@ def _integer_cubic_roots(c2: int, c1: int, c0: int) -> list[int]:
     # Fujiwara root bound for a monic cubic, with slack
     bound = 2 + 2 * max(abs(c2), math.isqrt(abs(c1)) + 1, iroot(abs(c0), 3) + 1)
     disc = c2 * c2 - 3 * c1  # discriminant of f'/1 = 3x^2 + 2 c2 x + c1
-    intervals: list[tuple[int, int]]
-    if disc <= 0:
-        intervals = [(-bound, bound)]  # f monotone increasing
-    else:
-        rt = math.isqrt(disc)
-
-        def ge_crit_lo(k: int) -> bool:
-            # k >= (-c2 - sqrt(disc)) / 3 ?
-            m = 3 * k + c2
-            return m >= 0 or m * m <= disc
-
-        def le_crit_hi(k: int) -> bool:
-            # k <= (-c2 + sqrt(disc)) / 3 ?
-            m = 3 * k + c2
-            return m <= 0 or m * m <= disc
-
-        k1 = (-c2 - rt) // 3 - 1
-        while not ge_crit_lo(k1):
-            k1 += 1
-        k2 = (-c2 + rt) // 3 + 1
-        while not le_crit_hi(k2):
-            k2 -= 1
-        if k1 <= k2:
-            intervals = [(-bound, k1 - 1), (k1, k2), (k2 + 1, bound)]
-        else:
-            intervals = [(-bound, bound)]
-    roots = set()
-    for lo, hi in intervals:
-        if lo > hi:
-            continue
-        flo, fhi = f(lo), f(hi)
+    cuts = {-bound, bound}
+    if disc > 0:  # n <= sqrt(disc) iff n <= isqrt(disc) for an integer n, so
+        rt = math.isqrt(disc)  # k1 = ceil(crit_lo) and k2 = floor(crit_hi) exactly
+        k1, k2 = -((c2 + rt) // 3), (rt - c2) // 3
+        cuts |= {k1 - 1, k1, k2, k2 + 1}
+    cuts = sorted(cuts)
+    values = [f(x) for x in cuts]
+    brackets = []
+    for lo, hi, flo, fhi in zip(cuts, cuts[1:], values, values[1:]):
         if flo == 0:
-            roots.add(lo)
-        if fhi == 0:
-            roots.add(hi)
-        if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
-            continue
-        a, b = lo, hi
-        while b - a > 1:
-            mid = (a + b) // 2
-            fm = f(mid)
-            if fm == 0:
-                roots.add(mid)
-                break
-            if (fm > 0) == (fhi > 0):
-                b, fhi = mid, fm
-            else:
-                a, flo = mid, fm
-    return sorted(r for r in roots if f(r) == 0)
+            brackets.append((lo, lo))
+        elif fhi != 0 and (flo > 0) != (fhi > 0):
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                fm = f(mid)
+                if fm == 0:
+                    lo = hi = mid
+                elif (fm > 0) == (fhi > 0):
+                    hi = mid
+                else:
+                    lo = mid
+            brackets.append((lo, hi))
+    return brackets
 
 
 def parse_curve(tokens: Iterable[str] | str) -> WeierstrassCurve:

@@ -742,3 +742,23 @@ class TestCoefficientTable:
         assert sorted(computed) == list(range(1, 10**4 + 1))
         monkeypatch.undo()
         assert grown == list(dirichlet_coefficients(WeierstrassCurve(*E389), 10**4).coeffs)
+
+    def test_loop_past_the_table_extends_it_geometrically(self, monkeypatch):
+        # one a_n at a time past n_max: each extension at least doubles the table
+        from hasseweil import analytic
+        from hasseweil.curves import WeierstrassCurve
+
+        calls = []
+        build = analytic.dirichlet_coefficients
+
+        def counting(curve, n_max, known=None):
+            calls.append(n_max)
+            return build(curve, n_max, known)
+
+        ctx = AnalyticContext(WeierstrassCurve(*E234446))
+        start = ctx._coeffs.n_max
+        monkeypatch.setattr(analytic, "dirichlet_coefficients", counting)
+        for n in range(start + 1, 50_001):
+            ctx.coefficient(n)
+        assert calls == [start * 2**k for k in range(1, len(calls) + 1)]
+        assert start * 2 ** (len(calls) - 1) < 50_000 <= calls[-1]

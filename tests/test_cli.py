@@ -34,7 +34,8 @@ BSD_JSON = {
         ["0", "0", "1", "-1", "0", "--gen", "0,0"],
         '{"L_leading": {"err": 5.763503844886345e-29, '
         '"value": 0.3059997738340523}, "N": 37, "curve": ["0", "0", "1", "-1", '
-        '"0"], "flags": [], "omega": {"err": 0.0, "value": 5.986917292463919}, '
+        '"0"], "flags": [], "omega": {"err": 9.282201027687588e-42, '
+        '"value": 5.986917292463919}, '
         '"rank_analytic": 1, "regulator": {"err": 1e-22, '
         '"value": 0.05111140823996884}, '
         '"sha_predicted": {"err": 1.0000000019565105e-12, "value": 1.0}, '
@@ -44,7 +45,7 @@ BSD_JSON = {
         ["0", "1", "1", "-2", "0", "--gen=-1,1", "--gen=0,0"],
         '{"L_leading": {"err": 2.0343554369646086e-30, '
         '"value": 0.7593165002884268}, "N": 389, "curve": ["0", "1", "1", '
-        '"-2", "0"], "flags": [], "omega": {"err": 0.0, '
+        '"-2", "0"], "flags": [], "omega": {"err": 5.392196490721896e-42, '
         '"value": 4.98042512171011}, "rank_analytic": 2, '
         '"regulator": {"err": 1e-22, "value": 0.15246017794314373}, '
         '"sha_predicted": {"err": 1.000000000655909e-12, '
@@ -55,7 +56,7 @@ BSD_JSON = {
         ["0", "0", "1", "-7", "6", "--gen=-2,3", "--gen=-1,3", "--gen=0,2"],
         '{"L_leading": {"err": 5.732569088092193e-24, '
         '"value": 1.7318499001193006}, "N": 5077, "curve": ["0", "0", "1", '
-        '"-7", "6"], "flags": [], "omega": {"err": 9.183549615799121e-41, '
+        '"-7", "6"], "flags": [], "omega": {"err": 3.486430579240145e-42, '
         '"value": 4.151687983086933}, "rank_analytic": 3, '
         '"regulator": {"err": 1e-22, "value": 0.41714355875838405}, '
         '"sha_predicted": {"err": 1.0000000002430358e-12, '
@@ -67,7 +68,7 @@ BSD_JSON = {
          "--gen=0,17", "--gen=3,7", "--gen=4,3", "--gen=5,-2"],
         '{"L_leading": {"err": 7.158027593627336e-27, '
         '"value": 8.943847395900889}, "N": 234446, "curve": ["1", "-1", "0", '
-        '"-79", "289"], "flags": [], "omega": {"err": 4.591774807899561e-41, '
+        '"-79", "289"], "flags": [], "omega": {"err": 2.1313749642380468e-42, '
         '"value": 2.9726718472633356}, "rank_analytic": 4, '
         '"regulator": {"err": 1.504344888275284e-22, '
         '"value": 1.5043448882752841}, '
@@ -345,6 +346,30 @@ class TestValues:
 
 
 class TestBsd:
+    def test_no_quadrature_at_runtime(self, monkeypatch):
+        # Omega is the AGM enclosure alone: the quadrature oracle and its
+        # polyroots never run, and every recorded report is unchanged
+        from hasseweil import bsd
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the quadrature oracle ran")
+
+        monkeypatch.setattr(mp, "quad", refuse)
+        monkeypatch.setattr(bsd, "_cubic_roots", refuse)
+        for name in BSD_JSON:
+            run_bsd(name)
+
+    @pytest.mark.parametrize("curve", [["0", "0", "1", "-1", "0"], ["0", "-1", "1", "-10", "-20"]],
+                             ids=["disc>0", "disc<0"])
+    def test_missed_root_exits_4(self, monkeypatch, capsys, curve):
+        # a real root the bisection missed is an error, never a wrong Omega
+        from hasseweil import bsd
+
+        brackets = bsd._cubic_brackets
+        monkeypatch.setattr(bsd, "_cubic_brackets", lambda *c: brackets(*c)[1:])
+        assert run_cli(["bsd", *curve]) == (4, "")
+        assert "real roots bracketed" in capsys.readouterr().err
+
     def test_report(self):
         payload = run_bsd("37a")
         assert abs(float(payload["sha_predicted"]["value"]) - 1) < 1e-4
@@ -421,7 +446,7 @@ class TestMotive:
     def test_gamma_triples(self, tmp_path):
         path = tmp_path / "h1.json"
         path.write_text(json.dumps({"weight": 1, "hodge": {"0,1": 1, "1,0": 1}}))
-        code, out = run_cli(["motive", "--json", "--file", str(path), "--gamma"])
+        code, out = run_cli(["motive", "--json", "--file", str(path)])
         assert code == 0
         assert json.loads(out)["gamma"] == [["C", 0, 1]]
 

@@ -4,18 +4,24 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hasseweil import bsd
 from hasseweil.bsd import (
     bsd_report,
     height_pairing,
     real_period,
-    real_period_agm,
     real_period_quadrature,
     regulator,
 )
 from hasseweil.curves import CurvePoint, IsomorphismData, O, WeierstrassCurve
-from hasseweil.errors import DependentGenerators, PointNotOnCurve
+from hasseweil.errors import (
+    DependentGenerators,
+    PointNotOnCurve,
+    PrecisionExhausted,
+    SingularCurve,
+)
 from hasseweil.heights import (
     _duplication_forms,
     canonical_height,
@@ -203,6 +209,32 @@ class TestCanonicalHeight:
                 )
 
 
+PERIOD_CURVES = [
+    (0, -1, 1, -10, -20),  # 11a
+    (0, 0, 0, 0, 1),  # 36a
+    (0, 0, 1, -1, 0),  # 37a
+    (0, 1, 1, -2, 0),  # 389a
+    (0, 0, 1, -7, 6),  # 5077a
+    (1, -1, 0, -79, 289),  # 234446a
+    (0, 0, 1, -79, 342),  # 19047851a
+    (1, 1, 0, -2582, 48720),  # 5187563742a
+    (0, 0, 0, -11, 15),  # integrand poles 0.08 off the axis: an unsplit quadrature is 3e-16 off
+]
+
+
+def _small_curves(sign):
+    """Nonsingular integral curves with small coefficients and sign(disc) = sign."""
+
+    def has_sign(ainvs):
+        try:
+            return WeierstrassCurve(*ainvs).discriminant * sign > 0
+        except SingularCurve:
+            return False
+
+    return st.tuples(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+                     st.integers(-40, 40), st.integers(-40, 40)).filter(has_sign)
+
+
 class TestRealPeriod:
     def test_reference_values(self, e37, e11, e36):
         omega37, _ = real_period(e37)
@@ -212,17 +244,31 @@ class TestRealPeriod:
         assert abs(omega11 - 1.26920930427955) < 1e-10  # one component
         assert abs(omega36 - 4.20654631597559) < 1e-10
 
-    def test_agm_vs_quadrature(self, reference_curves):
-        for curve in reference_curves.values():
-            agm_val = real_period_agm(curve)
-            quad_val = real_period_quadrature(curve)
-            assert abs(agm_val - quad_val) < 1e-10
+    @settings(max_examples=1, deadline=None, derandomize=True)
+    @given(st.lists(_small_curves(1), min_size=20, max_size=20, unique=True),
+           st.lists(_small_curves(-1), min_size=20, max_size=20, unique=True))
+    def test_agm_vs_quadrature(self, positive, negative):
+        # the AGM enclosure at 30 digits holds the quadrature at 70, and its
+        # midpoint and radius are (Omega, err) with err <= 10^-30 Omega
+        for ainvs in [*PERIOD_CURVES, *positive, *negative]:
+            curve = WeierstrassCurve(*ainvs)
+            lo, hi = bsd._period_enclosure(curve, 30)
+            assert lo <= real_period_quadrature(curve, 70) <= hi, ainvs
+            omega, err = real_period(curve, 30)
+            assert omega == float((lo + hi) / 2) and err >= (hi - lo) / 2, ainvs
+            assert err <= 1e-30 * omega, ainvs
+
+    def test_wide_enclosure_is_refused(self, monkeypatch, e37):
+        # an AGM stopped at its first hull [b_0, a_0] is far wider than 10^-30 Omega
+        monkeypatch.setattr(bsd, "_agm", lambda a, b: mp.iv.mpf([b.a, a.b]))
+        with pytest.raises(PrecisionExhausted, match="enclosed only to"):
+            real_period(e37)
 
     def test_scaling_law(self, e37):
         # the u-image model has period u * Omega
         import mpmath as mp
 
-        base = real_period_agm(e37)
+        base, _ = real_period(e37)
 
         def raw_period(curve):
             # real_period_* minimalize internally; integrate the raw model

@@ -161,6 +161,16 @@ def test_root_number_at_one_fixed_accuracy():
     assert "target_log10" not in {f.name for f in dataclasses.fields(AnalyticContext)}
 
 
+def test_real_period_by_the_agm_alone():
+    # quadrature and polyroots are the tests' oracle of Omega; the report's
+    # period and torsion share one exact cubic solver
+    assert _package_owners("quad") == {"bsd.real_period_quadrature"}
+    assert _package_owners("_cubic_roots") == {"bsd.real_period_quadrature"}
+    assert _package_owners("_cubic_brackets") == {
+        "curves._integer_cubic_roots", "bsd.<module>", "bsd._period_enclosure",
+    }
+
+
 def test_factorize_only_for_the_minimal_model_and_heights():
     # the discriminant is factored once per curve, with the minimal model;
     # heights factor a point's denominator, and sigma0 serves the tests
