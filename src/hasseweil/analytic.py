@@ -57,8 +57,9 @@ of the four parts is held below 2^-(prec + 2):
 - the kernel: E^j by one floored complex product per j is within
   4 j max(1, |E|)^j units of 2^-kbits, weighted by h |g(jh)| over the nodes.
 
-A large |t| or Re s asks for a smaller h or more bits.  The reported bound,
-the n_max tail plus 10^-digits, stays above this error.
+A large |t| or Re s asks for a smaller h or more bits, up to the cap of `_plan`.
+The reported bound, 10^-digits (met with 15 digits to spare) plus the closed
+form's n_max tail at Lambda(1) and Lambda^(0)(1), stays above this error.
 `incgamma_upper_deriv_at_1`, mpmath's incomplete gamma, finite differences
 and the Dirichlet series are the tests' oracles, never used here.
 """
@@ -78,6 +79,7 @@ from .localdata import conductor
 
 GUARD_DIGITS = 15
 GUARD_BITS = 24
+PLAN_WORK_LOG2 = 35  # log2 of the cap on a node table's bit operations (module docstring)
 NODE_HEADROOM = 32  # extra bits a node table is built with, so nearby requests share it
 LN2 = math.log(2)
 ROOT_SAMPLES = (1.1, 1.3, 1.7, 2.3)  # t = y sqrt(N) where the involution is measured
@@ -103,18 +105,10 @@ class AnalyticContext:
     def __post_init__(self):
         self.N = conductor(self.curve)
         self.sqrtN = math.sqrt(self.N)
-        self.n_max = tail_cutoff(self.N, self.target_log10 + 2)
+        self.n_max = tail_cutoff(self.N, self.digits - 6)  # Lambda(1)'s tail below 10^(6-digits)
         self._coeffs = dirichlet_coefficients(self.curve, self.n_max)
         self._w: int | None = None
         self._nodes: tuple | None = None  # (m, bits, [g(j 2^-m) 2^bits]) of `_node_table`
-
-    # coefficient access, extending on demand -------------------------------
-
-    def coefficient(self, n: int) -> int:
-        if n > self._coeffs.n_max:  # doubled, so a loop over n extends O(log n) times
-            self._coeffs = dirichlet_coefficients(
-                self.curve, max(n, 2 * self._coeffs.n_max), self._coeffs)
-        return self._coeffs[n]
 
     def coefficients(self, n: int) -> list[int]:
         if n > self._coeffs.n_max:  # exactly to n: callers ask for the count they read
@@ -122,18 +116,8 @@ class AnalyticContext:
         return list(self._coeffs.coeffs[: n + 1])
 
     @property
-    def target_log10(self) -> int:
-        """The n_max tail is held below 10^-(target_log10 + 2)."""
-        return self.digits - 8
-
-    @property
     def dps(self) -> int:
         return self.digits + GUARD_DIGITS
-
-    @property
-    def sqrtN_mp(self):
-        """sqrt(N) at the ambient mpmath precision."""
-        return mp.sqrt(mp.mpf(self.N))
 
     @property
     def w(self) -> int:
@@ -146,10 +130,10 @@ class AnalyticContext:
 
 
 def tail_bound_after(N: int, M: int) -> float:
-    """Bound on the Lambda-series tail beyond n = M.
+    """Bound on the tail beyond n = M of the closed form of Lambda(1).
 
-    Each term is at most |a_n| (A_n^s Gamma(s,x_n) + ...) <= 8 n e^{-x_n}/x_n
-    for x_n >= 2(|s|+2) and |a_n| <= 2n; sum the geometric tail.
+    Each term is |a_n| 2 e^{-x_n}/x_n <= 8 n e^{-x_n}/x_n with |a_n| <= 2n; sum
+    the geometric tail.
     """
     c = 2 * math.pi / math.sqrt(N)
     if c * (M + 1) > 700:
@@ -157,10 +141,10 @@ def tail_bound_after(N: int, M: int) -> float:
     return (8 / c) * math.exp(-c * (M + 1)) / (1 - math.exp(-c))
 
 
-def tail_cutoff(N: int, target_log10: int, s_max: float = 4.0) -> int:
+def tail_cutoff(N: int, target_log10: int) -> int:
     """Smallest n_max whose tail bound meets 10^{-target_log10}."""
     target = 10.0 ** (-target_log10)
-    M = max(8, int(math.sqrt(N) * (s_max + 2) / math.pi) + 1)
+    M = max(8, int(math.sqrt(N) * 6 / math.pi) + 1)
     while tail_bound_after(N, M) > target:
         M = int(M * 1.25) + 4
     return M
@@ -274,6 +258,14 @@ def _q_terms(x: float, bits: int) -> int:
     return n - 1
 
 
+def _check_work(bits, units: float) -> None:
+    """PrecisionExhausted past the cap of `_plan` on bits^2 units, units = ln2/(x_1 h) + count."""
+    work = 2 * math.log2(bits) + math.log2(units)
+    if work > PLAN_WORK_LOG2:
+        raise PrecisionExhausted(f"a node table needs 2^{work:.2f} bit operations or more,"
+                                 f" past the cap 2^{PLAN_WORK_LOG2}")
+
+
 class _Plan(NamedTuple):
     m: int  # step h = 2^-m
     count: int  # nodes j < count
@@ -289,17 +281,26 @@ def _plan(ctx: AnalyticContext, prec: int, sigma: float, t: float = 0.0, k: int 
     2 - sigma) (1 for Lambda^(k)), increasing in u; its rounding error at
     node j is at most 4j times that many units.  The sums over the nodes are
     bounded by the count times their largest term.
+
+    A node table costs bits^2 (ln2/(x_1 h) + count) bit operations (the q-series
+    terms of all nodes, and one per node); past 2^PLAN_WORK_LOG2 it raises
+    PrecisionExhausted, first on lower bounds: bits >= prec, a log2(a/(2 x_1)) (the
+    nodes pass x_1 e^u = a e^-h) and 1/h >= max(2, |t|/(2 pi)), then the count.
     """
     x_1 = 2 * math.pi / ctx.sqrtN
-    share = -(prec + 2) * LN2
     exponents = (1.0,) if k else (sigma, 2 - sigma)
+    a = max(exponents)
+    floor = max(prec, a * math.log2(a / (2 * x_1)))  # bits no plan for this s goes below
+    _check_work(floor, max(2, abs(t) / (2 * math.pi)) * LN2 / x_1)
+    share = -(prec + 2) * LN2
     strips = _log_discretization(x_1, t, k, exponents)
     m = 1  # 2M/(e^x - 1) <= 4M e^-x for x = 2 pi d/h >= ln 2
     while min(2 * LN2 + side - 2 * math.pi * d * 2**m for d, side in strips) > share:
         m += 1
     h = 2.0**-m
-    log_h, a, j, worst = math.log(h), max(exponents), 0, -math.inf
-    while True:
+    per_bit = LN2 / (x_1 * h)  # sum_j terms_j / bits
+    log_h, worst = math.log(h), -math.inf
+    for j in range(max(0, int(2.0**PLAN_WORK_LOG2 / floor**2 - per_bit)) + 2):
         u, c = j * h, x_1 * math.exp(j * h)
         log_kernel = LN2 + a * u + (k * math.log(u) if j else 0.0)
         log_bump = _log_bump(c)
@@ -308,7 +309,8 @@ def _plan(ctx: AnalyticContext, prec: int, sigma: float, t: float = 0.0, k: int 
             break
         if j:
             worst = max(worst, log_bump + math.log(4 * j) + log_kernel)
-        j += 1
+    else:  # past the nodes the cap leaves, by at least one
+        _check_work(floor, per_bit + j + 1)
     count = j
     log2_weights = math.log2(count) + (log_h + log_kernel) / LN2  # h sum_j |K_j|
     bits = prec + 2 + math.ceil(log2_weights)
@@ -317,6 +319,7 @@ def _plan(ctx: AnalyticContext, prec: int, sigma: float, t: float = 0.0, k: int 
         if need <= bits:
             break
         bits = need
+    _check_work(bits, per_bit + count)
     kbits = prec + 3 + max(0, math.ceil(math.log2(count) + (log_h + worst) / LN2))
     return _Plan(m, count, bits, kbits)
 
@@ -442,26 +445,35 @@ def _lambda_series(ctx: AnalyticContext, s, w: int):
     return _fixed_value(re, im, exponent)
 
 
+def _bound(ctx: AnalyticContext, at_1: bool, scale=1):
+    """10^-digits min(1, scale), plus the closed form's n_max tail times scale at s = 1."""
+    return mp.mpf(10) ** -ctx.digits * min(1, scale) + (ctx.tail_bound() * scale if at_1 else 0)
+
+
 def lambda_value(ctx: AnalyticContext, s) -> ValueWithBound:
     """Completed Lambda(E, s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(E, s); PrecisionExhausted
-    where the tail bound needs more n: x_{n_max} < 2(max(|s|, |2 - s|) + 2)."""
+    past the cap of `_plan`."""
     with mp.workdps(ctx.dps):
         s = mp.mpmathify(s)
-        reach = max(abs(complex(s)), abs(2 - complex(s)))
-        if 2 * math.pi * ctx.n_max / ctx.sqrtN < 2 * (reach + 2):
-            raise PrecisionExhausted(f"max(|s|, |2 - s|) = {reach:.4g} needs a larger n_max")
-        value = _lambda_series(ctx, s, ctx.w)
-        return ValueWithBound(value, mp.mpf(ctx.tail_bound()) + mp.mpf(10) ** (-ctx.digits))
+        return ValueWithBound(_lambda_series(ctx, s, ctx.w), _bound(ctx, s == 1))
 
 
 def l_value(ctx: AnalyticContext, s) -> ValueWithBound:
-    """L(E, s) stripped of the archimedean and conductor factors."""
+    """L(E, s) = Lambda(s) F, F = (2 pi)^s/(Gamma(s) N^{s/2}) (0 at the trivial zeros):
+    Lambda is taken log2|F| bits finer, and F and the product log2|Lambda| bits
+    finer again, so each rounding costs at most 2^-prec min(1, |F|)."""
     with mp.workdps(ctx.dps):
         s = mp.mpmathify(s)
-        lam, bound = lambda_value(ctx, s)
-        # 1/Gamma(s) is 0 at s = 0, -1, -2, ...: the trivial zeros of L
-        factor = (2 * mp.pi) ** s * mp.rgamma(s) / ctx.sqrtN_mp**s
-        return ValueWithBound(lam * factor, bound * abs(factor))
+
+        def factor():
+            return (2 * mp.pi) ** s * mp.rgamma(s) / mp.sqrt(ctx.N) ** s
+
+        scale = factor()  # bits past 2^PLAN_WORK_LOG2 are refused by the plan
+        with mp.workprec(mp.mp.prec + min(max(0, mp.mag(scale)), 2**PLAN_WORK_LOG2)):
+            lam = _lambda_series(ctx, s, ctx.w)
+            with mp.workprec(mp.mp.prec + max(0, mp.mag(lam))):
+                value = lam * factor()
+        return ValueWithBound(value, _bound(ctx, s == 1, abs(scale)))
 
 
 def lambda_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
@@ -481,9 +493,7 @@ def lambda_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
             powers = _powers(1, plan.m, plan.kbits, plan.count)
             dot = sum(g * j**k * power[0] for j, (g, power) in enumerate(zip(nodes, powers)))
             total = _fixed_value(parity * dot, None, -(width + plan.kbits + plan.m * (k + 1)))
-        bound = (mp.mpf(ctx.tail_bound()) * (1 + mp.log(ctx.n_max)) ** k
-                 + mp.mpf(10) ** (-ctx.digits))
-        return ValueWithBound(total, bound)
+        return ValueWithBound(total, _bound(ctx, k == 0))
 
 
 def l_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
@@ -499,7 +509,7 @@ def l_from_lambda(ctx: AnalyticContext, lam: ValueWithBound) -> ValueWithBound:
     """Lambda^(k)(1) (with its bound) times 2 pi/sqrt(N): L^(k)(1) where every
     lower derivative vanishes."""
     with mp.workdps(ctx.dps):
-        factor = (2 * mp.pi) / ctx.sqrtN_mp
+        factor = 2 * mp.pi / mp.sqrt(ctx.N)
         return ValueWithBound(lam.value * factor, lam.bound * factor)
 
 

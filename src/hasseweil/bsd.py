@@ -107,13 +107,14 @@ def _period_enclosure(curve: WeierstrassCurve, digits: int = 30):
 
 
 def real_period(curve: WeierstrassCurve, digits: int = 30) -> tuple[float, float]:
-    """(Omega, err), the midpoint and radius of its AGM enclosure; err <= 10^-digits Omega."""
+    """(Omega, err): the double nearest the midpoint of its AGM enclosure (radius at most
+    10^-digits Omega), and the radius plus the double's distance to it, rounded up."""
     lo, hi = _period_enclosure(curve, digits)
-    value = float(mp.ldexp(mp.fadd(lo, hi, exact=True), -1))
-    err = float(mp.fsub(hi, lo, prec=53, rounding="u")) / 2
-    if not err <= value * mp.mpf(10) ** -digits:
-        raise PrecisionExhausted(f"real period enclosed only to {err} at {digits} digits")
-    return value, err
+    mid = mp.ldexp(mp.fadd(lo, hi, exact=True), -1)
+    value, radius = float(mid), mp.fsub(mid, lo, exact=True)
+    if not radius <= value * mp.mpf(10) ** -digits:
+        raise PrecisionExhausted(f"real period enclosed only to {float(radius)} at {digits} digits")
+    return value, float(mp.fadd(radius, abs(mp.fsub(value, mid, exact=True)), prec=53, rounding="u"))
 
 
 def height_pairing(

@@ -81,13 +81,15 @@ def _decimal_exponent(r: Fraction) -> int:
     return e if r >= Fraction(10) ** e else e - 1
 
 
-def _fmt_rounded(x, err: Fraction, digits: int) -> str:
+def _fmt_rounded(x, err: Fraction, digits: int | None = None) -> str:
     """A real x rounded once, to the decimal place of err's leading digit and to
-    at most `digits` significant digits."""
+    at most `digits` significant digits, if given."""
     r = _fraction(x)
     if not r:
         return _fmt(0)
-    place = max(_decimal_exponent(abs(r)) - digits + 1, _decimal_exponent(err))
+    place = _decimal_exponent(err)
+    if digits:
+        place = max(place, _decimal_exponent(abs(r)) - digits + 1)
     q = round(r / Fraction(10) ** place)
     if not q:
         return _fmt(0)
@@ -96,20 +98,19 @@ def _fmt_rounded(x, err: Fraction, digits: int) -> str:
         return _fmt(q * mp.mpf(10) ** place, kept)
 
 
-def _fmt_bounded(value, err, digits: int) -> str:
-    """A value with error bound err, printed with only the digits err supports.
+def _fmt_bounded(value, err) -> str:
+    """A value with error bound err, printed to the decimal place of err.
 
-    Each part is rounded to the decimal place of err and keeps at most
-    `digits` significant digits; a part that rounds to 0 prints as 0.0, and
-    an imaginary part that does is left out.  err = 0 keeps `digits`.
+    A part that rounds to 0 prints as 0.0, and an imaginary part that does is
+    left out.  err = 0 marks an exact value, printed as `_fmt_complex` does.
     """
     if not err:
-        return _fmt_complex(value, digits)
+        return _fmt_complex(value)
     err = _fraction(err)
     v = mp.mpmathify(value)
     if not isinstance(v, mp.mpc):
-        return _fmt_rounded(v, err, digits)
-    re, im = (_fmt_rounded(part, err, digits) for part in (v.real, v.imag))
+        return _fmt_rounded(v, err)
+    re, im = (_fmt_rounded(part, err) for part in (v.real, v.imag))
     if im == _fmt(0):
         return re
     return f"{re}{im if im.startswith('-') else '+' + im}i"
@@ -170,13 +171,6 @@ def _curve_from_args(args) -> WeierstrassCurve:
                    else args.coefficients[0])
 
 
-def _context(args, curve) -> analytic.AnalyticContext:
-    ctx = analytic.AnalyticContext(curve, digits=args.prec)
-    if args.nmax:
-        ctx.n_max = max(ctx.n_max, args.nmax)
-    return ctx
-
-
 def cmd_analyze(args) -> int:
     curve = _curve_from_args(args)
     minimal, iso = curve.minimal_model()
@@ -222,10 +216,10 @@ def cmd_value(args) -> int:
     The value is printed with only the digits its bound supports.
     """
     curve = _curve_from_args(args)
-    ctx = _context(args, curve)
+    ctx = analytic.AnalyticContext(curve, digits=args.prec)
     s = _parsed(_parse_complex, args.s)
     value = getattr(analytic, args.evaluate)(ctx, s)
-    shown = _fmt_bounded(value.value, value.bound, args.prec)
+    shown = _fmt_bounded(value.value, value.bound)
     payload = {
         "s": _fmt_complex(s),
         args.key: {"value": shown, "err": _fmt(value.bound, 3)},
@@ -240,7 +234,7 @@ def cmd_value(args) -> int:
 
 def cmd_rank(args) -> int:
     curve = _curve_from_args(args)
-    ctx = _context(args, curve)
+    ctx = analytic.AnalyticContext(curve, digits=args.prec)
     estimate = analytic.analytic_rank(ctx)
     payload = {
         "rank_analytic": estimate.rank,
@@ -398,29 +392,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--prec", type=_positive_int, default=30,
                            help="working precision digits")
 
-    def add_nmax(p):
-        p.add_argument("--nmax", type=_positive_int, default=None,
-                       help="least Dirichlet truncation")
-
     p = sub.add_parser("analyze", help="invariants, minimal model, local data")
     add_common(p, prec=False)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("lvalue", help="L(E, s)")
     add_common(p)
-    add_nmax(p)
     p.add_argument("--s", default="1", help="complex evaluation point a+bi")
     p.set_defaults(func=cmd_value, evaluate="l_value", key="L")
 
     p = sub.add_parser("lambda", help="completed Lambda(E, s)")
     add_common(p)
-    add_nmax(p)
     p.add_argument("--s", default="1", help="complex evaluation point a+bi")
     p.set_defaults(func=cmd_value, evaluate="lambda_value", key="Lambda")
 
     p = sub.add_parser("rank", help="analytic rank")
     add_common(p)
-    add_nmax(p)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("bsd", help="BSD consistency report")

@@ -32,47 +32,47 @@ def run_cli(args):
 BSD_JSON = {
     "37a": (
         ["0", "0", "1", "-1", "0", "--gen", "0,0"],
-        '{"L_leading": {"err": 5.763503844886345e-29, '
+        '{"L_leading": {"err": 1.0329493015522244e-30, '
         '"value": 0.3059997738340523}, "N": 37, "curve": ["0", "0", "1", "-1", '
-        '"0"], "flags": [], "omega": {"err": 9.282201027687588e-42, '
+        '"0"], "flags": [], "omega": {"err": 3.54820552642082e-16, '
         '"value": 5.986917292463919}, '
         '"rank_analytic": 1, "regulator": {"err": 1e-22, '
         '"value": 0.05111140823996884}, '
-        '"sha_predicted": {"err": 1.0000000019565105e-12, "value": 1.0}, '
+        '"sha_predicted": {"err": 1.0000592679418763e-12, "value": 1.0}, '
         '"tamagawa": {"37": 1}, "torsion": 1, "w": -1}\n',
     ),
     "389a": (
         ["0", "1", "1", "-2", "0", "--gen=-1,1", "--gen=0,0"],
-        '{"L_leading": {"err": 2.0343554369646086e-30, '
+        '{"L_leading": {"err": 1.5928507048337252e-31, '
         '"value": 0.7593165002884268}, "N": 389, "curve": ["0", "1", "1", '
-        '"-2", "0"], "flags": [], "omega": {"err": 5.392196490721896e-42, '
+        '"-2", "0"], "flags": [], "omega": {"err": 2.803216673639636e-16, '
         '"value": 4.98042512171011}, "rank_analytic": 2, '
         '"regulator": {"err": 1e-22, "value": 0.15246017794314373}, '
-        '"sha_predicted": {"err": 1.000000000655909e-12, '
+        '"sha_predicted": {"err": 1.0000562853425598e-12, '
         '"value": 1.0000000000000002}, "tamagawa": {"389": 1}, "torsion": 1, '
         '"w": 1}\n',
     ),
     "5077a": (
         ["0", "0", "1", "-7", "6", "--gen=-2,3", "--gen=-1,3", "--gen=0,2"],
-        '{"L_leading": {"err": 5.732569088092193e-24, '
+        '{"L_leading": {"err": 1.46968762130574e-32, '
         '"value": 1.7318499001193006}, "N": 5077, "curve": ["0", "0", "1", '
-        '"-7", "6"], "flags": [], "omega": {"err": 3.486430579240145e-42, '
+        '"-7", "6"], "flags": [], "omega": {"err": 3.9590866637266763e-16, '
         '"value": 4.151687983086933}, "rank_analytic": 3, '
         '"regulator": {"err": 1e-22, "value": 0.41714355875838405}, '
-        '"sha_predicted": {"err": 1.0000000002430358e-12, '
+        '"sha_predicted": {"err": 1.000095361131003e-12, '
         '"value": 0.9999999999999999}, "tamagawa": {"5077": 1}, "torsion": 1, '
         '"w": -1}\n',
     ),
     "234446a": (
         ["1", "-1", "0", "-79", "289",
          "--gen=0,17", "--gen=3,7", "--gen=4,3", "--gen=5,-2"],
-        '{"L_leading": {"err": 7.158027593627336e-27, '
+        '{"L_leading": {"err": 5.40688600031204e-34, '
         '"value": 8.943847395900889}, "N": 234446, "curve": ["1", "-1", "0", '
-        '"-79", "289"], "flags": [], "omega": {"err": 2.1313749642380468e-42, '
+        '"-79", "289"], "flags": [], "omega": {"err": 1.7888551509866324e-17, '
         '"value": 2.9726718472633356}, "rank_analytic": 4, '
         '"regulator": {"err": 1.504344888275284e-22, '
         '"value": 1.5043448882752841}, '
-        '"sha_predicted": {"err": 1.0000000001000008e-12, '
+        '"sha_predicted": {"err": 1.0000060177677511e-12, '
         '"value": 0.9999999999999998}, "tamagawa": {"117223": 1, "2": 2}, '
         '"torsion": 1, "w": 1}\n',
     ),
@@ -205,18 +205,21 @@ class TestValues:
 
     def test_bounded_format(self):
         fmt = cli._fmt_bounded
-        with mp.workdps(40):
-            assert fmt(mp.mpf("0.12345678901234567890123456"), mp.mpf("1e-24"), 30) == (
+        with mp.workdps(60):
+            assert fmt(mp.mpf("0.12345678901234567890123456"), mp.mpf("1e-24")) == (
                 "0.123456789012345678901235")
-            assert fmt(mp.mpf("0.123456789"), mp.mpf("3e-5"), 30) == "0.12346"
-            assert fmt(mp.mpf("-1.23456789"), mp.mpf("1e-20"), 4) == "-1.235"
-            assert fmt(mp.mpf("4e-7"), mp.mpf("1e-6"), 30) == "0.0"
-            assert fmt(mp.mpc("1.5", "1e-9"), mp.mpf("1e-6"), 30) == "1.5"
-            assert fmt(mp.mpc("1e-9", "0.25"), mp.mpf("1e-6"), 30) == "0.0+0.25i"
-            assert fmt(mp.mpc("0.5", "-0.2500001"), mp.mpf("1e-3"), 30) == "0.5-0.25i"
-            # err 0 keeps every digit asked for
-            assert fmt(mp.mpf("0.123456789"), mp.mpf(0), 4) == "0.1235"
-            assert fmt(mp.mpf(0), mp.mpf(0), 30) == "0.0"
+            assert fmt(mp.mpf("0.123456789"), mp.mpf("3e-5")) == "0.12346"
+            # to err's decimal place, however many significant digits that takes
+            assert fmt(mp.mpf("-1.23456789"), mp.mpf("1e-20")) == "-1.23456789"
+            assert fmt(mp.mpf("866643905517223976688655284655437030002477.575052634969"),
+                       mp.mpf("1e-6")) == "866643905517223976688655284655437030002477.575053"
+            assert fmt(mp.mpf("4e-7"), mp.mpf("1e-6")) == "0.0"
+            assert fmt(mp.mpc("1.5", "1e-9"), mp.mpf("1e-6")) == "1.5"
+            assert fmt(mp.mpc("1e-9", "0.25"), mp.mpf("1e-6")) == "0.0+0.25i"
+            assert fmt(mp.mpc("0.5", "-0.2500001"), mp.mpf("1e-3")) == "0.5-0.25i"
+            # err 0 marks an exact value
+            assert fmt(mp.mpf("0.125"), mp.mpf(0)) == "0.125"
+            assert fmt(mp.mpf(0), mp.mpf(0)) == "0.0"
 
     def test_lambda_functional_equation(self):
         _, out_a = run_cli(["lambda", "--json", "0", "0", "1", "-1", "0", "--s", "1.3"])
@@ -256,20 +259,43 @@ class TestValues:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err.startswith("parse error: ")
 
-    def test_s_past_the_tail_bound_is_precision_exhausted(self, capsys):
-        # the tail bound needs x_{n_max} >= 2(max(|s|, |2 - s|) + 2); past it the
-        # reported err does not hold, and the largest s used to run for minutes
-        e11, e37 = ["0", "-1", "1", "-10", "-20"], ["0", "0", "1", "-1", "0"]
-        for curve, s in ((e11, "45"), (e11, "3+60i"), (e37, "200"), (e37, "1+1e5i"),
-                         (e37, "1e5+0.5i"), (e37, "1e300+1i"), (e37, "-1e5")):
+    @pytest.mark.parametrize("argv", [
+        ["lambda", "0", "-1", "1", "-10", "-20", "--s", "45"],
+        ["lvalue", "0", "-1", "1", "-10", "-20", "--s", "3+60i"],
+        ["lambda", "0", "0", "1", "-1", "0", "--s", "200"],
+        ["lambda", "0", "1", "1", "-2", "0", "--s", "-30+20i"],
+    ], ids=["11a-45", "11a-L-3+60i", "37a-200", "389a--30+20i"])
+    def test_past_the_former_guard_within_err_of_prec_70(self, argv):
+        # s that the n_max guard refused: every printed digit within err of a
+        # --prec 70 run, Lambda(200) on 37a (6.0e369) to its 30th decimal
+        code, out = run_cli([*argv, "--json"])
+        code_70, out_70 = run_cli([*argv, "--json", "--prec", "70"])
+        assert (code, code_70) == (0, 0)
+        key = "L" if argv[0] == "lvalue" else "Lambda"
+        shown, exact = json.loads(out)[key], json.loads(out_70)[key]
+        assert shown["err"] == "1.0e-30"
+        with mp.workdps(500):
+            value, value_70 = (mp.mpmathify(v["value"].replace("i", "j")) for v in (shown, exact))
+            assert abs(value - value_70) <= mp.mpf(shown["err"]), argv
+
+    def test_s_past_the_cap_is_precision_exhausted_at_once(self, capsys):
+        # the plan's cap refuses these before any node or a_n is computed
+        for s in ("1e300", "1e300+1i", "1e307", "1.7e308", "-1e5", "1e5+0.5i"):
             started = time.perf_counter()
-            code, out = run_cli(["lvalue", *curve, f"--s={s}"])
+            code, out = run_cli(["lvalue", "0", "0", "1", "-1", "0", f"--s={s}"])
+            assert time.perf_counter() - started < 1, s
             assert (code, out) == (4, ""), s
-            assert "needs a larger n_max" in capsys.readouterr().err
-            assert time.perf_counter() - started < 5, s
-        # --nmax widens the domain: x_50 = 2 pi 50/sqrt(11) = 94.7 >= 2 (45 + 2)
-        code, _ = run_cli(["lvalue", *e11, "--s", "45", "--nmax", "50"])
-        assert code == 0
+            err = capsys.readouterr().err
+            assert err.startswith("precision exhausted: a node table") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["lvalue", "lambda"])
+    @pytest.mark.parametrize("s", ["nan", "inf", "1e300", "1e307", "1.7e308", "-1e5",
+                                   "1e5+0.5i", "1+1e308i"])
+    def test_extreme_s_exits_with_a_documented_code(self, command, s, capsys):
+        code, out = run_cli([command, "0", "0", "1", "-1", "0", f"--s={s}"])
+        assert code in {0, 2, 4}
+        err = capsys.readouterr().err
+        assert err.count("\n") == (code != 0) and "Traceback" not in err
 
     def test_negative_complex_s_space_separated(self):
         # argparse reads '-1.5+0.25i' as an option unless it follows '='
@@ -325,8 +351,6 @@ class TestValues:
             ["zetacheck", *e37, "--pmax", "-3"],
             ["zetacheck", *e37, "--pmax", "1"],
             ["zetacheck", *e37, "--kmax", "0"],
-            ["lvalue", *e37, "--nmax", "-5"],
-            ["rank", *e37, "--nmax", "0"],
         ):
             code, out = run_cli(argv)
             assert (code, out) == (2, ""), argv
@@ -338,6 +362,9 @@ class TestValues:
             ["analyze", *e37, "--pmax", "5"],
             ["analyze", *e37, "--prec", "20"],
             ["bsd", *e37, "--nmax", "100"],
+            ["lvalue", *e37, "--nmax", "100"],
+            ["lambda", *e37, "--nmax", "100"],
+            ["rank", *e37, "--nmax", "100"],
             ["lvalue", *e37, "--kmax", "2"],
             ["zetacheck", *e37, "--nmax", "100"],
             ["zetacheck", *e37, "--prec", "20"],
@@ -369,6 +396,17 @@ class TestBsd:
         monkeypatch.setattr(bsd, "_cubic_brackets", lambda *c: brackets(*c)[1:])
         assert run_cli(["bsd", *curve]) == (4, "")
         assert "real roots bracketed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(BSD_JSON))
+    def test_omega_err_covers_the_printed_double(self, name):
+        # the recorded Omega within its err of the quadrature at 70 digits
+        from hasseweil.bsd import real_period_quadrature
+
+        omega = json.loads(BSD_JSON[name][1])["omega"]
+        ainvs = BSD_JSON[name][0][:5]
+        exact = real_period_quadrature(WeierstrassCurve(*map(int, ainvs)), 70)
+        with mp.workdps(70):
+            assert abs(mp.mpf(omega["value"]) - exact) <= omega["err"]
 
     def test_report(self):
         payload = run_bsd("37a")
@@ -577,10 +615,11 @@ class TestParser:
         for argv in (["--gen", "0,0", "--gen=1,0", "--prec", "20"], [], ["--gen", "0,0"]):
             assert run_cli(["bsd", *self.E37, *argv])[0] == 4
         assert reports == [(2, 20), (0, 30), (1, 30)]
-        default = analytic.AnalyticContext(WeierstrassCurve(*map(int, self.E37))).n_max
-        for argv in (["--nmax", "5000", "--prec", "12"], []):
+        curve = WeierstrassCurve(*map(int, self.E37))
+        n_max = {d: analytic.AnalyticContext(curve, digits=d).n_max for d in (12, 30)}
+        for argv in (["--prec", "12"], []):
             assert run_cli(["lvalue", *self.E37, *argv])[0] == 0
-        assert contexts == [(5000, 12), (default, 30)]
+        assert contexts == [(n_max[12], 12), (n_max[30], 30)]
 
 
 PACKAGE_ERRORS = [cls for cls in vars(errors).values()

@@ -248,15 +248,20 @@ class TestRealPeriod:
     @given(st.lists(_small_curves(1), min_size=20, max_size=20, unique=True),
            st.lists(_small_curves(-1), min_size=20, max_size=20, unique=True))
     def test_agm_vs_quadrature(self, positive, negative):
-        # the AGM enclosure at 30 digits holds the quadrature at 70, and its
-        # midpoint and radius are (Omega, err) with err <= 10^-30 Omega
+        # the AGM enclosure at 30 digits holds the quadrature at 70, its radius is
+        # at most 10^-30 Omega, and (Omega, err) are the double nearest its midpoint
+        # and the radius plus that double's distance, which holds the quadrature too
         for ainvs in [*PERIOD_CURVES, *positive, *negative]:
             curve = WeierstrassCurve(*ainvs)
             lo, hi = bsd._period_enclosure(curve, 30)
-            assert lo <= real_period_quadrature(curve, 70) <= hi, ainvs
+            exact = real_period_quadrature(curve, 70)
+            assert lo <= exact <= hi, ainvs
             omega, err = real_period(curve, 30)
-            assert omega == float((lo + hi) / 2) and err >= (hi - lo) / 2, ainvs
-            assert err <= 1e-30 * omega, ainvs
+            mid = mp.fadd(lo, hi, exact=True) / 2
+            assert omega == float(mid) and (hi - lo) / 2 <= 1e-30 * omega, ainvs
+            with mp.workdps(70):
+                assert err >= (hi - lo) / 2 + abs(omega - mid), ainvs
+                assert abs(omega - exact) <= err, ainvs
 
     def test_wide_enclosure_is_refused(self, monkeypatch, e37):
         # an AGM stopped at its first hull [b_0, a_0] is far wider than 10^-30 Omega

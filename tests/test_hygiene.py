@@ -179,3 +179,13 @@ def test_factorize_only_for_the_minimal_model_and_heights():
         "heights.<module>", "heights.canonical_height_breakdown",
         "numtheory.sigma0",
     }
+
+
+def test_n_max_only_for_the_closed_form_at_1():
+    # off s = 1 the trapezoid's own budget bounds Lambda: only the context (its
+    # cutoff, table and tail) and the closed form read n_max, and the CLI has no --nmax
+    assert set(_owners(_parse(PACKAGE / "analytic.py"), "n_max")) == {
+        "__post_init__", "coefficients", "tail_bound", "_lambda_at_1",
+    }
+    cli = (PACKAGE / "cli.py").read_text()
+    assert "nmax" not in cli and "n_max" not in cli
