@@ -141,7 +141,8 @@ def regulator(
         for j in range(i + 1, r):
             hs = canonical_height(curve, curve.add(generators[i], generators[j]), digits)
             gram[i][j] = gram[j][i] = (hs - gram[i][i] - gram[j][j]) / 2
-    value = _float_det(gram)
+    with mp.workprec(53):  # the entries are doubles
+        value = float(mp.det(gram))
     scale = 1.0
     for i in range(r):
         scale *= max(gram[i][i], 1e-12)
@@ -150,26 +151,6 @@ def regulator(
             "height Gram matrix is numerically singular; generators dependent"
         )
     return abs(value)
-
-
-def _float_det(m: list[list[float]]) -> float:
-    n = len(m)
-    a = [row[:] for row in m]
-    sign = 1.0
-    for c in range(n):
-        pivot = max(range(c, n), key=lambda i: abs(a[i][c]))
-        if a[pivot][c] == 0:
-            return 0.0
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            f = a[i][c] / a[c][c]
-            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    out = sign
-    for i in range(n):
-        out *= a[i][i]
-    return out
 
 
 @dataclass
@@ -215,7 +196,6 @@ def bsd_report(
     curve: WeierstrassCurve,
     generators: list[CurvePoint] | None = None,
     digits: int = 30,
-    rank_tol: float = 1e-10,
 ) -> BsdReport:
     """Assemble the full numerical BSD consistency report.
 
@@ -228,15 +208,18 @@ def bsd_report(
     generators = list(generators or [])
     ctx = AnalyticContext(curve, digits=digits)
     flags: list[str] = []
-    rank = analytic_rank(ctx, rank_tol)
+    rank = analytic_rank(ctx)
     r = rank.rank
     if len(generators) != r:
         flags.append("generator-count-mismatch")
 
     with mp.workdps(ctx.dps):
         lead, lead_bound = l_from_lambda(ctx, rank.leading)
-        lead_val = float(lead / mp.factorial(r))
-        lead_err = float(lead_bound / mp.factorial(r))
+        fact = math.factorial(r)
+        lead_val = float(lead / fact)
+        # (bound + |lead_val r! - L*|) / r!, the distance exact and the sum rounded up, as for Omega
+        miss = abs(mp.fsub(mp.fmul(lead_val, fact, exact=True), lead, exact=True))
+        lead_err = float(mp.fdiv(mp.fadd(lead_bound, miss, rounding="u"), fact, prec=53, rounding="u"))
 
     omega, omega_err = real_period(curve, digits)
     try:

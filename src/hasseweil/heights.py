@@ -12,9 +12,10 @@ Two evaluators:
 
 * `canonical_height`, the same limit split into local heights on the
   minimal model: hhat(P) = lambda_oo(P) + sum_p lambda_p(P).  The
-  archimedean part is the x-only duplication series in floating point
-  with both coordinates renormalized each step; each finite part is a
-  closed form in a few p-adic valuations, nonzero only at the bad primes
+  archimedean part is the same x-only doubling walked in integer fixed
+  point, the pair cut to a fixed bit length each step with the cut kept
+  as an exact power of 2, and one logarithm at the end; each finite part
+  is a closed form in a few p-adic valuations, nonzero only at the bad primes
   and the primes of x's denominator (Silverman, "Computing heights on
   elliptic curves", Math. Comp. 51 (1988); Cremona, "Algorithms for
   Modular Elliptic Curves", 3.4).  It exposes the per-place breakdown.
@@ -52,7 +53,8 @@ def _duplication_forms(curve: WeierstrassCurve):
 
 
 def _eval_form(coeffs, a, b):
-    """sum_i coeffs[i] a^(4-i) b^i by homogeneous Horner, b^i carried along."""
+    """sum_i coeffs[i] a^(4-i) b^i by homogeneous Horner, b^i carried along: exact
+    on the integer pairs both evaluators pass."""
     total, power = 0, 1
     for c in coeffs:
         total = total * a + c * power
@@ -127,12 +129,15 @@ def canonical_height_breakdown(
 ) -> HeightBreakdown:
     """hhat(P) = lambda_oo(P) + sum_p lambda_p(P) on the minimal model.
 
-    lambda_oo = log max(|x|, 1) + sum_k 4^{-(k+1)} log max(|F|, |G|)(a_k, b_k)
-    over the duplication forms (F, G), with (a_k, b_k) renormalized to
-    max-norm 1 each step, so it needs only floating point.  lambda_p is
-    `_local_height` times log p, at the bad primes and the primes of x's
-    denominator, summed in sorted order.  The point at infinity and
-    2-power torsion short-circuit to 0.
+    lambda_oo = lim 4^-K log max(|a_K|, |b_K|) - log den(x), where (a_0, b_0)
+    = (num x, den x) and (a_{k+1}, b_{k+1}) = (F, G)(a_k, b_k) over the integer
+    duplication forms.  The walk scales each pair to `bits` bits by a power of
+    2 kept in an exact base-2 exponent e, which the degree-4 forms multiply by 4,
+    so after K steps lambda_oo = (e log 2 + log max(|a|, |b|)) / 4^K - log den,
+    one logarithm; the tail left out is at most 4^-K sup|log max(|F|, |G|)| / 3
+    over pairs of max-norm 1.  lambda_p is `_local_height` times log p, at the
+    bad primes and the primes of x's denominator, summed in sorted order.  The
+    point at infinity and 2-power torsion short-circuit to 0.
     """
     curve._require_on_curve(P)
     minimal, iso = curve.minimal_model()
@@ -149,33 +154,27 @@ def canonical_height_breakdown(
 
     F, G = _duplication_forms(minimal)
     iterations = max(12, int(digits * math.log2(10) / 2) + 8)
+    bits = math.ceil((digits + GUARD_DIGITS) * math.log2(10))
+    lost = math.ceil((digits + GUARD_DIGITS - 8) * math.log2(10))
     x = P.x
+    a, b, e = x.numerator, x.denominator, 0
+    for _ in range(iterations):
+        s = max(abs(a), abs(b)).bit_length() - bits
+        a, b = (a >> s, b >> s) if s > 0 else (a << -s, b << -s)
+        e = 4 * (e + s)
+        a, b = _eval_form(F, a, b), _eval_form(G, a, b)
+        # max(|F|, |G|) of a pair of max-norm 1 below 2^-lost: too few bits left
+        if max(abs(a), abs(b)).bit_length() <= 4 * bits - lost:
+            raise PrecisionExhausted("catastrophic cancellation in height recursion")
     primes = set(bad_primes(curve)) | set(factorize(x.denominator))
     with mp.workdps(digits + GUARD_DIGITS):
-        af, bf = mp.mpf(x.numerator), mp.mpf(x.denominator)
-        scale = max(abs(af), abs(bf))
-        af, bf = af / scale, bf / scale
-        arch_series = mp.log(max(abs(mp.mpf(x.numerator) / x.denominator), mp.mpf(1)))
-        pow4 = mp.mpf(4)
-        for _ in range(iterations):
-            Fv = _eval_form(F, af, bf)
-            Gv = _eval_form(G, af, bf)
-            m = max(abs(Fv), abs(Gv))
-            if m == 0 or abs(m) < mp.mpf(10) ** (-(digits + GUARD_DIGITS - 8)):
-                raise PrecisionExhausted(
-                    "catastrophic cancellation in height recursion"
-                )
-            arch_series += mp.log(m) / pow4
-            af, bf = Fv / m, Gv / m
-            pow4 *= 4
+        arch = float(mp.ldexp(e * mp.ln2 + mp.log(max(abs(a), abs(b))), -2 * iterations)
+                     - mp.log(x.denominator))
         finite: dict[int, float] = {}
         for q in sorted(primes):
-            e = _local_height(minimal, P, q)
-            if e:
-                finite[q] = float(
-                    mp.log(q) * mp.mpf(e.numerator) / e.denominator
-                )
-        arch = float(arch_series)
+            v = _local_height(minimal, P, q)
+            if v:
+                finite[q] = float(mp.log(q) * mp.mpf(v.numerator) / v.denominator)
         return HeightBreakdown(arch + sum(finite.values()), arch, finite)
 
 

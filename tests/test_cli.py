@@ -32,47 +32,47 @@ def run_cli(args):
 BSD_JSON = {
     "37a": (
         ["0", "0", "1", "-1", "0", "--gen", "0,0"],
-        '{"L_leading": {"err": 1.0329493015522244e-30, '
+        '{"L_leading": {"err": 3.1449447961901674e-19, '
         '"value": 0.3059997738340523}, "N": 37, "curve": ["0", "0", "1", "-1", '
         '"0"], "flags": [], "omega": {"err": 3.54820552642082e-16, '
         '"value": 5.986917292463919}, '
         '"rank_analytic": 1, "regulator": {"err": 1e-22, '
         '"value": 0.05111140823996884}, '
-        '"sha_predicted": {"err": 1.0000592679418763e-12, "value": 1.0}, '
+        '"sha_predicted": {"err": 1.0000602957023733e-12, "value": 1.0}, '
         '"tamagawa": {"37": 1}, "torsion": 1, "w": -1}\n',
     ),
     "389a": (
         ["0", "1", "1", "-2", "0", "--gen=-1,1", "--gen=0,0"],
-        '{"L_leading": {"err": 1.5928507048337252e-31, '
+        '{"L_leading": {"err": 1.7560093135645592e-17, '
         '"value": 0.7593165002884268}, "N": 389, "curve": ["0", "1", "1", '
         '"-2", "0"], "flags": [], "omega": {"err": 2.803216673639636e-16, '
         '"value": 4.98042512171011}, "rank_analytic": 2, '
         '"regulator": {"err": 1e-22, "value": 0.15246017794314373}, '
-        '"sha_predicted": {"err": 1.0000562853425598e-12, '
+        '"sha_predicted": {"err": 1.000079411526607e-12, '
         '"value": 1.0000000000000002}, "tamagawa": {"389": 1}, "torsion": 1, '
         '"w": 1}\n',
     ),
     "5077a": (
         ["0", "0", "1", "-7", "6", "--gen=-2,3", "--gen=-1,3", "--gen=0,2"],
-        '{"L_leading": {"err": 1.46968762130574e-32, '
+        '{"L_leading": {"err": 6.720015258233302e-17, '
         '"value": 1.7318499001193006}, "N": 5077, "curve": ["0", "0", "1", '
         '"-7", "6"], "flags": [], "omega": {"err": 3.9590866637266763e-16, '
         '"value": 4.151687983086933}, "rank_analytic": 3, '
         '"regulator": {"err": 1e-22, "value": 0.41714355875838405}, '
-        '"sha_predicted": {"err": 1.000095361131003e-12, '
+        '"sha_predicted": {"err": 1.000134163658045e-12, '
         '"value": 0.9999999999999999}, "tamagawa": {"5077": 1}, "torsion": 1, '
         '"w": -1}\n',
     ),
     "234446a": (
         ["1", "-1", "0", "-79", "289",
          "--gen=0,17", "--gen=3,7", "--gen=4,3", "--gen=5,-2"],
-        '{"L_leading": {"err": 5.40688600031204e-34, '
+        '{"L_leading": {"err": 2.0499298866828395e-16, '
         '"value": 8.943847395900889}, "N": 234446, "curve": ["1", "-1", "0", '
         '"-79", "289"], "flags": [], "omega": {"err": 1.7888551509866324e-17, '
         '"value": 2.9726718472633356}, "rank_analytic": 4, '
         '"regulator": {"err": 1.504344888275284e-22, '
         '"value": 1.5043448882752841}, '
-        '"sha_predicted": {"err": 1.0000060177677511e-12, '
+        '"sha_predicted": {"err": 1.0000289377684616e-12, '
         '"value": 0.9999999999999998}, "tamagawa": {"117223": 1, "2": 2}, '
         '"torsion": 1, "w": 1}\n',
     ),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hasseweil import bsd
+from hasseweil.analytic import AnalyticContext, analytic_rank, l_from_lambda
 from hasseweil.bsd import (
     bsd_report,
     height_pairing,
@@ -75,6 +76,10 @@ def _gcd_shadow_finite(curve, P, digits=25):
         }
 
 
+RANK2_GENERATORS = [(-1, 1), (0, 0)]  # 389a
+RANK3_GENERATORS = [(-2, 3), (-1, 3), (0, 2)]  # 5077a
+
+
 def _random_points(rng, count):
     """Non-torsion points, their multiples and sums, on random small curves.
 
@@ -119,6 +124,23 @@ class TestCanonicalHeight:
     def test_point_must_be_on_curve(self, e37):
         with pytest.raises(PointNotOnCurve):
             canonical_height(e37, CurvePoint.affine(17, 1))
+
+    def test_agrees_with_forty_more_digits(self):
+        # the API returns a double: the walk at 30 digits holds it against 70
+        rank2, rank3 = WeierstrassCurve(0, 1, 1, -2, 0), WeierstrassCurve(0, 0, 1, -7, 6)
+        generators = [(rank2, rank2.point(x, y)) for x, y in RANK2_GENERATORS]
+        generators += [(rank3, rank3.point(x, y)) for x, y in RANK3_GENERATORS]
+        for curve, P in _random_points(random.Random(13), 300) + generators:
+            h = canonical_height(curve, P, 30)
+            assert abs(h - canonical_height(curve, P, 70)) <= 1e-14 * max(1.0, h), (curve, P)
+
+    def test_cancellation_is_refused(self, e37, monkeypatch):
+        # forms that vanish leave the walk no bits: PrecisionExhausted, not log(0)
+        from hasseweil import heights
+
+        monkeypatch.setattr(heights, "_duplication_forms", lambda curve: ((0,) * 5, (0,) * 5))
+        with pytest.raises(PrecisionExhausted, match="cancellation"):
+            canonical_height(e37, e37.point(0, 0))
 
     def test_doubling_oracle_agrees(self, e37, e11):
         for curve, point in [
@@ -336,6 +358,14 @@ class TestRegulator:
         assert len(calls) == 6
         assert abs(reg - 0.41714355875838397) < 1e-10
 
+    def test_agrees_with_forty_more_digits(self):
+        for ainvs, points in [((0, 1, 1, -2, 0), RANK2_GENERATORS),
+                              ((0, 0, 1, -7, 6), RANK3_GENERATORS)]:
+            curve = WeierstrassCurve(*ainvs)
+            gens = [curve.point(x, y) for x, y in points]
+            reg = regulator(curve, gens, 30)
+            assert abs(reg - regulator(curve, gens, 70)) <= 1e-14 * max(1.0, reg), ainvs
+
     def test_dependent_generators_detected(self, e37):
         P = e37.point(0, 0)
         with pytest.raises(DependentGenerators):
@@ -402,6 +432,18 @@ class TestBsdReport:
         report = bsd_report(WeierstrassCurve(0, 1, 1, -2, 0), [])  # 389a
         assert report.rank_analytic == 2
         assert orders == [0, 2]
+
+    def test_leading_err_covers_its_double(self):
+        # L_leading is a double: its err holds L*/r! recomputed at 40 more digits
+        for ainvs in [(0, 1, 1, -2, 0), (0, 0, 1, -7, 6)]:  # 389a, 5077a
+            curve = WeierstrassCurve(*ainvs)
+            report = bsd_report(curve, [])
+            ctx = AnalyticContext(curve, digits=70)
+            rank = analytic_rank(ctx)
+            with mp.workdps(ctx.dps):
+                exact = l_from_lambda(ctx, rank.leading)[0] / math.factorial(rank.rank)
+                miss = abs(report.leading_coefficient - exact)
+                assert 0 < miss <= report.leading_coefficient_err, ainvs
 
     def test_json_schema(self, e11):
         import json

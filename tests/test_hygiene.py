@@ -189,3 +189,20 @@ def test_n_max_only_for_the_closed_form_at_1():
     }
     cli = (PACKAGE / "cli.py").read_text()
     assert "nmax" not in cli and "n_max" not in cli
+
+
+def test_height_walk_in_integers_and_no_determinant_in_bsd():
+    # the archimedean doubling walk does no mpmath arithmetic in its loop, and the
+    # regulator takes mpmath's determinant rather than one of its own
+    heights = _parse(PACKAGE / "heights.py")
+    breakdown = next(node for node in heights.body
+                     if isinstance(node, FUNCTIONS) and node.name == "canonical_height_breakdown")
+    walks = [node for node in ast.walk(breakdown)
+             if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(iterations)"]
+    assert len(walks) == 1
+    assert {node.id for node in ast.walk(walks[0]) if isinstance(node, ast.Name)}.isdisjoint(
+        {"mp", "mpmath"})
+    bsd = _parse(PACKAGE / "bsd.py")
+    assert [node.name for node in ast.walk(bsd)
+            if isinstance(node, FUNCTIONS) and "det" in node.name.lower()] == []
+    assert _owners(bsd, "det") == ["regulator"]
