@@ -34,11 +34,11 @@ in fixed point, (e^{sh})^j and (e^{(2-s)h})^j or j^k (e^h)^j, and each
 Lambda(s) or Lambda^(k)(1) is one integer dot product of kernel and nodes.
 On Re s = 1, 2 - s = conj(s): w keeps only the real (w = 1) or imaginary
 (w = -1) part of the kernel, and the other part of the value is exactly 0.
-Lambda(1) and the rank's scale are the closed form sum_{n <= n_max} a_n
-2 e^{-x_n}/x_n (|a_n| for the scale).
+Lambda(1) and the rank's scale are the closed form sum_n a_n 2 e^{-x_n}/x_n
+(|a_n| for the scale), with no node.
 
 Error budget, for a total below 2^-prec, prec the ambient precision; each
-of the four parts is held below 2^-(prec + 2):
+part is held below 2^-(prec + 2):
 
 - discretization: at most 2M/(e^{2 pi d/h} - 1) for any d < pi/2, M the
   integral of |integrand| along Im u = +-d.  |a_n| <= 2n gives
@@ -55,11 +55,15 @@ of the four parts is held below 2^-(prec + 2):
   its tail sum_{n > M} 2n q^n is below one unit.  The bits pay log2 of that
   times h sum_j |K_j|;
 - the kernel: E^j by one floored complex product per j is within
-  4 j max(1, |E|)^j units of 2^-kbits, weighted by h |g(jh)| over the nodes.
+  4 j max(1, |E|)^j units of 2^-kbits, weighted by h |g(jh)| over the nodes;
+- the closed form: its terms are at most (4/x_1) e^{-x_1 n} <= (2/x_1) 2n
+  e^{-x_1 n}, so it stops at the `_q_terms` count for prec + 2 +
+  ceil(log2(sqrt(N)/pi)) bits, the rule of the nodes and of f(iy); its
+  fixed-point loop and final rounding are below 2^-(prec + GUARD_BITS).
 
 A large |t| or Re s asks for a smaller h or more bits, up to the cap of `_plan`.
-The reported bound, 10^-digits (met with 15 digits to spare) plus the closed
-form's n_max tail at Lambda(1) and Lambda^(0)(1), stays above this error.
+The reported bound, 10^-digits at every s and order (times min(1, |F|) for L),
+is met by this budget at digits + GUARD_DIGITS with 15 digits to spare.
 `incgamma_upper_deriv_at_1`, mpmath's incomplete gamma, finite differences
 and the Dirichlet series are the tests' oracles, never used here.
 """
@@ -105,15 +109,23 @@ class AnalyticContext:
     def __post_init__(self):
         self.N = conductor(self.curve)
         self.sqrtN = math.sqrt(self.N)
-        self.n_max = tail_cutoff(self.N, self.digits - 6)  # Lambda(1)'s tail below 10^(6-digits)
+        # n_max, the a_n fetched up front, is the count perfbench's `scan` records: the
+        # least M on 6 sqrt(N)/pi, 1.25 M + 4, ... with (8/c) e^{-c(M+1)}/(1 - e^{-c})
+        # below 10^(6 - digits), c = x_1.  No sum reads to it; each takes its own count
+        c, M = 2 * math.pi / self.sqrtN, max(8, int(self.sqrtN * 6 / math.pi) + 1)
+        while (c * (M + 1) <= 700
+               and (8 / c) * math.exp(-c * (M + 1)) / (1 - math.exp(-c)) > 10.0 ** (6 - self.digits)):
+            M = int(M * 1.25) + 4
+        self.n_max = M
         self._coeffs = dirichlet_coefficients(self.curve, self.n_max)
         self._w: int | None = None
         self._nodes: tuple | None = None  # (m, bits, [g(j 2^-m) 2^bits]) of `_node_table`
 
-    def coefficients(self, n: int) -> list[int]:
+    def coefficients(self, n: int) -> tuple[int, ...]:
+        """The table a_0 .. a_m, m >= n, itself: callers read to their own count."""
         if n > self._coeffs.n_max:  # exactly to n: callers ask for the count they read
             self._coeffs = dirichlet_coefficients(self.curve, n, self._coeffs)
-        return list(self._coeffs.coeffs[: n + 1])
+        return self._coeffs.coeffs
 
     @property
     def dps(self) -> int:
@@ -124,30 +136,6 @@ class AnalyticContext:
         if self._w is None:
             self._w = root_number(self)
         return self._w
-
-    def tail_bound(self) -> float:
-        return tail_bound_after(self.N, self.n_max)
-
-
-def tail_bound_after(N: int, M: int) -> float:
-    """Bound on the tail beyond n = M of the closed form of Lambda(1).
-
-    Each term is |a_n| 2 e^{-x_n}/x_n <= 8 n e^{-x_n}/x_n with |a_n| <= 2n; sum
-    the geometric tail.
-    """
-    c = 2 * math.pi / math.sqrt(N)
-    if c * (M + 1) > 700:
-        return 0.0
-    return (8 / c) * math.exp(-c * (M + 1)) / (1 - math.exp(-c))
-
-
-def tail_cutoff(N: int, target_log10: int) -> int:
-    """Smallest n_max whose tail bound meets 10^{-target_log10}."""
-    target = 10.0 ** (-target_log10)
-    M = max(8, int(math.sqrt(N) * 6 / math.pi) + 1)
-    while tail_bound_after(N, M) > target:
-        M = int(M * 1.25) + 4
-    return M
 
 
 # -- the cusp form on the imaginary axis ---------------------------------------
@@ -387,24 +375,26 @@ def _fixed_value(re: int, im: int | None, exponent: int):
 
 
 def _lambda_at_1(ctx: AnalyticContext, absolute: bool = False) -> mp.mpf:
-    """sum_{n <= n_max} a_n 2 e^{-x_n}/x_n (|a_n| if `absolute`): Lambda(1) at w = 1, and
-    the rank's scale.
+    """sum_n a_n 2 e^{-x_n}/x_n (|a_n| if `absolute`) within 2^-prec, prec the ambient
+    precision: Lambda(1) at w = 1, and the rank's scale.
 
-    One integer loop at `width` bits: e^{-x_n} = Q^n by one floored product
-    by Q = e^{-2 pi/sqrt(N)} per n, within 2n units, times (sqrt(N)/(2 pi))
-    // n; each term is within sqrt(N)/pi + 2 units of 2^-width, and the sum
-    within 2 n_max^2 times that, which the width pays in bits.
+    The sum stops at the `_q_terms` count of the module docstring.  One integer
+    loop at `width` bits: e^{-x_n} = Q^n by one floored product by Q =
+    e^{-2 pi/sqrt(N)} per n, within 2n units, times (sqrt(N)/(2 pi)) // n;
+    each term is within sqrt(N)/pi + 2 units of 2^-width, and the sum within
+    2 count^2 times that, which the width pays in bits.
     """
-    n_max = ctx.n_max
-    coeffs = ctx.coefficients(n_max)
-    width = (mp.mp.prec + GUARD_BITS + 2 * n_max.bit_length()
+    prec = mp.mp.prec
+    count = _q_terms(2 * math.pi / ctx.sqrtN, prec + 2 + math.ceil(math.log2(ctx.sqrtN / math.pi)))
+    coeffs = ctx.coefficients(count)
+    width = (prec + GUARD_BITS + 2 * count.bit_length()
              + math.ceil(math.log2(ctx.sqrtN / math.pi + 2)) + 2)
     with mp.workprec(width + 16):
         step = 2 * mp.pi / mp.sqrt(ctx.N)
         q = int(mp.ldexp(mp.exp(-step), width))
         inv_step = int(mp.ldexp(1 / step, width))
     q_n, total = 1 << width, 0
-    for n, a_n in enumerate(coeffs[1:], 1):
+    for n, a_n in enumerate(coeffs[1 : count + 1], 1):
         q_n = q_n * q >> width
         if a_n:
             total += (abs(a_n) if absolute else a_n) * (q_n * inv_step // n)
@@ -445,17 +435,16 @@ def _lambda_series(ctx: AnalyticContext, s, w: int):
     return _fixed_value(re, im, exponent)
 
 
-def _bound(ctx: AnalyticContext, at_1: bool, scale=1):
-    """10^-digits min(1, scale), plus the closed form's n_max tail times scale at s = 1."""
-    return mp.mpf(10) ** -ctx.digits * min(1, scale) + (ctx.tail_bound() * scale if at_1 else 0)
+def _bound(ctx: AnalyticContext, scale=1):
+    """10^-digits min(1, scale): the one reported bound, at every s and order."""
+    return mp.mpf(10) ** -ctx.digits * min(1, scale)
 
 
 def lambda_value(ctx: AnalyticContext, s) -> ValueWithBound:
     """Completed Lambda(E, s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(E, s); PrecisionExhausted
     past the cap of `_plan`."""
     with mp.workdps(ctx.dps):
-        s = mp.mpmathify(s)
-        return ValueWithBound(_lambda_series(ctx, s, ctx.w), _bound(ctx, s == 1))
+        return ValueWithBound(_lambda_series(ctx, s, ctx.w), _bound(ctx))
 
 
 def l_value(ctx: AnalyticContext, s) -> ValueWithBound:
@@ -473,7 +462,7 @@ def l_value(ctx: AnalyticContext, s) -> ValueWithBound:
             lam = _lambda_series(ctx, s, ctx.w)
             with mp.workprec(mp.mp.prec + max(0, mp.mag(lam))):
                 value = lam * factor()
-        return ValueWithBound(value, _bound(ctx, s == 1, abs(scale)))
+        return ValueWithBound(value, _bound(ctx, abs(scale)))
 
 
 def lambda_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
@@ -493,7 +482,7 @@ def lambda_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
             powers = _powers(1, plan.m, plan.kbits, plan.count)
             dot = sum(g * j**k * power[0] for j, (g, power) in enumerate(zip(nodes, powers)))
             total = _fixed_value(parity * dot, None, -(width + plan.kbits + plan.m * (k + 1)))
-        return ValueWithBound(total, _bound(ctx, k == 0))
+        return ValueWithBound(total, _bound(ctx))
 
 
 def l_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
@@ -535,9 +524,9 @@ def analytic_rank(ctx: AnalyticContext, tol: float = 1e-10) -> RankEstimate:
     if tol <= 0:
         raise ValueError("tol must be positive")
     with mp.workdps(ctx.dps):
+        start = 0 if ctx.w == 1 else 1  # the root number's a_n cover the scale's
         scale = _lambda_at_1(ctx, absolute=True) + 1
         inspected = []
-        start = 0 if ctx.w == 1 else 1
         for k in range(start, start + 8, 2):
             lam = lambda_derivative(ctx, k)
             val = abs(lam.value) / math.factorial(k)

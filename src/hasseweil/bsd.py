@@ -21,6 +21,7 @@ from mpmath.libmp import dps_to_prec
 from .analytic import AnalyticContext, analytic_rank, l_from_lambda
 from .curves import CurvePoint, WeierstrassCurve, _cubic_brackets
 from .errors import DependentGenerators, PrecisionExhausted
+from .heights import GUARD_DIGITS as HEIGHT_GUARD_DIGITS
 from .heights import canonical_height
 from .localdata import bad_primes, tate_local
 
@@ -106,15 +107,24 @@ def _period_enclosure(curve: WeierstrassCurve, digits: int = 30):
         iv.prec = saved
 
 
+def _double(mid, radius) -> tuple[float, float]:
+    """(value, err): the double nearest `mid`, and `radius` plus the double's distance
+    to `mid`, rounded up, so that value +- err holds what mid +- radius holds."""
+    value = float(mid)
+    gap = mp.fsub(value, mid, exact=True)
+    total = mp.fsub(radius, gap, exact=True) if gap < 0 else mp.fadd(radius, gap, exact=True)
+    return value, float(mp.fadd(total, 0, prec=53, rounding="u"))
+
+
 def real_period(curve: WeierstrassCurve, digits: int = 30) -> tuple[float, float]:
-    """(Omega, err): the double nearest the midpoint of its AGM enclosure (radius at most
-    10^-digits Omega), and the radius plus the double's distance to it, rounded up."""
+    """(Omega, err) by `_double` from the midpoint and radius of its AGM enclosure
+    (radius at most 10^-digits Omega)."""
     lo, hi = _period_enclosure(curve, digits)
     mid = mp.ldexp(mp.fadd(lo, hi, exact=True), -1)
-    value, radius = float(mid), mp.fsub(mid, lo, exact=True)
-    if not radius <= value * mp.mpf(10) ** -digits:
+    radius = mp.fsub(mid, lo, exact=True)
+    if not radius <= mid * mp.mpf(10) ** -digits:
         raise PrecisionExhausted(f"real period enclosed only to {float(radius)} at {digits} digits")
-    return value, float(mp.fadd(radius, abs(mp.fsub(value, mid, exact=True)), prec=53, rounding="u"))
+    return _double(mid, radius)
 
 
 def height_pairing(
@@ -124,33 +134,32 @@ def height_pairing(
     hs = canonical_height(curve, curve.add(P, Q), digits)
     hp = canonical_height(curve, P, digits)
     hq = canonical_height(curve, Q, digits)
-    return (hs - hp - hq) / 2
+    return float((hs - hp - hq) / 2)
 
 
 def regulator(
     curve: WeierstrassCurve, generators: list[CurvePoint], digits: int = 25
-) -> float:
-    """Gram determinant of the height pairing from r(r+1)/2 heights; 1 if r = 0."""
+) -> mp.mpf:
+    """Gram determinant of the height pairing from r(r+1)/2 heights, an mpf at the
+    heights' digits + GUARD_DIGITS; 1 if r = 0."""
     r = len(generators)
     if r == 0:
-        return 1.0
-    gram = [[0.0] * r for _ in range(r)]
-    for i in range(r):
-        gram[i][i] = canonical_height(curve, generators[i], digits)
-    for i in range(r):
-        for j in range(i + 1, r):
-            hs = canonical_height(curve, curve.add(generators[i], generators[j]), digits)
-            gram[i][j] = gram[j][i] = (hs - gram[i][i] - gram[j][j]) / 2
-    with mp.workprec(53):  # the entries are doubles
-        value = float(mp.det(gram))
-    scale = 1.0
-    for i in range(r):
-        scale *= max(gram[i][i], 1e-12)
-    if abs(value) < 1e-9 * max(scale, 1e-12) or abs(value) < 1e-14:
+        return mp.mpf(1)
+    with mp.workdps(digits + HEIGHT_GUARD_DIGITS):
+        gram = mp.matrix(r, r)
+        for i in range(r):
+            gram[i, i] = canonical_height(curve, generators[i], digits)
+        for i in range(r):
+            for j in range(i + 1, r):
+                hs = canonical_height(curve, curve.add(generators[i], generators[j]), digits)
+                gram[i, j] = gram[j, i] = (hs - gram[i, i] - gram[j, j]) / 2
+        value = abs(mp.det(gram))
+        scale = mp.fprod(max(gram[i, i], mp.mpf(1e-12)) for i in range(r))
+    if value < 1e-9 * max(scale, 1e-12) or value < 1e-14:
         raise DependentGenerators(
             "height Gram matrix is numerically singular; generators dependent"
         )
-    return abs(value)
+    return value
 
 
 @dataclass
@@ -216,15 +225,12 @@ def bsd_report(
     with mp.workdps(ctx.dps):
         lead, lead_bound = l_from_lambda(ctx, rank.leading)
         fact = math.factorial(r)
-        lead_val = float(lead / fact)
-        # (bound + |lead_val r! - L*|) / r!, the distance exact and the sum rounded up, as for Omega
-        miss = abs(mp.fsub(mp.fmul(lead_val, fact, exact=True), lead, exact=True))
-        lead_err = float(mp.fdiv(mp.fadd(lead_bound, miss, rounding="u"), fact, prec=53, rounding="u"))
+        lead_val, lead_err = _double(lead / fact, mp.fdiv(lead_bound, fact, rounding="u"))
 
     omega, omega_err = real_period(curve, digits)
     try:
-        reg = regulator(curve, generators, digits)
-        reg_err = 10.0 ** (-(digits - 8)) * max(reg, 1.0)
+        reg_mid = regulator(curve, generators, digits)
+        reg, reg_err = _double(reg_mid, mp.mpf(10) ** (8 - digits) * max(reg_mid, 1))
     except DependentGenerators:
         reg = float("nan")
         reg_err = float("nan")

@@ -108,19 +108,20 @@ def height_doubling_exact(
 
 @dataclass(frozen=True)
 class HeightBreakdown:
-    """hhat split into the archimedean local height and the finite ones."""
+    """hhat split into the archimedean local height and the finite ones, mpf at
+    digits + GUARD_DIGITS."""
 
-    total: float
-    archimedean: float
-    finite: dict[int, float]  # prime -> contribution (multiple of log p)
+    total: mp.mpf
+    archimedean: mp.mpf
+    finite: dict[int, mp.mpf]  # prime -> contribution (multiple of log p)
 
 
 def canonical_height(
     curve: WeierstrassCurve,
     P: CurvePoint,
     digits: int = 25,
-) -> float:
-    """hhat(P) to roughly the requested number of digits."""
+) -> mp.mpf:
+    """hhat(P) to roughly the requested number of digits, an mpf at digits + GUARD_DIGITS."""
     return canonical_height_breakdown(curve, P, digits).total
 
 
@@ -143,14 +144,14 @@ def canonical_height_breakdown(
     minimal, iso = curve.minimal_model()
     P = iso.apply_point(P)
     if P.is_infinity:
-        return HeightBreakdown(0.0, 0.0, {})
+        return HeightBreakdown(mp.mpf(0), mp.mpf(0), {})
     # 2-power torsion reaches O under doubling; other torsion cycles and
     # the series below correctly converges to 0 for it.
     Q = P
     for _ in range(4):
         Q = minimal._chord_tangent(Q, Q)  # P is on the curve, checked above
         if Q.is_infinity:
-            return HeightBreakdown(0.0, 0.0, {})
+            return HeightBreakdown(mp.mpf(0), mp.mpf(0), {})
 
     F, G = _duplication_forms(minimal)
     iterations = max(12, int(digits * math.log2(10) / 2) + 8)
@@ -168,14 +169,14 @@ def canonical_height_breakdown(
             raise PrecisionExhausted("catastrophic cancellation in height recursion")
     primes = set(bad_primes(curve)) | set(factorize(x.denominator))
     with mp.workdps(digits + GUARD_DIGITS):
-        arch = float(mp.ldexp(e * mp.ln2 + mp.log(max(abs(a), abs(b))), -2 * iterations)
-                     - mp.log(x.denominator))
-        finite: dict[int, float] = {}
+        arch = (mp.ldexp(e * mp.ln2 + mp.log(max(abs(a), abs(b))), -2 * iterations)
+                - mp.log(x.denominator))
+        finite = {}
         for q in sorted(primes):
             v = _local_height(minimal, P, q)
             if v:
-                finite[q] = float(mp.log(q) * mp.mpf(v.numerator) / v.denominator)
-        return HeightBreakdown(arch + sum(finite.values()), arch, finite)
+                finite[q] = mp.log(q) * v.numerator / v.denominator
+        return HeightBreakdown(arch + mp.fsum(finite.values()), arch, finite)
 
 
 def _ord(v: Fraction, p: int) -> float:

@@ -40,10 +40,6 @@ class EulerFactor:
     def __call__(self, t: complex) -> complex:
         return sum(c * t**k for k, c in enumerate(self.coeffs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 def local_euler_factor(local: LocalData) -> EulerFactor:
     """1 - a_p T + eps(p) p T^2, with eps = 1 at good p and 0 at bad p.

@@ -445,10 +445,6 @@ class MonodromyFiltration:
     def dim_at(self, k: int) -> int:
         return len(self.basis(k))
 
-    @property
-    def levels(self) -> list[int]:
-        return [k for k, _ in self.steps]
-
     def graded_dimension(self, k: int) -> int:
         return self.dim_at(k) - self.dim_at(k - 1)
 

@@ -12,6 +12,7 @@ from hasseweil.analytic import (
     ROOT_SAMPLES,
     AnalyticContext,
     _gamma_derivs_at_1,
+    _lambda_at_1,
     _lambda_series,
     analytic_rank,
     f_on_imaginary_axis,
@@ -21,8 +22,6 @@ from hasseweil.analytic import (
     lambda_derivative,
     lambda_value,
     root_number,
-    tail_bound_after,
-    tail_cutoff,
 )
 from hasseweil.curves import WeierstrassCurve
 from hasseweil.errors import PrecisionExhausted
@@ -244,19 +243,24 @@ class TestAnalyticRank:
 
 
 class TestPrecisionControl:
-    def test_tail_bound_honest(self, e37):
-        # enlarging n_max beyond the computed cutoff moves Lambda(1) by
-        # less than the target accuracy
-        base = AnalyticContext(e37, digits=20)
-        bigger = AnalyticContext(e37, digits=20)
-        bigger.n_max = 2 * base.n_max
-        delta = abs(lambda_value(base, 1).value - lambda_value(bigger, 1).value)
-        assert delta < 10.0 ** -(base.digits - 8)
+    def test_tail_bound_honest(self, e11, e37, monkeypatch):
+        # summing the closed form to twice its count moves Lambda(1) (11a, w = 1) and
+        # the rank's scale (both curves) by less than the reported 10^-digits
+        from hasseweil import analytic
 
-    def test_tail_cutoff_meets_target(self):
-        for N in (11, 37, 389):
-            M = tail_cutoff(N, 25)
-            assert tail_bound_after(N, M) < 1e-25
+        contexts = [AnalyticContext(curve, digits=20) for curve in (e11, e37)]
+
+        def closed_forms():
+            with mp.workdps(contexts[0].dps):
+                return [_lambda_at_1(ctx, absolute)
+                        for ctx in contexts for absolute in (False, True)]
+
+        base = closed_forms()
+        q_terms = analytic._q_terms
+        monkeypatch.setattr(analytic, "_q_terms", lambda x, bits: 2 * q_terms(x, bits))
+        with mp.workdps(contexts[0].dps):
+            for a, b in zip(base, closed_forms()):
+                assert abs(a - b) < mp.mpf(10) ** -contexts[0].digits
 
     def test_plan_cap(self):
         # the cap of 2^35 bit operations admits rank 6 (5187563742a, k = 6, 50 digits:
@@ -300,9 +304,12 @@ ENGINE_BOX = [
 
 def _oracle_count(ctx, tol, reach: float = 0.0) -> int:
     """The n an oracle sums to: where the |a_n| <= 2n tail bound of the Lambda
-    series (valid from x_n >= 2(reach + 2)) is below tol/10, not n_max."""
-    M = ctx.n_max
-    while tail_bound_after(ctx.N, M) > tol / 10 or 2 * math.pi * M / ctx.sqrtN < 2 * (reach + 2):
+    series (valid from x_n >= 2(reach + 2)) is below tol/10, not n_max.
+
+    With c = x_1, each term is at most |a_n| 2 e^{-x_n}/x_n <= (4/c) e^{-cn},
+    so the tail past M is below (4/c) e^{-c(M+1)}/(1 - e^{-c}), doubled here."""
+    c, M = 2 * math.pi / ctx.sqrtN, ctx.n_max
+    while (8 / c) * math.exp(-c * (M + 1)) / -math.expm1(-c) > tol / 10 or c * M < 2 * (reach + 2):
         M += M // 8 + 1
     return M
 
@@ -571,8 +578,7 @@ class TestFixedPointOracles:
                              ids=["11a", "37a", "389a", "5077a", "234446a"])
     @pytest.mark.parametrize("digits", [30, 60])
     def test_low_orders_match_exponential_integrals(self, ainvs, digits):
-        # Lambda(1) is the closed form 2 sum_{n <= n_max} a_n e^{-x}/x (w = 1; its tail
-        # is the reported bound), and with x^{-a} Gamma(a, x) = E1(x) at a = 0,
+        # Lambda(1) is 2 sum_n a_n e^{-x}/x (w = 1), and with x^{-a} Gamma(a, x) = E1(x) at a = 0,
         # (1 + x) e^{-x}/x^2 at a = 2, and E1(x)/x for [e] at a = 1 + e, Lambda(0)
         # and Lambda'(1) are sums of exponential integrals, to the tail
         ctx = AnalyticContext(WeierstrassCurve(*ainvs), digits=digits)
@@ -589,8 +595,7 @@ class TestFixedPointOracles:
                 if a_n:
                     x = 2 * mp.pi * n / mp.sqrt(ctx.N)
                     e1, exp_x = mp.e1(x), mp.exp(-x)
-                    if n <= ctx.n_max:
-                        sums[0] += a_n * exp_x / x
+                    sums[0] += a_n * exp_x / x
                     sums[1] += a_n * (e1 + w * (1 + x) * exp_x / x**2)
                     sums[2] += a_n * e1 / x
             assert abs(at_1 - (1 + w) * sums[0]) <= tol
@@ -663,6 +668,32 @@ class TestErrorBound:
             exact = lambda_derivative(ref, k).value
             with mp.workdps(ref.dps):
                 assert abs(value - exact) <= bound, (k, mp.nstr(abs(value - exact), 3))
+
+    def test_one_bound_at_s_1(self):
+        # Lambda(1), L(1) and Lambda^(0)(1) by the closed form, whose count the 2^-prec
+        # budget sets: each bound is 10^-digits min(1, |F|) (F = 1 for Lambda), and holds
+        # against 40 more digits on 11a, 389a, 234446a and 20 seeded curves with w = +1
+        contexts = [AnalyticContext(WeierstrassCurve(*ainvs)) for ainvs in (E11, E389, E234446)]
+        seed = 0
+        while len(contexts) < 23:
+            ctx = AnalyticContext(_random_curve(seed, 10**4 - 1))
+            seed += 1
+            if ctx.w == 1:
+                contexts.append(ctx)
+        for ctx in contexts:
+            ref = AnalyticContext(ctx.curve, digits=70)
+            assert ctx.w == 1
+            with mp.workdps(ctx.dps):
+                one = mp.mpmathify(1)
+                F = abs((2 * mp.pi) ** one * mp.rgamma(one) / mp.sqrt(ctx.N) ** one)
+            for evaluate, scale in ((lambda_value, 1), (l_value, F),
+                                    (lambda c, _: lambda_derivative(c, 0), 1)):
+                value, bound = evaluate(ctx, 1)
+                with mp.workdps(ctx.dps):
+                    assert bound == mp.mpf(10) ** -ctx.digits * min(1, scale)
+                exact = evaluate(ref, 1).value
+                with mp.workdps(ref.dps):
+                    assert abs(value - exact) <= bound, (ctx.curve, mp.nstr(abs(value - exact), 3))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.sampled_from([E11, E37, E389]), st.floats(-40, 60), st.floats(-300, 300),
@@ -791,4 +822,4 @@ class TestCoefficientTable:
         computed = [n for lo, hi in asked for n in range(lo + 1, hi + 1)]
         assert sorted(computed) == list(range(1, 10**4 + 1))
         monkeypatch.undo()
-        assert grown == list(dirichlet_coefficients(WeierstrassCurve(*E389), 10**4).coeffs)
+        assert grown == dirichlet_coefficients(WeierstrassCurve(*E389), 10**4).coeffs

@@ -34,11 +34,11 @@ BSD_JSON = {
         ["0", "0", "1", "-1", "0", "--gen", "0,0"],
         '{"L_leading": {"err": 3.1449447961901674e-19, '
         '"value": 0.3059997738340523}, "N": 37, "curve": ["0", "0", "1", "-1", '
-        '"0"], "flags": [], "omega": {"err": 3.54820552642082e-16, '
+        '"0"], "flags": [], "omega": {"err": 3.5482055264208195e-16, '
         '"value": 5.986917292463919}, '
-        '"rank_analytic": 1, "regulator": {"err": 1e-22, '
+        '"rank_analytic": 1, "regulator": {"err": 2.365253845339706e-19, '
         '"value": 0.05111140823996884}, '
-        '"sha_predicted": {"err": 1.0000602957023733e-12, "value": 1.0}, '
+        '"sha_predicted": {"err": 1.0000649213895276e-12, "value": 1.0}, '
         '"tamagawa": {"37": 1}, "torsion": 1, "w": -1}\n',
     ),
     "389a": (
@@ -47,9 +47,9 @@ BSD_JSON = {
         '"value": 0.7593165002884268}, "N": 389, "curve": ["0", "1", "1", '
         '"-2", "0"], "flags": [], "omega": {"err": 2.803216673639636e-16, '
         '"value": 4.98042512171011}, "rank_analytic": 2, '
-        '"regulator": {"err": 1e-22, "value": 0.15246017794314373}, '
-        '"sha_predicted": {"err": 1.000079411526607e-12, '
-        '"value": 1.0000000000000002}, "tamagawa": {"389": 1}, "torsion": 1, '
+        '"regulator": {"err": 8.191344880744942e-18, "value": 0.15246017794314376}, '
+        '"sha_predicted": {"err": 1.0001331386374583e-12, '
+        '"value": 1.0}, "tamagawa": {"389": 1}, "torsion": 1, '
         '"w": 1}\n',
     ),
     "5077a": (
@@ -58,9 +58,9 @@ BSD_JSON = {
         '"value": 1.7318499001193006}, "N": 5077, "curve": ["0", "0", "1", '
         '"-7", "6"], "flags": [], "omega": {"err": 3.9590866637266763e-16, '
         '"value": 4.151687983086933}, "rank_analytic": 3, '
-        '"regulator": {"err": 1e-22, "value": 0.41714355875838405}, '
-        '"sha_predicted": {"err": 1.000134163658045e-12, '
-        '"value": 0.9999999999999999}, "tamagawa": {"5077": 1}, "torsion": 1, '
+        '"regulator": {"err": 2.230738822402432e-17, "value": 0.417143558758384}, '
+        '"sha_predicted": {"err": 1.0001876399439799e-12, '
+        '"value": 1.0}, "tamagawa": {"5077": 1}, "torsion": 1, '
         '"w": -1}\n',
     ),
     "234446a": (
@@ -70,10 +70,10 @@ BSD_JSON = {
         '"value": 8.943847395900889}, "N": 234446, "curve": ["1", "-1", "0", '
         '"-79", "289"], "flags": [], "omega": {"err": 1.7888551509866324e-17, '
         '"value": 2.9726718472633356}, "rank_analytic": 4, '
-        '"regulator": {"err": 1.504344888275284e-22, '
-        '"value": 1.5043448882752841}, '
-        '"sha_predicted": {"err": 1.0000289377684616e-12, '
-        '"value": 0.9999999999999998}, "tamagawa": {"117223": 1, "2": 2}, '
+        '"regulator": {"err": 7.611281791102688e-17, '
+        '"value": 1.504344888275284}, '
+        '"sha_predicted": {"err": 1.0000795329930471e-12, '
+        '"value": 1.0}, "tamagawa": {"117223": 1, "2": 2}, '
         '"torsion": 1, "w": 1}\n',
     ),
 }
@@ -197,11 +197,16 @@ class TestValues:
         # 389a: Lambda(1) is 0 to far below its err, so no digit is printed
         code, out = run_cli(["lambda", "--json", "0", "1", "1", "-2", "0", "--s", "1"])
         assert code == 0
-        assert json.loads(out)["Lambda"] == {"value": "0.0", "err": "1.28e-30"}
-        # 11a: err 2.94e-25 keeps 25 of the 30 digits, the last one rounded
+        assert json.loads(out)["Lambda"] == {"value": "0.0", "err": "1.0e-30"}
+        # 11a: err 1.0e-30 at s = 1 as everywhere else, so all 30 digits, the last one rounded
         _, out = run_cli(["lvalue", "--json", "0", "-1", "1", "-10", "-20", "--s", "1"])
-        assert json.loads(out)["L"] == {"value": "0.2538418608559106843377589",
-                                        "err": "2.94e-25"}
+        shown = json.loads(out)["L"]
+        assert shown == {"value": "0.253841860855910684337758923351", "err": "1.0e-30"}
+        _, out_70 = run_cli(["lvalue", "--json", "0", "-1", "1", "-10", "-20", "--s", "1",
+                             "--prec", "70"])
+        with mp.workdps(80):
+            exact = mp.mpf(json.loads(out_70)["L"]["value"])
+            assert abs(mp.mpf(shown["value"]) - exact) <= mp.mpf(shown["err"])
 
     def test_bounded_format(self):
         fmt = cli._fmt_bounded

@@ -25,11 +25,14 @@ from hasseweil.errors import (
 )
 from hasseweil.heights import (
     _duplication_forms,
+    _eval_form,
+    _local_height,
     canonical_height,
     canonical_height_breakdown,
     height_doubling_exact,
 )
 from hasseweil.intlinalg import det
+from hasseweil.localdata import bad_primes
 from hasseweil.numtheory import factorize, valuation
 
 
@@ -80,6 +83,28 @@ RANK2_GENERATORS = [(-1, 1), (0, 0)]  # 389a
 RANK3_GENERATORS = [(-2, 3), (-1, 3), (0, 2)]  # 5077a
 
 
+def _height_by_mpmath(curve, P, dps: int):
+    """hhat(P) at dps digits, no double anywhere: the archimedean doubling walk in
+    mpmath on pairs scaled to max-norm 1, lambda_oo = log n_0 + sum_k 4^-k log n_k
+    - log den x over the scales n_k (each |log n_k| bounded, so 4^-K below 10^-dps
+    ends it), plus the exact local heights times log q."""
+    minimal, iso = curve.minimal_model()
+    P = iso.apply_point(P)
+    F, G = _duplication_forms(minimal)
+    x = P.x
+    with mp.workdps(dps):
+        a, b, total = mp.mpf(x.numerator), mp.mpf(x.denominator), -mp.log(x.denominator)
+        for k in range(math.ceil(dps / math.log10(4)) + 4):
+            norm = max(abs(a), abs(b))
+            total += mp.ldexp(mp.log(norm), -2 * k)
+            a, b = a / norm, b / norm
+            a, b = _eval_form(F, a, b), _eval_form(G, a, b)
+        for q in set(bad_primes(curve)) | set(factorize(x.denominator)):
+            v = _local_height(minimal, P, q)
+            total += mp.log(q) * v.numerator / v.denominator
+        return total
+
+
 def _random_points(rng, count):
     """Non-torsion points, their multiples and sums, on random small curves.
 
@@ -126,7 +151,7 @@ class TestCanonicalHeight:
             canonical_height(e37, CurvePoint.affine(17, 1))
 
     def test_agrees_with_forty_more_digits(self):
-        # the API returns a double: the walk at 30 digits holds it against 70
+        # the walk at 30 digits against 70, both mpf at 10 guard digits
         rank2, rank3 = WeierstrassCurve(0, 1, 1, -2, 0), WeierstrassCurve(0, 0, 1, -7, 6)
         generators = [(rank2, rank2.point(x, y)) for x, y in RANK2_GENERATORS]
         generators += [(rank3, rank3.point(x, y)) for x, y in RANK3_GENERATORS]
@@ -365,6 +390,28 @@ class TestRegulator:
             gens = [curve.point(x, y) for x, y in points]
             reg = regulator(curve, gens, 30)
             assert abs(reg - regulator(curve, gens, 70)) <= 1e-14 * max(1.0, reg), ainvs
+
+    def test_printed_regulator_is_the_nearest_double(self):
+        # the report's R against the determinant of 80-digit heights, none of them a
+        # double: R prints as the double nearest it, and lies within the printed err
+        for ainvs, points in [((0, 1, 1, -2, 0), RANK2_GENERATORS),
+                              ((0, 1, 1, -2, 0), RANK2_GENERATORS[::-1]),
+                              ((0, 0, 1, -7, 6), RANK3_GENERATORS)]:
+            curve = WeierstrassCurve(*ainvs)
+            gens = [curve.point(x, y) for x, y in points]
+            r = len(gens)
+            with mp.workdps(80):
+                heights = {(i, j): _height_by_mpmath(curve, curve.add(gens[i], gens[j])
+                                                     if i != j else gens[i], 80)
+                           for i in range(r) for j in range(i, r)}
+                gram = mp.matrix(r, r)
+                for (i, j), h in heights.items():
+                    gram[i, j] = gram[j, i] = h if i == j else (
+                        h - heights[i, i] - heights[j, j]) / 2
+                R = mp.det(gram)
+                report = bsd_report(curve, gens)
+                assert report.regulator == float(R), (ainvs, points)
+                assert abs(report.regulator - R) <= report.regulator_err, (ainvs, points)
 
     def test_dependent_generators_detected(self, e37):
         P = e37.point(0, 0)

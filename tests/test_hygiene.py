@@ -1,6 +1,7 @@
 """Dead-definition guard for the package.
 
-Every top-level function and class in `src/hasseweil/*.py` must be loaded by
+Every top-level function and class in `src/hasseweil/*.py`, and every
+method and property of those classes other than a dunder, must be loaded by
 name, imported, reached as an attribute, or named by a string (as `getattr`
 and the benchmark's tracer do) somewhere in the package, its tests or the
 benchmark.  A load of a name that the enclosing function binds itself is
@@ -98,14 +99,23 @@ def _used_names() -> set[str]:
     return uses.used
 
 
+def _definitions(path: Path):
+    """(qualified name, name) of each top-level function and class, and of each
+    non-dunder method and property of those classes."""
+    for node in _parse(path).body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield f"{path.stem}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, FUNCTIONS) and not (
+                        member.name.startswith("__") and member.name.endswith("__")):
+                    yield f"{path.stem}.{node.name}.{member.name}", member.name
+
+
 def test_every_top_level_definition_is_used():
     used = _used_names()
-    dead = [
-        f"{path.stem}.{node.name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in _parse(path).body
-        if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and node.name not in used
-    ]
+    dead = [qualified for path in sorted(PACKAGE.glob("*.py"))
+            for qualified, name in _definitions(path) if name not in used]
     assert dead == []
 
 
@@ -155,8 +165,8 @@ def test_root_number_at_one_fixed_accuracy():
 
     from hasseweil.analytic import AnalyticContext
 
-    assert _package_owners("_q_terms") == {"analytic.f_on_imaginary_axis",
-                                            "analytic._plan", "analytic._node_table"}
+    assert _package_owners("_q_terms") == {"analytic.f_on_imaginary_axis", "analytic._plan",
+                                            "analytic._node_table", "analytic._lambda_at_1"}
     assert _owners(_parse(PACKAGE / "analytic.py"), "copy") == []
     assert "target_log10" not in {f.name for f in dataclasses.fields(AnalyticContext)}
 
@@ -181,12 +191,14 @@ def test_factorize_only_for_the_minimal_model_and_heights():
     }
 
 
-def test_n_max_only_for_the_closed_form_at_1():
-    # off s = 1 the trapezoid's own budget bounds Lambda: only the context (its
-    # cutoff, table and tail) and the closed form read n_max, and the CLI has no --nmax
-    assert set(_owners(_parse(PACKAGE / "analytic.py"), "n_max")) == {
-        "__post_init__", "coefficients", "tail_bound", "_lambda_at_1",
-    }
+def test_n_max_only_sizes_the_first_table():
+    # every sum, the closed form at s = 1 included, counts its terms by `_q_terms`
+    # from the one 2^-prec budget: n_max only sizes the a_n the context fetches up
+    # front, no tail enters a bound, and the CLI has no --nmax
+    analytic = _parse(PACKAGE / "analytic.py")
+    assert set(_owners(analytic, "n_max")) == {"__post_init__", "coefficients"}
+    assert [node.name for node in ast.walk(analytic)
+            if isinstance(node, FUNCTIONS) and node.name.startswith("tail")] == []
     cli = (PACKAGE / "cli.py").read_text()
     assert "nmax" not in cli and "n_max" not in cli
 
