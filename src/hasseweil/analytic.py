@@ -35,7 +35,7 @@ Lambda(s) or Lambda^(k)(1) is one integer dot product of kernel and nodes.
 On Re s = 1, 2 - s = conj(s): w keeps only the real (w = 1) or imaginary
 (w = -1) part of the kernel, and the other part of the value is exactly 0.
 Lambda(1) and the rank's scale are the closed form sum_n a_n 2 e^{-x_n}/x_n
-(|a_n| for the scale), with no node.
+(|a_n| for the scale), both from one loop, with no node.
 
 Error budget, for a total below 2^-prec, prec the ambient precision; each
 part is held below 2^-(prec + 2):
@@ -374,14 +374,14 @@ def _fixed_value(re: int, im: int | None, exponent: int):
         return value if im is None else mp.mpc(value, mp.mpf((im, exponent)))
 
 
-def _lambda_at_1(ctx: AnalyticContext, absolute: bool = False) -> mp.mpf:
-    """sum_n a_n 2 e^{-x_n}/x_n (|a_n| if `absolute`) within 2^-prec, prec the ambient
-    precision: Lambda(1) at w = 1, and the rank's scale.
+def _lambda_at_1(ctx: AnalyticContext) -> tuple[mp.mpf, mp.mpf]:
+    """(sum_n a_n 2 e^{-x_n}/x_n, the same sum over |a_n|), each within 2^-prec, prec
+    the ambient precision: Lambda(1) at w = 1, and the rank's scale.
 
     The sum stops at the `_q_terms` count of the module docstring.  One integer
     loop at `width` bits: e^{-x_n} = Q^n by one floored product by Q =
     e^{-2 pi/sqrt(N)} per n, within 2n units, times (sqrt(N)/(2 pi)) // n;
-    each term is within sqrt(N)/pi + 2 units of 2^-width, and the sum within
+    each term is within sqrt(N)/pi + 2 units of 2^-width, and each sum within
     2 count^2 times that, which the width pays in bits.
     """
     prec = mp.mp.prec
@@ -393,12 +393,14 @@ def _lambda_at_1(ctx: AnalyticContext, absolute: bool = False) -> mp.mpf:
         step = 2 * mp.pi / mp.sqrt(ctx.N)
         q = int(mp.ldexp(mp.exp(-step), width))
         inv_step = int(mp.ldexp(1 / step, width))
-    q_n, total = 1 << width, 0
+    q_n, total, absolute = 1 << width, 0, 0
     for n, a_n in enumerate(coeffs[1 : count + 1], 1):
         q_n = q_n * q >> width
         if a_n:
-            total += (abs(a_n) if absolute else a_n) * (q_n * inv_step // n)
-    return _fixed_value(2 * total, None, -2 * width)
+            term = q_n * inv_step // n
+            total += a_n * term
+            absolute += abs(a_n) * term
+    return _fixed_value(2 * total, None, -2 * width), _fixed_value(2 * absolute, None, -2 * width)
 
 
 # -- Lambda, L, and derivatives -------------------------------------------------
@@ -415,7 +417,7 @@ def _lambda_series(ctx: AnalyticContext, s, w: int):
     """
     s = mp.mpmathify(s)
     if s == 1:
-        return _lambda_at_1(ctx) if w == 1 else mp.mpf(0)
+        return _lambda_at_1(ctx)[0] if w == 1 else mp.mpf(0)
     sigma, t = float(mp.re(s)), float(mp.im(s))
     plan = _plan(ctx, mp.mp.prec, sigma, t)
     width, nodes = _node_table(ctx, plan.m, plan.count, plan.bits)
@@ -475,7 +477,7 @@ def lambda_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
         if parity == 0:
             return ValueWithBound(mp.mpf(0), mp.mpf(0))
         if k == 0:
-            total = _lambda_at_1(ctx)
+            total = _lambda_at_1(ctx)[0]
         else:
             plan = _plan(ctx, mp.mp.prec, 1.0, k=k)
             width, nodes = _node_table(ctx, plan.m, plan.count, plan.bits)
@@ -525,10 +527,11 @@ def analytic_rank(ctx: AnalyticContext, tol: float = 1e-10) -> RankEstimate:
         raise ValueError("tol must be positive")
     with mp.workdps(ctx.dps):
         start = 0 if ctx.w == 1 else 1  # the root number's a_n cover the scale's
-        scale = _lambda_at_1(ctx, absolute=True) + 1
+        at_1, absolute = _lambda_at_1(ctx)  # Lambda(1) at w = 1 from the scale's own pass
+        scale = absolute + 1
         inspected = []
         for k in range(start, start + 8, 2):
-            lam = lambda_derivative(ctx, k)
+            lam = ValueWithBound(at_1, _bound(ctx)) if k == 0 else lambda_derivative(ctx, k)
             val = abs(lam.value) / math.factorial(k)
             inspected.append((k, float(val), float(lam.bound / math.factorial(k))))
             if val > tol * scale:

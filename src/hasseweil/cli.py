@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import decimal
 import functools
 import json
 import math
@@ -96,6 +97,16 @@ def _fmt_rounded(x, err: Fraction, digits: int | None = None) -> str:
     kept = len(str(abs(q)))
     with mp.workdps(kept + 10):
         return _fmt(q * mp.mpf(10) ** place, kept)
+
+
+def _fmt_err(err) -> str:
+    """An error bound rounded up to three significant digits, never below it.  Its
+    decimal value, `_fmt`'s 15 digits, is what is rounded up: the mpf nearest 10^-30
+    lies above 10^-30, and rounding that binary value up would print 1.01e-30."""
+    if not mp.isfinite(err):
+        return _fmt(err)
+    up = decimal.Context(prec=3, rounding=decimal.ROUND_CEILING).plus(decimal.Decimal(_fmt(err)))
+    return _fmt(mp.mpf(str(up)), 3)
 
 
 def _fmt_bounded(value, err) -> str:
@@ -219,15 +230,15 @@ def cmd_value(args) -> int:
     ctx = analytic.AnalyticContext(curve, digits=args.prec)
     s = _parsed(_parse_complex, args.s)
     value = getattr(analytic, args.evaluate)(ctx, s)
-    shown = _fmt_bounded(value.value, value.bound)
+    shown, err = _fmt_bounded(value.value, value.bound), _fmt_err(value.bound)
     payload = {
         "s": _fmt_complex(s),
-        args.key: {"value": shown, "err": _fmt(value.bound, 3)},
+        args.key: {"value": shown, "err": err},
         "conductor": ctx.N,
         "root_number": ctx.w,
     }
     _emit(args, payload, [
-        f"{args.key}(E, {_fmt_complex(s)}) = {shown} +- {_fmt(value.bound, 3)}"
+        f"{args.key}(E, {_fmt_complex(s)}) = {shown} +- {err}"
     ])
     return 0
 
@@ -263,12 +274,12 @@ def cmd_bsd(args) -> int:
         f"N = {report.conductor}, w = {report.root_number}, "
         f"analytic rank = {report.rank_analytic}",
         f"L-leading = {_fmt(report.leading_coefficient)} "
-        f"+- {_fmt(report.leading_coefficient_err, 3)}",
-        f"omega = {_fmt(report.omega)} +- {_fmt(report.omega_err, 3)}",
+        f"+- {_fmt_err(report.leading_coefficient_err)}",
+        f"omega = {_fmt(report.omega)} +- {_fmt_err(report.omega_err)}",
         f"regulator = {_fmt(report.regulator)}",
         f"torsion = {report.torsion_order}, tamagawa = {report.tamagawa}",
         f"sha_predicted = {_fmt(report.sha_predicted)} "
-        f"+- {_fmt(report.sha_predicted_err, 3)}",
+        f"+- {_fmt_err(report.sha_predicted_err)}",
     ]
     if report.flags:
         lines.append(f"flags: {', '.join(report.flags)}")

@@ -4,7 +4,12 @@ All linear algebra is exact over the rationals.  Gamma factors carry both
 a symbolic product form (kind, shift, exponent triples) and a numerical
 evaluator; Tate twists act on both kinds of data; local factors come from
 the Frobenius action on the inertia invariants inside the kernel of the
-monodromy operator.
+monodromy operator.  Weight and purity, |alpha|^2 = q = p^w for every Frobenius
+eigenvalue alpha (Deligne, La conjecture de Weil I, Publ. IHES 43 (1974)), are
+decided exactly too, with no root found: they hold exactly when the eigenvalues
+beta of phi + q phi^-1 are real with beta^2 <= 4q, which Hermite's quadratic
+form on their power sums decides (`_pure`; Basu, Pollack and Roy, Algorithms
+in Real Algebraic Geometry, ch. 4).
 """
 
 from __future__ import annotations
@@ -210,12 +215,7 @@ class WeilDeligneRep:
             if inertia_invariants is not None
             else None
         )
-        wd = cls(
-            p,
-            tuple(tuple(row) for row in phi_m),
-            tuple(tuple(row) for row in N_m),
-            inv,
-        )
+        wd = cls(p, tuple(tuple(row) for row in phi_m), tuple(tuple(row) for row in N_m), inv)
         if inv:
             basis = wd.invariant_basis()
             phi_image = [mat_vec(phi_m, list(v)) for v in basis]
@@ -281,12 +281,7 @@ def check_compatibility(wd: WeilDeligneRep) -> bool:
 def tate_twist_wd(wd: WeilDeligneRep, k: int) -> WeilDeligneRep:
     """Multiply Frobenius by p^{-k}: local factors shift s -> s + k."""
     phi = mat_scale(wd.phi_matrix(), Fraction(1, wd.p**k) if k >= 0 else Fraction(wd.p ** (-k)))
-    return WeilDeligneRep.make(
-        wd.p,
-        phi,
-        wd.n_matrix(),
-        wd.inertia_invariants,
-    )
+    return WeilDeligneRep.make(wd.p, phi, wd.n_matrix(), wd.inertia_invariants)
 
 
 def _quotient_action(matrix: Matrix, basis_k, basis_below) -> Matrix:
@@ -329,14 +324,8 @@ def wd_local_factor(wd: WeilDeligneRep) -> tuple[int, ...]:
     if not space:
         return (1,)
     restricted = _quotient_action(wd.phi_matrix(), space, [])
-    cp = charpoly(restricted)  # X^k + c1 X^{k-1} + ... + ck
-    k = len(cp) - 1
-    # det(1 - T phi) = T^k * charpoly(1/T) = sum_j c_j T^j with c_0 = 1
-    coeffs = [cp[j] for j in range(k + 1)]
-    out = []
-    for c in coeffs:
-        out.append(int(c) if c.denominator == 1 else c)
-    return tuple(out)
+    # det(1 - T phi) = T^k charpoly(1/T) = sum_j c_j T^j, charpoly = X^k + c_1 X^{k-1} + ...
+    return tuple(int(c) if c.denominator == 1 else c for c in charpoly(restricted))
 
 
 def frobenius_semisimplify(wd: WeilDeligneRep) -> WeilDeligneRep:
@@ -357,12 +346,7 @@ def frobenius_semisimplify(wd: WeilDeligneRep) -> WeilDeligneRep:
             break
         dfX = _poly_eval_matrix(_poly_derivative(sqfree), X)
         X = mat_add(X, mat_scale(mat_mul(mat_inv(dfX), fX), Fraction(-1)))
-    return WeilDeligneRep.make(
-        wd.p,
-        X,
-        wd.n_matrix(),
-        wd.inertia_invariants,
-    )
+    return WeilDeligneRep.make(wd.p, X, wd.n_matrix(), wd.inertia_invariants)
 
 
 def _poly_derivative(coeffs: list[Fraction]) -> list[Fraction]:
@@ -601,53 +585,50 @@ def wd_from_local_data(local) -> WeilDeligneRep:
     if local.reduction is ReductionType.NONSPLIT_MULTIPLICATIVE:
         return WeilDeligneRep.make(p, [[-1, 0], [0, -p]], [[0, 1], [0, 0]])
     # additive: inertia leaves nothing invariant
-    return WeilDeligneRep.make(
-        p, [[1, 0], [0, p]], None, inertia_invariants=[]
-    )
+    return WeilDeligneRep.make(p, [[1, 0], [0, p]], None, inertia_invariants=[])
 
 
 # -- weight and purity ------------------------------------------------------------
 
 
-def _charpoly_root_magnitudes(matrix: Matrix, dps: int = 40) -> list:
-    cp = charpoly(matrix)
-    with mp.workdps(dps):
-        if len(cp) == 1:
-            return []
-        roots = mp.polyroots([mp.mpf(c.numerator) / c.denominator for c in cp],
-                             maxsteps=200, extraprec=60)
-        return [abs(r) for r in roots]
+def _pure(matrix: Matrix, q: Fraction) -> bool:
+    """Whether every eigenvalue alpha of the invertible matrix has |alpha|^2 = q, exactly.
+
+    That holds exactly when each beta = alpha + q/alpha, an eigenvalue of B = matrix +
+    q matrix^-1, is real with Q(beta) = 4q - beta^2 >= 0.  Hermite's form
+    [4q s_{i+j} - s_{i+j+2}], s_k = tr B^k, has rank #{distinct beta, Q(beta) != 0}
+    and signature sum sign Q(beta) over the distinct real beta (Basu-Pollack-Roy,
+    Algorithms in Real Algebraic Geometry, ch. 4); a non-real beta has Q(beta) != 0,
+    so the form is positive semidefinite exactly then: its characteristic
+    polynomial's coefficients c_k have (-1)^k c_k >= 0.
+    """
+    d = len(matrix)
+    b = mat_add(matrix, mat_scale(mat_inv(matrix), q))
+    sums, power = [], identity(d)
+    for _ in range(2 * d + 1):
+        sums.append(sum(power[i][i] for i in range(d)))
+        power = mat_mul(power, b)
+    hankel = [[4 * q * sums[i + j] - sums[i + j + 2] for j in range(d)] for i in range(d)]
+    return all((-1) ** k * c >= 0 for k, c in enumerate(charpoly(hankel)))
 
 
-def check_weight(wd: WeilDeligneRep, n: int, tol: float = 1e-9) -> bool:
-    """All |Frobenius eigenvalues| equal to p^{n/2} within tol (N = 0 case)."""
+def check_weight(wd: WeilDeligneRep, n: int) -> bool:
+    """All Frobenius eigenvalues of absolute value p^{n/2}, decided exactly by
+    `_pure` (N = 0 and unramified)."""
     if any(x != 0 for row in wd.N for x in row):
         raise ValueError("check_weight requires N = 0")
     if wd.inertia_invariants:
         raise ValueError("check_weight requires an unramified representation")
-    with mp.workdps(40):
-        target = mp.mpf(wd.p) ** (mp.mpf(n) / 2)
-        return all(
-            abs(m - target) <= tol * max(1, target)
-            for m in _charpoly_root_magnitudes(wd.phi_matrix())
-        )
+    return _pure(wd.phi_matrix(), Fraction(wd.p) ** n)
 
 
-def check_purity(wd: WeilDeligneRep, n: int, tol: float = 1e-9) -> bool:
-    """Frobenius eigenvalues on gr_k have magnitude p^{(n+k)/2}."""
+def check_purity(wd: WeilDeligneRep, n: int) -> bool:
+    """Frobenius eigenvalues on each gr_k of the monodromy filtration of absolute
+    value p^{(n+k)/2}, decided exactly by `_pure`."""
     if not check_compatibility(wd):
         raise ValueError("check_purity requires the (phi, N) compatibility")
     filt = monodromy_filtration(wd.n_matrix())
     phi = wd.phi_matrix()
-    with mp.workdps(40):
-        for k in range(-wd.dimension, wd.dimension + 1):
-            if filt.graded_dimension(k) == 0:
-                continue
-            basis_k = filt.basis(k)
-            basis_below = filt.basis(k - 1)
-            quotient_action = _quotient_action(phi, basis_k, basis_below)
-            target = mp.mpf(wd.p) ** (mp.mpf(n + k) / 2)
-            for m in _charpoly_root_magnitudes(quotient_action):
-                if abs(m - target) > tol * max(1, target):
-                    return False
-    return True
+    return all(_pure(_quotient_action(phi, filt.basis(k), filt.basis(k - 1)),
+                     Fraction(wd.p) ** (n + k))
+               for k in range(-wd.dimension, wd.dimension + 1) if filt.graded_dimension(k))

@@ -24,14 +24,23 @@ from hasseweil.analytic import (
     root_number,
 )
 from hasseweil.curves import WeierstrassCurve
-from hasseweil.errors import PrecisionExhausted
-from hasseweil.lseries import eval_euler
+from hasseweil.errors import PrecisionExhausted, SingularCurve
+from hasseweil.localdata import conductor
+from hasseweil.lseries import dirichlet_tail_bound, eval_dirichlet, eval_euler
 
 E389 = (0, 1, 1, -2, 0)
 E11 = (0, -1, 1, -10, -20)
 E37 = (0, 0, 1, -1, 0)
 E5077 = (0, 0, 1, -7, 6)
 E234446 = (1, -1, 0, -79, 289)
+
+
+def _small_conductor(ainvs) -> bool:
+    """A nonsingular curve of conductor below 10^4."""
+    try:
+        return conductor(WeierstrassCurve(*ainvs)) < 10**4
+    except SingularCurve:
+        return False
 
 
 class TestRootNumber:
@@ -155,6 +164,20 @@ class TestLValues:
             rhs = eval_euler(e37, s, 2 * 10**5)
             assert abs(lhs - rhs) < 1e-8
 
+    @settings(max_examples=1, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+                              st.integers(-20, 20), st.integers(-20, 20)).filter(_small_conductor),
+                    min_size=20, max_size=20, unique=True))
+    def test_matches_dirichlet_series_on_small_conductors(self, curves):
+        # an independent series: L at s = 4 and 4 + 3i within the Dirichlet tail
+        # bound of the sum to 10^4, on 20 curves of conductor below 10^4
+        for ainvs in curves:
+            curve = WeierstrassCurve(*ainvs)
+            ctx = AnalyticContext(curve)
+            for s in (4, 4 + 3j):
+                gap = abs(complex(l_value(ctx, s).value) - eval_dirichlet(curve, s, 10**4))
+                assert gap <= dirichlet_tail_bound(s, 10**4) + 1e-12, (ainvs, s)
+
     def test_trivial_zeros(self, ctx11, ctx37):
         # 1/Gamma(s) vanishes at s = 0, -1, -2, ...
         for ctx, s in ((ctx11, 0), (ctx37, -2)):
@@ -252,8 +275,7 @@ class TestPrecisionControl:
 
         def closed_forms():
             with mp.workdps(contexts[0].dps):
-                return [_lambda_at_1(ctx, absolute)
-                        for ctx in contexts for absolute in (False, True)]
+                return [total for ctx in contexts for total in _lambda_at_1(ctx)]
 
         base = closed_forms()
         q_terms = analytic._q_terms

@@ -208,6 +208,40 @@ class TestValues:
             exact = mp.mpf(json.loads(out_70)["L"]["value"])
             assert abs(mp.mpf(shown["value"]) - exact) <= mp.mpf(shown["err"])
 
+    @pytest.mark.parametrize("argv, err", [
+        (["lvalue", "0", "0", "1", "-1", "0", "--s", "0.5"], "5.74e-31"),
+        (["lvalue", "0", "1", "1", "-2", "0", "--s", "2"], "1.02e-31"),
+        (["lvalue", "0", "0", "1", "-7", "6", "--s", "1.5"], "2.96e-32"),
+        (["lambda", "0", "1", "1", "-2", "0", "--s", "1"], "1.0e-30"),
+    ], ids=["37a-0.5", "389a-2", "5077a-1.5", "389a-Lambda-1"])
+    def test_err_rounded_up(self, argv, err):
+        # err is the bound's decimal value rounded up to three digits, never below
+        # it (these printed 5.73e-31, 1.01e-31 and 2.95e-32); the mpf nearest 10^-30
+        # lies just above it, and still prints 1.0e-30
+        from fractions import Fraction
+
+        from hasseweil import analytic
+
+        code, out = run_cli([*argv, "--json"])
+        key = "L" if argv[0] == "lvalue" else "Lambda"
+        assert code == 0 and json.loads(out)[key]["err"] == err
+        ctx = analytic.AnalyticContext(WeierstrassCurve(*map(int, argv[1:6])))
+        evaluate = analytic.l_value if key == "L" else analytic.lambda_value
+        bound = Fraction(cli._fmt(evaluate(ctx, float(argv[-1])).bound))
+        assert bound <= Fraction(err) < bound + Fraction(err) / 100
+
+    def test_err_format(self):
+        fmt = cli._fmt_err
+        assert [fmt(x) for x in (1e-12, 1.0000649213895276e-12, 9.995e-31, 0.00123)] == [
+            "1.0e-12", "1.01e-12", "1.0e-30", "0.00123"]
+        with mp.workdps(45):
+            assert fmt(mp.mpf(10) ** -30) == "1.0e-30"
+            assert fmt(mp.mpf("5.7340908e-31")) == "5.74e-31"
+            assert fmt(mp.mpf("9.9951e-31")) == "1.0e-30"
+        with mp.workdps(420):  # past the range of a double
+            assert fmt(mp.mpf(10) ** -400) == "1.0e-400"
+        assert (fmt(0.0), fmt(float("nan"))) == ("0.0", "nan")
+
     def test_bounded_format(self):
         fmt = cli._fmt_bounded
         with mp.workdps(60):
@@ -434,6 +468,17 @@ class TestBsd:
         assert (payload["rank_analytic"], payload["w"]) == (4, 1)
         assert abs(float(payload["sha_predicted"]["value"]) - 1) < 1e-4
         assert payload["flags"] == []
+
+    def test_text_errs_round_up(self):
+        # each err of the text report is the JSON's err rounded up to three digits
+        import re
+
+        code, text = run_cli(["bsd", *BSD_JSON["37a"][0]])
+        assert code == 0
+        printed = dict(re.findall(r"^(L-leading|omega|sha_predicted) = \S+ \+- (\S+)$", text,
+                                  re.MULTILINE))
+        assert printed == {"L-leading": "3.15e-19", "omega": "3.55e-16",
+                           "sha_predicted": "1.01e-12"}
 
     def test_round_trip_schema(self):
         _, out = run_cli(["bsd", "--json", "0", "-1", "1", "-10", "-20"])

@@ -464,21 +464,27 @@ class TestBsdReport:
 
     def test_leading_term_from_the_rank(self, monkeypatch):
         # the report takes Lambda^(r)(1) from the rank's own evaluation: one
-        # derivative per inspected order, none again for the leading term
+        # derivative per inspected order, none again for the leading term, and
+        # order 0 (w = 1) from the one closed-form pass that also gives the scale
         from hasseweil import analytic
 
-        orders = []
-        derivative = analytic.lambda_derivative
+        orders, passes = [], []
+        derivative, closed_form = analytic.lambda_derivative, analytic._lambda_at_1
 
         def counting(ctx, order=1):
             orders.append(order)
             return derivative(ctx, order)
 
+        def counting_passes(ctx):
+            passes.append(ctx.N)
+            return closed_form(ctx)
+
         for module in (analytic, bsd):
             monkeypatch.setattr(module, "lambda_derivative", counting, raising=False)
+        monkeypatch.setattr(analytic, "_lambda_at_1", counting_passes)
         report = bsd_report(WeierstrassCurve(0, 1, 1, -2, 0), [])  # 389a
         assert report.rank_analytic == 2
-        assert orders == [0, 2]
+        assert (orders, passes) == ([2], [389])
 
     def test_leading_err_covers_its_double(self):
         # L_leading is a double: its err holds L*/r! recomputed at 40 more digits

@@ -218,3 +218,17 @@ def test_height_walk_in_integers_and_no_determinant_in_bsd():
     assert [node.name for node in ast.walk(bsd)
             if isinstance(node, FUNCTIONS) and "det" in node.name.lower()] == []
     assert _owners(bsd, "det") == ["regulator"]
+
+
+def test_weight_and_purity_decided_exactly():
+    # |alpha|^2 = p^w is Hermite's criterion in Fractions: polyroots serves only the
+    # period quadrature (the tests' oracle), realizations sets no working precision,
+    # and neither check takes a tolerance
+    import inspect
+
+    from hasseweil.realizations import check_purity, check_weight
+
+    assert _package_owners("polyroots") == {"bsd._cubic_roots"}
+    assert _owners(_parse(PACKAGE / "realizations.py"), "workdps") == []
+    assert all("tol" not in inspect.signature(check).parameters
+               for check in (check_weight, check_purity))

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from hasseweil.realizations import (
     wd_from_local_data,
     wd_local_factor,
 )
-from hasseweil.ratlinalg import identity, mat_mul, to_matrix
+from hasseweil.ratlinalg import identity, mat_inv, mat_mul, to_matrix
 
 
 def random_hodge(rng: random.Random) -> HodgeData:
@@ -61,20 +62,59 @@ def random_nilpotent(rng: random.Random, dim: int):
     for i in range(dim):
         for j in range(i + 1, dim):
             upper[i][j] = Fraction(rng.randint(-2, 2))
-    # unimodular conjugator: product of elementary shears
+    return conjugate(rng, upper)
+
+
+def conjugate(rng: random.Random, m):
+    """u m u^-1, exact, for u a unimodular conjugator: a product of elementary shears."""
+    dim = len(m)
     u = identity(dim)
     for _ in range(dim):
         i, j = rng.randrange(dim), rng.randrange(dim)
         if i == j:
             continue
-        m = rng.randint(-2, 2)
+        c = rng.randint(-2, 2)
         for k in range(dim):
-            u[i][k] += m * u[j][k]
-    uinv = [row[:] for row in identity(dim)]
-    from hasseweil.ratlinalg import mat_inv
+            u[i][k] += c * u[j][k]
+    return mat_mul(mat_mul(u, to_matrix(m)), mat_inv(u))
 
-    uinv = mat_inv(u)
-    return mat_mul(mat_mul(u, upper), uinv)
+
+NEAR = Fraction(1, 10**12)  # a perturbation far inside a 1e-9 float tolerance
+
+
+def weight_draw(rng: random.Random):
+    """(p, w, phi, pure): phi block diagonal, conjugated by `conjugate`, and pure
+    whether |alpha|^2 = p^w for all its eigenvalues, known by construction.
+
+    Blocks: the companion matrix of x^2 - a x + c, c = q = p^w (pure iff a^2 <= 4q)
+    or c = q + NEAR (never pure: complex roots have |alpha|^2 = c, real ones the
+    product c != +-q); x - r and the Jordan block of (x - r)^2 (pure iff r^2 = q).
+    A block is repeated at times, so eigenvalues repeat.
+    """
+    p, w = rng.choice((2, 3, 5, 7, 11)), rng.randint(-2, 3)
+    q, den = Fraction(p) ** w, p ** max(0, -w)
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.random()
+        if blocks and kind < 0.15:
+            blocks.append(blocks[-1])
+        elif kind < 0.7:
+            reach = math.isqrt(math.ceil(4 * q * den * den)) + 2
+            a = Fraction(rng.randint(-reach, reach), den)
+            c = q + NEAR if rng.random() < 0.2 else q
+            blocks.append(([[0, -c], [1, a]], c == q and a * a <= 4 * q))
+        else:
+            r = rng.choice((-1, 1)) * Fraction(p) ** rng.randint(w // 2 - 1, w // 2 + 1)
+            r += NEAR if rng.random() < 0.1 else 0
+            block = [[r, 1], [0, r]] if rng.random() < 0.3 else [[r]]
+            blocks.append((block, r * r == q))
+    dim = sum(len(block) for block, _ in blocks)
+    phi, at = [[Fraction(0)] * dim for _ in range(dim)], 0
+    for block, _ in blocks:
+        for i, row in enumerate(block):
+            phi[at + i][at : at + len(row)] = [Fraction(x) for x in row]
+        at += len(block)
+    return p, w, conjugate(rng, phi), all(pure for _, pure in blocks)
 
 
 class TestGammaFactors:
@@ -225,6 +265,53 @@ class TestEllipticConsistency:
     def test_weight_violation_detected(self):
         wd = WeilDeligneRep.make(5, [[1, 0], [0, 1]])
         assert not check_weight(wd, 1)
+
+
+class TestWeightExact:
+    def test_repeated_eigenvalues(self):
+        # H^1(E x E) at p = 5: two companions of x^2 - 2x + 5, a repeated pair
+        # that mpmath's polyroots did not converge on
+        c = [[0, -5], [1, 2]]
+        wd = WeilDeligneRep.make(5, [c[0] + [0, 0], c[1] + [0, 0], [0, 0] + c[0], [0, 0] + c[1]])
+        assert check_weight(wd, 1) and check_purity(wd, 1)
+
+    @pytest.mark.parametrize("p", [2, 5, 101])
+    def test_near_miss(self, p):
+        # |alpha|^2 = p + 10^-12 != p, though |alpha| is within 1e-9 of sqrt(p)
+        wd = WeilDeligneRep.make(p, [[0, -(p + NEAR)], [1, 1]])
+        assert not check_weight(wd, 1) and not check_purity(wd, 1)
+        assert check_weight(WeilDeligneRep.make(p, [[0, -p], [1, 1]]), 1)
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_jordan_block(self, size):
+        # one Jordan block of (x - 1/3)^size at p = 3: |1/3|^2 = 3^-2, on the boundary
+        # beta^2 = 4q; at 40 digits polyroots did not converge on the quintuple root
+        third = Fraction(1, 3)
+        wd = WeilDeligneRep.make(3, [[third if j == i else int(j == i + 1) for j in range(size)]
+                                     for i in range(size)])
+        assert check_weight(wd, -2) and check_purity(wd, -2)
+        assert not check_weight(wd, -1) and not check_weight(wd, -3)
+
+    def test_seeded_draws_known_by_construction(self):
+        rng = random.Random(26)
+        outcomes = set()
+        for _ in range(320):
+            p, w, phi, pure = weight_draw(rng)
+            wd = WeilDeligneRep.make(p, phi)
+            assert check_weight(wd, w) == pure == check_purity(wd, w), (p, w, phi)
+            outcomes.add(pure)
+        assert outcomes == {True, False}
+
+    def test_purity_on_graded_pieces(self):
+        # Steinberg (x) a weight-1 block C: gr_-1 carries C (|alpha|^2 = 5) and gr_1
+        # carries 5C (5^3), so the rep is pure of weight 2 and of no other
+        c = [[Fraction(0), Fraction(-5)], [Fraction(1), Fraction(2)]]
+        phi = [c[0] + [0, 0], c[1] + [0, 0], [0, 0] + [5 * x for x in c[0]],
+               [0, 0] + [5 * x for x in c[1]]]
+        N = [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
+        wd = WeilDeligneRep.make(5, phi, N)
+        assert check_compatibility(wd)
+        assert check_purity(wd, 2) and not check_purity(wd, 1) and not check_purity(wd, 3)
 
 
 class TestMonodromyFiltration:
