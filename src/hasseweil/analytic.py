@@ -62,6 +62,9 @@ part is held below 2^-(prec + 2):
   fixed-point loop and final rounding are below 2^-(prec + GUARD_BITS).
 
 A large |t| or Re s asks for a smaller h or more bits, up to the cap of `_plan`.
+t enters the plan only through the step: the context keeps, beside its node
+table, the rest of each plan (the strips' other terms, and the node range and
+bits at each step), so a warm Lambda(sigma + it) at a new t walks no node.
 The reported bound, 10^-digits at every s and order (times min(1, |F|) for L),
 is met by this budget at digits + GUARD_DIGITS with 15 digits to spare.
 `incgamma_upper_deriv_at_1`, mpmath's incomplete gamma, finite differences
@@ -120,6 +123,7 @@ class AnalyticContext:
         self._coeffs = dirichlet_coefficients(self.curve, self.n_max)
         self._w: int | None = None
         self._nodes: tuple | None = None  # (m, bits, [g(j 2^-m) 2^bits]) of `_node_table`
+        self._plans: dict = {}  # the halves of `_plan` that t does not enter
 
     def coefficients(self, n: int) -> tuple[int, ...]:
         """The table a_0 .. a_m, m >= n, itself: callers read to their own count."""
@@ -213,9 +217,9 @@ def _log_mellin(a: float, c: float) -> float:
     return -c - math.log(c) if a <= 1 else math.lgamma(a) - a * math.log(c)
 
 
-def _log_discretization(x_1: float, t: float, k: int, exponents) -> list[tuple[float, float]]:
-    """[(d, log M)] over a grid of strip half-widths d < pi/2, for the trapezoid's
-    discretization bound 2M/(e^{2 pi d/h} - 1).
+def _log_discretization(x_1: float, k: int, exponents) -> list[tuple[float, float, float]]:
+    """[(d, head, tail)] over a grid of strip half-widths d < pi/2, for the trapezoid's
+    discretization bound 2M/(e^{2 pi d/h} - 1), log M = (head + |t| d) + tail.
 
     M bounds the integral of |integrand| on each line Im u = v, |v| < d
     (module docstring): e^{|t| d} 2/(1 - e^{-c_0})^2 sum_a c_0^-a Gamma(a, c_0)
@@ -226,14 +230,13 @@ def _log_discretization(x_1: float, t: float, k: int, exponents) -> list[tuple[f
     for i in range(1, 16):
         d = math.pi / 2 * i / 16
         c_0 = x_1 * math.cos(d)
-        side = LN2 - 2 * math.log(-math.expm1(-c_0)) + abs(t) * d
         if k:
-            side += LN2 + min(k * math.log(k / (math.e * b)) + b * d + _log_mellin(1 + b, c_0)
-                              for b in (0.25, 0.5, 1.0, 2.0))
+            tail = LN2 + min(k * math.log(k / (math.e * b)) + b * d + _log_mellin(1 + b, c_0)
+                             for b in (0.25, 0.5, 1.0, 2.0))
         else:
             first, second = (_log_mellin(a, c_0) for a in exponents)
-            side += max(first, second) + math.log1p(math.exp(-abs(first - second)))
-        strips.append((d, side))
+            tail = max(first, second) + math.log1p(math.exp(-abs(first - second)))
+        strips.append((d, LN2 - 2 * math.log(-math.expm1(-c_0)), tail))
     return strips
 
 
@@ -265,10 +268,9 @@ def _plan(ctx: AnalyticContext, prec: int, sigma: float, t: float = 0.0, k: int 
     """Step, node range and bits for Lambda(sigma + it) (k = 0) or Lambda^(k)(1)
     (k >= 1) within 2^-prec, from the error budget of the module docstring.
 
-    The kernel is at most 2 e^{au} u^k on the real line, a = max(sigma,
-    2 - sigma) (1 for Lambda^(k)), increasing in u; its rounding error at
-    node j is at most 4j times that many units.  The sums over the nodes are
-    bounded by the count times their largest term.
+    Only the step sees t, through the |t| d of each strip: the strips' other
+    terms, by (k, exponents), and the plan at each step, by (prec, a, k, m), are
+    kept on the context's `_plans`, so a request at a new t reads them back.
 
     A node table costs bits^2 (ln2/(x_1 h) + count) bit operations (the q-series
     terms of all nodes, and one per node); past 2^PLAN_WORK_LOG2 it raises
@@ -280,15 +282,42 @@ def _plan(ctx: AnalyticContext, prec: int, sigma: float, t: float = 0.0, k: int 
     a = max(exponents)
     floor = max(prec, a * math.log2(a / (2 * x_1)))  # bits no plan for this s goes below
     _check_work(floor, max(2, abs(t) / (2 * math.pi)) * LN2 / x_1)
+    plans = ctx._plans
+    if (k, exponents) not in plans:
+        plans[k, exponents] = _log_discretization(x_1, k, exponents)
+    strips = [(d, head + abs(t) * d + tail) for d, head, tail in plans[k, exponents]]
     share = -(prec + 2) * LN2
-    strips = _log_discretization(x_1, t, k, exponents)
     m = 1  # 2M/(e^x - 1) <= 4M e^-x for x = 2 pi d/h >= ln 2
     while min(2 * LN2 + side - 2 * math.pi * d * 2**m for d, side in strips) > share:
         m += 1
+    if (prec, a, k, m) not in plans:
+        plans[prec, a, k, m] = _plan_at_step(x_1, prec, a, k, m, floor)
+    return plans[prec, a, k, m]
+
+
+def _first_stop(x_1: float, a: float, h: float) -> float:
+    """A lower bound on the node where the walk of `_plan_at_step` can stop: its
+    terms fall by half only where a h - c expm1(h) <= -ln 2, c = x_1 e^{jh}."""
+    return math.log((a * h + LN2) / (x_1 * math.expm1(h))) / h
+
+
+def _plan_at_step(x_1: float, prec: int, a: float, k: int, m: int, floor: float) -> _Plan:
+    """The plan of `_plan` at step h = 2^-m: node range, bits and kbits.
+
+    The kernel is at most 2 e^{au} u^k on the real line, a = max(sigma,
+    2 - sigma) (1 for Lambda^(k)), increasing in u; its rounding error at
+    node j is at most 4j times that many units.  The sums over the nodes are
+    bounded by the count times their largest term.  A walk whose first stop
+    lies past the nodes the cap leaves is refused before it starts.
+    """
+    share = -(prec + 2) * LN2
     h = 2.0**-m
     per_bit = LN2 / (x_1 * h)  # sum_j terms_j / bits
+    nodes = max(0, int(2.0**PLAN_WORK_LOG2 / floor**2 - per_bit)) + 2
+    if _first_stop(x_1, a, h) > nodes:  # the walk would end past the nodes: refuse at once
+        _check_work(floor, per_bit + nodes)
     log_h, worst = math.log(h), -math.inf
-    for j in range(max(0, int(2.0**PLAN_WORK_LOG2 / floor**2 - per_bit)) + 2):
+    for j in range(nodes):
         u, c = j * h, x_1 * math.exp(j * h)
         log_kernel = LN2 + a * u + (k * math.log(u) if j else 0.0)
         log_bump = _log_bump(c)

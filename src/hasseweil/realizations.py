@@ -617,7 +617,7 @@ def check_weight(wd: WeilDeligneRep, n: int) -> bool:
     `_pure` (N = 0 and unramified)."""
     if any(x != 0 for row in wd.N for x in row):
         raise ValueError("check_weight requires N = 0")
-    if wd.inertia_invariants:
+    if len(wd.invariant_basis()) != wd.dimension:
         raise ValueError("check_weight requires an unramified representation")
     return _pure(wd.phi_matrix(), Fraction(wd.p) ** n)
 

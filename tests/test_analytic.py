@@ -14,6 +14,7 @@ from hasseweil.analytic import (
     _gamma_derivs_at_1,
     _lambda_at_1,
     _lambda_series,
+    _Plan,
     analytic_rank,
     f_on_imaginary_axis,
     incgamma_upper_deriv_at_1,
@@ -293,14 +294,79 @@ class TestPrecisionControl:
         from hasseweil.analytic import _plan
 
         def plan(N, digits, s=1.0, k=0):
-            return _plan(SimpleNamespace(sqrtN=math.sqrt(N)), mp.libmp.dps_to_prec(digits + 15),
-                         s, k=k)
+            return _plan(SimpleNamespace(sqrtN=math.sqrt(N), _plans={}),
+                         mp.libmp.dps_to_prec(digits + 15), s, k=k)
 
         assert plan(5187563742, 50, k=6) == (5, 466, 336, 272)
         assert plan(37, 70, 200).count == 1893
         for N, s in ((37, 400), (19047851, 60)):
             with pytest.raises(PrecisionExhausted, match="past the cap 2"):
                 plan(N, 30, s)
+
+    def test_refused_before_walking_as_the_walk_refuses(self, monkeypatch):
+        # a walk whose first possible stop lies past the nodes the cap leaves is refused
+        # before it starts, with the full walk's outcome and message: on a grid about
+        # the cap, test_plan_cap's cases included
+        from types import SimpleNamespace
+
+        from hasseweil import analytic
+
+        grid = [(N, 30, s, 0) for N in (11, 37, 389)
+                for s in (1, 2.5 + 1e4j, 60 + 3e3j, 60 + 1e4j, 200, 200 + 3e3j, 200 + 1e4j,
+                          400, 400 + 3e3j)]
+        grid += [(5187563742, 50, 1, 6), (37, 70, 200, 0), (37, 30, 400, 0),
+                 (19047851, 30, 60, 0)]
+        walked = _counting(monkeypatch, "_log_bump")
+
+        def outcomes():
+            found = []
+            for N, digits, s, k in grid:
+                del walked[:]
+                try:
+                    plan = analytic._plan(SimpleNamespace(sqrtN=math.sqrt(N), _plans={}),
+                                          mp.libmp.dps_to_prec(digits + 15), s.real, s.imag, k)
+                except PrecisionExhausted as refusal:
+                    plan = str(refusal)
+                found.append((plan, len(walked)))
+            return found
+
+        early = outcomes()
+        monkeypatch.setattr(analytic, "_first_stop", lambda x_1, a, h: -math.inf)
+        full = outcomes()
+        assert [plan for plan, _ in early] == [plan for plan, _ in full]
+        assert sum(isinstance(plan, str) and steps == 0 < walk
+                   for (plan, steps), (_, walk) in zip(early, full)) >= 5
+        assert sum(isinstance(plan, _Plan) for plan, _ in early) >= 10
+
+    def test_plan_kept_on_the_context(self):
+        # a warm context's plan is the one a fresh context makes, refusals included
+        from types import SimpleNamespace
+
+        from hasseweil.analytic import _plan
+
+        ctx = AnalyticContext(WeierstrassCurve(*E389))
+        grid = [(prec, sigma, t, k) for prec in (60, 150, 333) for sigma in (1, 0.5, 2, -3, 400)
+                for t in (0, 1 / 32, 3.7, 20, 300, 5e3) for k in (0, 1, 2, 5)]
+
+        def outcome(context, args):
+            try:
+                return _plan(context, *args)
+            except PrecisionExhausted as refusal:
+                return str(refusal)
+
+        fresh = [outcome(SimpleNamespace(sqrtN=ctx.sqrtN, _plans={}), args) for args in grid]
+        assert sum(isinstance(plan, str) for plan in fresh) >= 10
+        assert [outcome(ctx, args) for args in grid] == fresh
+        assert [outcome(ctx, args) for args in grid[::-1]] == fresh[::-1]
+
+    def test_a_new_t_walks_no_node(self, monkeypatch):
+        # the second Lambda(1 + it) at the same digits and Re s reads its plan back
+        ctx = AnalyticContext(WeierstrassCurve(*E389))
+        lambda_value(ctx, mp.mpc(1, 2))
+        walked = _counting(monkeypatch, "_log_bump")
+        strips = _counting(monkeypatch, "_log_discretization")
+        lambda_value(ctx, mp.mpc(1, 3.5))
+        assert walked == [] and strips == []
 
     def test_doubling_precision_stable(self, e37):
         lo = AnalyticContext(e37, digits=30)

@@ -327,6 +327,18 @@ class TestValues:
             err = capsys.readouterr().err
             assert err.startswith("precision exhausted: a node table") and err.count("\n") == 1
 
+    def test_large_t_refused_before_the_node_walk(self, monkeypatch, capsys):
+        # at s = 1 + 10^6 i on 11a the walk could stop only past the nodes the cap
+        # leaves, so no node's bound is taken (the walk was 1,371,888 steps)
+        from hasseweil import analytic
+
+        walked = []
+        log_bump = analytic._log_bump
+        monkeypatch.setattr(analytic, "_log_bump", lambda c: walked.append(c) or log_bump(c))
+        code, out = run_cli(["lambda", "0", "-1", "1", "-10", "-20", "--s", "1+1e6i"])
+        assert (code, out) == (4, "") and len(walked) < 100
+        assert capsys.readouterr().err.startswith("precision exhausted: a node table")
+
     @pytest.mark.parametrize("command", ["lvalue", "lambda"])
     @pytest.mark.parametrize("s", ["nan", "inf", "1e300", "1e307", "1.7e308", "-1e5",
                                    "1e5+0.5i", "1+1e308i"])

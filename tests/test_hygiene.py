@@ -158,6 +158,13 @@ def test_q_series_only_for_f_and_the_node_table():
                                              "analytic._node_table"}
 
 
+def test_node_walk_only_behind_the_plan_cache():
+    # the walk over the nodes' bounds is the plan kept on the context by step: no
+    # per-request path walks the nodes again
+    assert _package_owners("_log_bump") == {"analytic._plan_at_step"}
+    assert _package_owners("_plan_at_step") == {"analytic._plan"}
+
+
 def test_root_number_at_one_fixed_accuracy():
     # w is a sign: each f(iy) is counted by the certified tail rule alone, and
     # the root number neither copies its context nor reads an accuracy from it
@@ -165,7 +172,7 @@ def test_root_number_at_one_fixed_accuracy():
 
     from hasseweil.analytic import AnalyticContext
 
-    assert _package_owners("_q_terms") == {"analytic.f_on_imaginary_axis", "analytic._plan",
+    assert _package_owners("_q_terms") == {"analytic.f_on_imaginary_axis", "analytic._plan_at_step",
                                             "analytic._node_table", "analytic._lambda_at_1"}
     assert _owners(_parse(PACKAGE / "analytic.py"), "copy") == []
     assert "target_log10" not in {f.name for f in dataclasses.fields(AnalyticContext)}

@@ -266,6 +266,17 @@ class TestEllipticConsistency:
         wd = WeilDeligneRep.make(5, [[1, 0], [0, 1]])
         assert not check_weight(wd, 1)
 
+    def test_unramified_given_as_the_full_invariant_space(self):
+        # explicit invariants spanning Q^2 are unramified, as the default None is
+        wd = WeilDeligneRep.make(5, [[0, -5], [1, 2]], None, inertia_invariants=[[1, 0], [0, 1]])
+        assert check_weight(wd, 1)
+
+    def test_totally_ramified_refused(self):
+        # no invariants at all, as `wd_from_local_data` builds for additive reduction
+        wd = WeilDeligneRep.make(5, [[0, -5], [1, 2]], None, inertia_invariants=[])
+        with pytest.raises(ValueError, match="unramified"):
+            check_weight(wd, 1)
+
 
 class TestWeightExact:
     def test_repeated_eigenvalues(self):
