@@ -30,10 +30,11 @@ g(jh) K_j], K_j the kernel in brackets above at u = jh.  h = 2^-m, so a
 finer grid reuses every node of a coarser one: the nodes g(jh), each one
 integer q-series sum in fixed point (the loop of `f_on_imaginary_axis`),
 are a table cached on the context.  Each kernel is a geometric progression
-in fixed point, (e^{sh})^j and (e^{(2-s)h})^j or j^k (e^h)^j, and each
-Lambda(s) or Lambda^(k)(1) is one integer dot product of kernel and nodes.
-On Re s = 1, 2 - s = conj(s): w keeps only the real (w = 1) or imaginary
-(w = -1) part of the kernel, and the other part of the value is exactly 0.
+in fixed point, (e^{sh})^j and (e^{(2-s)h})^j, and every Lambda(s) and
+Lambda^(k)(1) is one `_lambda_series` call: one integer dot product of kernel
+and nodes, the nodes times j^k for Lambda^(k)(1).  On Re s = 1, 2 - s =
+conj(s): w (-1)^k keeps only the real (+1) or imaginary (-1) part of the
+kernel, and the other part of the value is exactly 0.
 Lambda(1) and the rank's scale are the closed form sum_n a_n 2 e^{-x_n}/x_n
 (|a_n| for the scale), both from one loop, with no node.
 
@@ -435,28 +436,36 @@ def _lambda_at_1(ctx: AnalyticContext) -> tuple[mp.mpf, mp.mpf]:
 # -- Lambda, L, and derivatives -------------------------------------------------
 
 
-def _lambda_series(ctx: AnalyticContext, s, w: int):
-    """int_0^oo g(u) [e^{su} + w e^{(2-s)u}] du within 2^-prec, prec the ambient precision.
+def _lambda_series(ctx: AnalyticContext, s, w: int, k: int = 0):
+    """int_0^oo g(u) u^k [e^{su} + w (-1)^k e^{(2-s)u}] du within 2^-prec, prec the
+    ambient precision; k >= 1 only at s = 1, the one place `_plan` budgets it.
 
-    With the true w this is Lambda(s), by the trapezoidal rule at the step,
-    nodes and bits `_plan` sets: h sum_j g(jh) K_j, the node j = 0 weighted
-    (1 + w)/2, as one integer dot product.  On Re s = 1, 2 - s = conj(s),
-    so K_j = 2 Re e^{sjh} (w = 1) or 2i Im e^{sjh} (w = -1): only that part
-    enters, and the other is exactly 0.  s = 1 is the closed form.
+    With the true w this is Lambda(s) (k = 0) or Lambda^(k)(1), by the
+    trapezoidal rule at the step, nodes and bits `_plan` sets: h sum_j g(jh)
+    (jh)^k K_j as one integer dot product, the node j = 0 weighted (1 + w)/2
+    at k = 0 and 0 above.  On Re s = 1, 2 - s = conj(s), so with v = w (-1)^k
+    K_j = 2 Re e^{sjh} (v = 1) or 2i Im e^{sjh} (v = -1): only that part enters,
+    and the other is exactly 0 (a real value at s = 1).  Lambda(1) is the
+    closed form.
     """
     s = mp.mpmathify(s)
-    if s == 1:
+    if s == 1 and not k:
         return _lambda_at_1(ctx)[0] if w == 1 else mp.mpf(0)
+    w *= (-1) ** k
     sigma, t = float(mp.re(s)), float(mp.im(s))
-    plan = _plan(ctx, mp.mp.prec, sigma, t)
+    plan = _plan(ctx, mp.mp.prec, sigma, t, k)
     width, nodes = _node_table(ctx, plan.m, plan.count, plan.bits)
-    kbits, exponent = plan.kbits, -(width + plan.kbits + plan.m)
+    if k:  # (jh)^k = j^k 2^-mk, the 2^-mk in the exponent
+        nodes = [g * j**k for j, g in enumerate(nodes)]
+    kbits, exponent = plan.kbits, -(width + plan.kbits + plan.m * (k + 1))
     first = _powers(s, plan.m, kbits, plan.count)
-    head = nodes[0] << kbits if w == 1 else 0  # g(0) (1 + w)/2
+    head = nodes[0] << kbits if w == 1 else 0  # g(0) (1 + w)/2, 0 at k >= 1
     if mp.re(s) == 1:
         part = 0 if w == 1 else 1
         half = sum(g * power[part] for g, power in zip(nodes[1:], first[1:]))
         total = head + 2 * half
+        if k:  # Lambda^(k)(1), a real mpf
+            return _fixed_value(total, None, exponent)
         return _fixed_value(total, 0, exponent) if w == 1 else _fixed_value(0, total, exponent)
     second = _powers(mp.fsub(2, s, exact=True), plan.m, kbits, plan.count)
     re = head + sum(g * (a[0] + w * b[0]) for g, a, b in zip(nodes[1:], first[1:], second[1:]))
@@ -497,23 +506,13 @@ def l_value(ctx: AnalyticContext, s) -> ValueWithBound:
 
 
 def lambda_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:
-    """d^k/ds^k Lambda(E, s) at s = 1, termwise (no finite differences):
-    (1 + w (-1)^k) h sum_j g(jh) (jh)^k e^{jh} by the trapezoidal rule
-    (the closed form at k = 0)."""
-    k = order
+    """d^k/ds^k Lambda(E, s) at s = 1, termwise (no finite differences): one
+    `_lambda_series` at s = 1, (1 + w (-1)^k) h sum_j g(jh) (jh)^k e^{jh} (the
+    closed form at k = 0), and exactly 0 where the parity of k and w cancels it."""
     with mp.workdps(ctx.dps):
-        parity = 1 + ctx.w * (-1) ** k
-        if parity == 0:
+        if ctx.w * (-1) ** order == -1:
             return ValueWithBound(mp.mpf(0), mp.mpf(0))
-        if k == 0:
-            total = _lambda_at_1(ctx)[0]
-        else:
-            plan = _plan(ctx, mp.mp.prec, 1.0, k=k)
-            width, nodes = _node_table(ctx, plan.m, plan.count, plan.bits)
-            powers = _powers(1, plan.m, plan.kbits, plan.count)
-            dot = sum(g * j**k * power[0] for j, (g, power) in enumerate(zip(nodes, powers)))
-            total = _fixed_value(parity * dot, None, -(width + plan.kbits + plan.m * (k + 1)))
-        return ValueWithBound(total, _bound(ctx))
+        return ValueWithBound(_lambda_series(ctx, 1, ctx.w, order), _bound(ctx))
 
 
 def l_derivative(ctx: AnalyticContext, order: int = 1) -> ValueWithBound:

@@ -138,20 +138,15 @@ def canonical_height_breakdown(
     one logarithm; the tail left out is at most 4^-K sup|log max(|F|, |G|)| / 3
     over pairs of max-norm 1.  lambda_p is `_local_height` times log p, at the
     bad primes and the primes of x's denominator, summed in sorted order.  The
-    point at infinity and 2-power torsion short-circuit to 0.
+    point at infinity and every torsion point are exactly 0, by the exact order
+    test `order_of_point` (Mazur bounds the order by 12; its early stop is
+    Nagell-Lutz on the integral minimal model).
     """
     curve._require_on_curve(P)
     minimal, iso = curve.minimal_model()
     P = iso.apply_point(P)
-    if P.is_infinity:
+    if minimal.order_of_point(P) is not None:
         return HeightBreakdown(mp.mpf(0), mp.mpf(0), {})
-    # 2-power torsion reaches O under doubling; other torsion cycles and
-    # the series below correctly converges to 0 for it.
-    Q = P
-    for _ in range(4):
-        Q = minimal._chord_tangent(Q, Q)  # P is on the curve, checked above
-        if Q.is_infinity:
-            return HeightBreakdown(mp.mpf(0), mp.mpf(0), {})
 
     F, G = _duplication_forms(minimal)
     iterations = max(12, int(digits * math.log2(10) / 2) + 8)

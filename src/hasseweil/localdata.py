@@ -10,8 +10,8 @@ closed-form coordinate changes (Algorithms for Modular Elliptic Curves,
 mod p (the singular point to (0, 0); the I0* normalization p | a1, a2,
 p^2 | a3, a4, p^3 | a6; the double or triple root of T^3 + bT^2 + cT + d,
 which two discriminants tell apart; the roots in the I_n* loop).  Nothing
-is searched.  A model found non-minimal is divided by p^i in a_i and run
-again.
+is searched.  It runs on the global minimal model (Laska-Kraus-Connell, in
+`curves`), so it never meets a model that is not minimal at p.
 
 Counting rule: a_p at a good prime comes from the kernel's enumeration sweep
 up to BSGS_SWEEP_THRESHOLD and from baby-step giant-step order finding in
@@ -211,29 +211,13 @@ def _quad_has_root(alpha: int, beta: int, gamma: int, p: int) -> bool:
     return disc == 0 or legendre_symbol(disc, p) == 1
 
 
-def _tate_at_prime(a, p):
-    """Tate's algorithm on integral coefficients, p-minimal or not.
+def _tate(a, p):
+    """Tate's algorithm (Silverman, Advanced Topics, IV 9; Cremona, Algorithms
+    for Modular Elliptic Curves, 3.2) on integral coefficients minimal at p.
 
-    Returns (kodaira, f, c, m, reduction, n_min, restarts) where n_min is
-    ord_p of the discriminant of the p-minimal model reached and restarts
-    counts the divisions by p^i in a_i that reached it.
-    """
-    restarts = 0
-    while True:
-        result = _tate_once(a, p)
-        if result[0] != "non-minimal":
-            return (*result, restarts)
-        a = result[1]
-        restarts += 1
-
-
-def _tate_once(a, p):
-    """One pass of Tate's algorithm (Silverman, Advanced Topics, IV 9;
-    Cremona, Algorithms for Modular Elliptic Curves, 3.2).
-
-    Each step is one closed-form coordinate change.  Returns the first six
-    entries of `_tate_at_prime`, or ("non-minimal", the model reached
-    divided by p^i in a_i).
+    Each step is one closed-form coordinate change.  Returns (kodaira, f, c, m,
+    reduction, n), n = ord_p of the discriminant; a model not minimal at p
+    raises AssertionError.
     """
     b2, b4, b6, b8, c4, c6, disc = _binvs(a)
     if disc % p:
@@ -331,7 +315,7 @@ def _tate_once(a, p):
         return ("III*", n - 7, 2, 8, red, n)
     if a6 % p**6:
         return ("II*", n - 8, 1, 9, red, n)
-    return "non-minimal", tuple(ai // p**i for ai, i in zip(a, (1, 2, 3, 4, 6)))
+    raise AssertionError(f"the model is not minimal at {p}")
 
 
 # -- public per-prime operations -----------------------------------------------
@@ -349,9 +333,7 @@ def tate_local(curve: WeierstrassCurve, p: int) -> LocalData:
     data = _data(curve)
     if p not in data.local:
         require_prime(p)
-        kodaira, f, c, m, red, n, restarts = _tate_at_prime(data.coeffs, p)
-        if restarts:
-            raise AssertionError("global minimal model was not p-minimal")
+        kodaira, f, c, m, red, n = _tate(data.coeffs, p)
         a_p = ap(curve, p) if red is ReductionType.GOOD else _BAD_AP[red]
         data.local[p] = LocalData(p, red, kodaira, a_p, f, c, m, n)
     return data.local[p]

@@ -363,46 +363,29 @@ def _poly_eval_matrix(coeffs: list[Fraction], m: Matrix) -> Matrix:
     return out
 
 
-def _poly_gcd_q(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """Monic gcd over Q, highest-degree-first."""
-
-    def norm(h):
-        while h and h[0] == 0:
-            h = h[1:]
-        return h
-
-    f, g = norm(list(f)), norm(list(g))
-    while g:
-        # f mod g
-        f = f[:]
-        while len(f) >= len(g) and f:
-            c = f[0] / g[0]
-            for i in range(len(g)):
-                f[i] -= c * g[i]
-            f = norm(f[1:] if f and f[0] == 0 else f)
-            if len(f) < len(g):
-                break
-        f, g = g, f
-    if not f:
-        return [Fraction(1)]
-    lead = f[0]
-    return [c / lead for c in f]
-
-
-def _squarefree_part(coeffs: list[Fraction]) -> list[Fraction]:
-    g = _poly_gcd_q(coeffs, _poly_derivative(coeffs))
-    if len(g) == 1:
-        return list(coeffs)
-    # exact division coeffs / g
-    f = list(coeffs)
-    q: list[Fraction] = []
+def _poly_divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """(quotient, remainder) of f by g over Q, highest-degree-first, g[0] != 0; the
+    remainder has no leading zeros, so [] is 0."""
+    f, q = list(f), []
     while len(f) >= len(g):
         c = f[0] / g[0]
         q.append(c)
         for i in range(len(g)):
             f[i] -= c * g[i]
-        f = f[1:]
-    return q
+        f.pop(0)
+    while f and f[0] == 0:
+        f.pop(0)
+    return q, f
+
+
+def _squarefree_part(coeffs: list[Fraction]) -> list[Fraction]:
+    """coeffs / gcd(coeffs, coeffs'), highest-degree-first: the product of coeffs'
+    distinct irreducible factors up to a rational scalar, which leaves the Newton
+    step X - f(X) f'(X)^-1 unchanged."""
+    f, g = coeffs, _poly_derivative(coeffs)
+    while g:  # Euclid's algorithm
+        f, g = g, _poly_divmod(f, g)[1]
+    return _poly_divmod(coeffs, f)[0]
 
 
 # -- monodromy filtration --------------------------------------------------------

@@ -14,6 +14,7 @@ from hasseweil.curves import (
     _integer_cubic_roots,
 )
 from hasseweil.errors import PointNotOnCurve, SingularCurve
+from hasseweil.heights import canonical_height, canonical_height_breakdown
 
 
 class TestInvariants:
@@ -263,6 +264,27 @@ class TestTorsion:
             assert [(str(P.x), str(P.y)) for P in points] == expected
             assert [curve.order_of_point(P) for P in points] == orders
             assert curve.torsion_order() == max(1, math.prod(orders))
+
+    @pytest.mark.parametrize("structure, ainvs, gens, gens_scaled, orders", MAZUR,
+                             ids=[m[0] for m in MAZUR])
+    def test_torsion_heights_are_exactly_zero(self, structure, ainvs, gens, gens_scaled, orders):
+        # every point of each group, on both models, by the exact order test: the
+        # doubling limit left odd orders at about -1e-35
+        minimal = WeierstrassCurve(*ainvs)
+        scaled = IsomorphismData(Fraction(1, 6), 1, 1, 1).apply(minimal)
+        for curve in (minimal, scaled):
+            generators = curve.torsion_subgroup()[1]
+            group, frontier = {O}, [O]
+            while frontier:
+                Q = frontier.pop()
+                for R in (curve.add(Q, P) for P in generators):
+                    if R not in group:
+                        group.add(R)
+                        frontier.append(R)
+            assert len(group) == max(1, math.prod(orders))
+            for P in group:
+                assert canonical_height(curve, P) == 0, (structure, P)
+                assert canonical_height_breakdown(curve, P).finite == {}
 
 
 class TestPointSearch:

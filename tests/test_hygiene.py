@@ -119,23 +119,29 @@ def test_every_top_level_definition_is_used():
     assert dead == []
 
 
-def _owners(tree: ast.Module, name: str) -> list[str]:
-    """The innermost enclosing function of each reference to `name`."""
+def _owners_of(tree: ast.Module, match) -> list[str]:
+    """The innermost enclosing function of each node `match` accepts."""
     owners = []
 
     def walk(node, owner):
         if isinstance(node, (*FUNCTIONS, ast.Lambda)):
             owner = getattr(node, "name", "<lambda>")
-        if (isinstance(node, ast.Name) and node.id == name
-                or isinstance(node, ast.Attribute) and node.attr == name
-                or isinstance(node, ast.alias) and name in (node.name, node.asname)
-                or isinstance(node, ast.Constant) and node.value == name):
+        if match(node):
             owners.append(owner)
         for child in ast.iter_child_nodes(node):
             walk(child, owner)
 
     walk(tree, "<module>")
     return owners
+
+
+def _owners(tree: ast.Module, name: str) -> list[str]:
+    """The innermost enclosing function of each reference to `name`."""
+    return _owners_of(tree, lambda node: (
+        isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.alias) and name in (node.name, node.asname)
+        or isinstance(node, ast.Constant) and node.value == name))
 
 
 def _package_owners(name: str) -> set[str]:
@@ -239,3 +245,36 @@ def test_weight_and_purity_decided_exactly():
     assert _owners(_parse(PACKAGE / "realizations.py"), "workdps") == []
     assert all("tol" not in inspect.signature(check).parameters
                for check in (check_weight, check_purity))
+
+
+def test_one_trapezoid_for_every_lambda():
+    # every Lambda(s) and Lambda^(k)(1) is one `_lambda_series` call
+    assert _package_owners("_node_table") == {"analytic._lambda_series"}
+    assert _package_owners("_powers") == {"analytic._lambda_series"}
+
+
+def test_torsion_heights_by_the_exact_order_test():
+    # no doubling probe: `order_of_point` decides torsion
+    assert _owners(_parse(PACKAGE / "heights.py"), "_chord_tangent") == []
+
+
+def test_tate_on_the_minimal_model_only():
+    # the global minimal model is minimal at every p, so nothing restarts
+    assert _package_owners("_tate") == {"localdata.tate_local"}
+    assert not any(isinstance(node, ast.Return) and "non-minimal" in ast.unparse(node)
+                   for node in ast.walk(_parse(PACKAGE / "localdata.py")))
+    assert _package_owners("_tate_at_prime") == _package_owners("restarts") == set()
+
+
+def test_one_polynomial_division_over_q():
+    # Euclid and the exact quotient of the squarefree part share `_poly_divmod`
+    realizations = _parse(PACKAGE / "realizations.py")
+    assert _owners_of(realizations, _is_leading_quotient) == ["_poly_divmod"]
+    assert _package_owners("_poly_gcd_q") == set()
+
+
+def _is_leading_quotient(node) -> bool:
+    """f[0] / g[0], the step of a polynomial long division."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and all(isinstance(side, ast.Subscript) and ast.unparse(side.slice) == "0"
+                    for side in (node.left, node.right)))

@@ -14,7 +14,7 @@ from hasseweil.localdata import (
     BSGS_SWEEP_THRESHOLD,
     ReductionType,
     _count_points_gf,
-    _tate_at_prime,
+    _tate,
     ap,
     ap_sweep,
     ap_table,
@@ -511,17 +511,26 @@ class TestTate:
                 total = _kernels_py.count_points_mod_p(*minimal, p)
                 assert total == p + expected[red], (ai, p, red)
 
-    def test_nonminimal_input_restarts(self):
-        kodaira, f, c, m, red, n, restarts = _tate_at_prime((0, 0, 0, 0, 64), 2)
-        assert restarts == 1
-        assert (kodaira, f, c, m) == ("IV", 2, 3, 3)
-        # y^2 + y = x^3 scaled by u = 3: the p = 3 case of the restart
-        assert _tate_at_prime((0, 0, 27, 0, 0), 3) == (
-            "II", 3, 1, 1, ReductionType.ADDITIVE, 3, 1)
-        # (0, 0, 0, 0, 64) moved by (r, s, t) = (5, 1, 3): the restart divides
-        # the model Tate's algorithm reached, not the translated input
-        assert _tate_at_prime((2, 14, 6, 69, 180), 2) == (
-            "IV", 2, 3, 3, ReductionType.ADDITIVE, 4, 1)
+    def test_nonminimal_input_raises_and_minimal_model_classifies(self):
+        # Tate's algorithm runs on the global minimal model only: a model not
+        # minimal at p raises, and the curve it defines is classified on its
+        # Laska-Kraus-Connell minimal model
+        cases = [
+            ((0, 0, 0, 0, 64), 2, ("IV", 2, 3, 3, ReductionType.ADDITIVE, 4)),
+            # y^2 + y = x^3 scaled by u = 3
+            ((0, 0, 27, 0, 0), 3, ("II", 3, 1, 1, ReductionType.ADDITIVE, 3)),
+            # (0, 0, 0, 0, 64) moved by (r, s, t) = (5, 1, 3)
+            ((2, 14, 6, 69, 180), 2, ("IV", 2, 3, 3, ReductionType.ADDITIVE, 4)),
+        ]
+        for ainvs, p, expected in cases:
+            with pytest.raises(AssertionError):
+                _tate(ainvs, p)
+            curve = WeierstrassCurve(*ainvs)
+            minimal = tuple(int(a) for a in curve.minimal_model()[0].ainvs())
+            assert _tate(minimal, p) == expected
+            local = tate_local(curve, p)
+            assert (local.kodaira, local.f_p, local.c_p, local.m, local.reduction,
+                    local.ord_disc) == expected
 
     def test_theta_involution_and_bsd_check_conductor_and_tamagawa(self):
         # Ogg's formula f_p = ord_p(disc) + 1 - m ties m, and so the Kodaira

@@ -13,7 +13,9 @@ from hasseweil.numtheory import primes_up_to
 from hasseweil.realizations import (
     HodgeData,
     WeilDeligneRep,
+    _poly_eval_matrix,
     _quotient_action,
+    _squarefree_part,
     check_compatibility,
     check_filtration_properties,
     check_purity,
@@ -236,6 +238,53 @@ class TestWeilDeligne:
             ss = frobenius_semisimplify(wd)
             assert charpoly(wd.phi_matrix()) == charpoly(ss.phi_matrix())
             assert wd_local_factor(wd) == wd_local_factor(ss)
+
+    def test_squarefree_part_of_planted_products(self):
+        # each distinct root once, up to the scalar the Newton step ignores
+        def product(roots):
+            out = [Fraction(1)]
+            for r in roots:
+                out = [a - r * b for a, b in zip(out + [0], [0] + out)]
+            return out
+
+        rng = random.Random(11)
+        cases = [[1, 1, -2, -2, -2, Fraction(1, 2)], [3], [0, 0, 0], [Fraction(-2, 3)] * 4]
+        for _ in range(30):
+            distinct = rng.sample([Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)], 3)
+            cases.append([r for r in distinct for _ in range(rng.randint(1, 3))])
+        for roots in cases:
+            got = _squarefree_part(product(roots))
+            assert [c / got[0] for c in got] == product(sorted(set(roots))), roots
+
+    def test_semisimplify_jordan_blocks_up_to_five(self):
+        # phi = P J P^-1, J Jordan blocks of nonzero eigenvalues, P a random
+        # invertible matrix: S commutes with phi, phi - S is nilpotent, the
+        # squarefree part of the charpoly kills S, and the charpoly is phi's
+        from hasseweil.ratlinalg import charpoly, det, is_nilpotent, mat_inv, mat_mul
+
+        rng = random.Random(5)
+        for _ in range(30):
+            d = rng.randint(3, 5)
+            J = [[Fraction(0)] * d for _ in range(d)]
+            i = 0
+            while i < d:
+                size = rng.randint(1, d - i)
+                value = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+                for j in range(i, i + size):
+                    J[j][j] = value
+                    if j + 1 < i + size:
+                        J[j][j + 1] = Fraction(1)
+                i += size
+            P = [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
+            if det(P) == 0:
+                continue
+            phi = mat_mul(mat_mul(P, J), mat_inv(P))
+            S = frobenius_semisimplify(WeilDeligneRep.make(7, phi)).phi_matrix()
+            assert mat_mul(S, phi) == mat_mul(phi, S)
+            assert is_nilpotent([[a - b for a, b in zip(r, q)] for r, q in zip(phi, S)])
+            cp = charpoly(phi)
+            assert _poly_eval_matrix(_squarefree_part(cp), S) == [[0] * d for _ in range(d)]
+            assert charpoly(S) == cp
 
     def test_json_roundtrip(self):
         wd = WeilDeligneRep.make(5, [[1, 0], [0, 5]], [[0, 1], [0, 0]])
