@@ -2,12 +2,20 @@
 
 Counts are projective (the point at infinity is included) and are taken on
 the reduction of the given integer coefficients mod p, smooth or not.
-Enumeration serves small primes; baby-step giant-step order finding serves
-the primes above Mestre's bound 457.  The BSGS walks on plain integers: its
-points need no square root (one Legendre symbol picks the curve or its
-twist), each step is one affine addition with one `pow(d, -1, p)`, and the
-first giant center comes from a Jacobian scalar multiplication with one
-inversion.
+a_p comes by one of three routes:
+
+- p <= 13: enumeration of F_p, with a table of squares;
+- 17 <= p <= 457: the Hasse invariant.  a_p is congruent mod p to the
+  coefficient of x^(p-1) in f(x)^((p-1)/2) for y^2 = f(x) (Silverman, The
+  Arithmetic of Elliptic Curves, proof of Thm V.4.1(a)), and 4 sqrt(p) < p
+  makes the residue determine a_p;
+- p > 457, Mestre's bound: baby-step giant-step order finding.  The BSGS
+  walks on plain integers: its points need no square root (one Legendre
+  symbol picks the curve or its twist), each step is one affine addition
+  with one `pow(d, -1, p)`, and the first giant center comes from a
+  Jacobian scalar multiplication with one inversion.
+
+`ap_sweep` serves the first two, `ap_bsgs` the third.
 """
 
 from __future__ import annotations
@@ -43,13 +51,54 @@ def count_points_mod_p(a1: int, a2: int, a3: int, a4: int, a6: int, p: int) -> i
     return 1 + sum([t[(((4 * x + d2) * x + d1) * x + d0) % p] for x in range(p)])
 
 
+def hasse_invariant(A: int, B: int, p: int) -> int:
+    """[x^(p-1)] (x^3 + Ax + B)^m mod p, with m = (p - 1)/2.
+
+    The coefficient is the sum over m/2 <= i <= (p - 1)/3 of
+    m!/(i! j! k!) A^j B^k with j = p - 1 - 3i and k = 2i - m, about p/12
+    terms.  It is summed as a homogeneous Horner sum in (A^3, B^2) from
+    the term at the smallest i on.  Consecutive coefficients differ by the
+    ratio j(j-1)(j-2)/((i+1)(k+1)(k+2)); the product of its numerators
+    (times the power of B^2) is carried as w and that of its denominators
+    as d, so the sum costs one inversion.  None of the ratio's factors is
+    0 mod p, and pow(0, 0, p) = 1 covers A or B = 0.
+    """
+    m = (p - 1) // 2
+    i = (m + 1) // 2
+    j, k = p - 1 - 3 * i, 2 * i - m
+    lead = math.comb(m, i) * math.comb(m - i, j) * pow(B, k, p)
+    a3, b2 = pow(A, 3, p), B * B % p
+    s = w = d = 1
+    while j >= 3:
+        den = (i + 1) * (k + 1) * (k + 2)
+        w = w * j * (j - 1) * (j - 2) * b2 % p
+        s = (s * den * a3 + w) % p
+        d = d * den % p
+        i, j, k = i + 1, j - 3, k + 2
+    return lead * pow(A, j, p) * s * pow(d, -1, p) % p
+
+
 def ap_sweep(
     a1: int, a2: int, a3: int, a4: int, a6: int, primes: list[int]
 ) -> list[int]:
-    """Trace p + 1 - #E(F_p) for each listed prime (no good-reduction check)."""
-    return [
-        p + 1 - count_points_mod_p(a1, a2, a3, a4, a6, p) for p in primes
-    ]
+    """Trace p + 1 - #E(F_p) for each listed prime (no good-reduction check).
+
+    p <= 13 enumerates F_p.  Above, a_p is the Hasse invariant of the short
+    model y^2 = x^3 - 27c4 x - 54c6, lifted to (-p/2, p/2): the change of
+    variables to that model is a bijection on F_p for p >= 5, singular
+    reduction included, and |a_p| <= 2 sqrt(p) < p/2 for p >= 17.
+    """
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    A = -27 * (b2 * b2 - 24 * b4)
+    B = -54 * (-b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6)
+    out = []
+    for p in primes:
+        if p <= 13:
+            out.append(p + 1 - count_points_mod_p(a1, a2, a3, a4, a6, p))
+        else:
+            h = hasse_invariant(A % p, B % p, p)
+            out.append(h - p if 2 * h > p else h)
+    return out
 
 
 # -- baby-step giant-step order finding (large good primes) -------------------

@@ -13,9 +13,10 @@ which two discriminants tell apart; the roots in the I_n* loop).  Nothing
 is searched.  It runs on the global minimal model (Laska-Kraus-Connell, in
 `curves`), so it never meets a model that is not minimal at p.
 
-Counting rule: a_p at a good prime comes from the kernel's enumeration sweep
-up to BSGS_SWEEP_THRESHOLD and from baby-step giant-step order finding in
-the Hasse interval above it; at a bad prime it comes from Tate's algorithm.
+Counting rule: a_p at a good prime comes from the kernel's sweep up to
+BSGS_SWEEP_THRESHOLD (enumeration of F_p for p <= 13, the Hasse invariant
+for 17 <= p <= 457) and from baby-step giant-step order finding in the
+Hasse interval above it; at a bad prime it comes from Tate's algorithm.
 #E(F_p) is p + 1 - a_p at every prime.  #E(F_{p^k}) for k > 1 enumerates
 the field, up to p^k = ENUM_LIMIT.
 
@@ -357,7 +358,8 @@ def ap(curve: WeierstrassCurve, p: int) -> int:
 
 
 BSGS_SWEEP_THRESHOLD = 457
-"""Largest prime whose a_p is counted by enumerating F_p.
+"""Largest prime whose a_p comes from `kernels.ap_sweep`, the Hasse invariant
+(enumeration of F_p at p <= 13); BSGS serves every prime above it.
 
 457 is Mestre's bound, not a tuning: for p > 457 the curve or its quadratic
 twist has a point whose order has exactly one multiple in the Hasse
@@ -366,7 +368,7 @@ interval, which is what lets `kernels.ap_bsgs` isolate #E(F_p).
 
 
 def _good_aps(data: _CurveData, primes: list[int]) -> list[int]:
-    """a_p at good primes, given in increasing order: the enumeration sweep
+    """a_p at good primes, given in increasing order: the kernel's sweep
     up to BSGS_SWEEP_THRESHOLD, BSGS order finding above it."""
     cut = bisect.bisect_right(primes, BSGS_SWEEP_THRESHOLD)
     swept = kernels.ap_sweep(*data.coeffs, primes[:cut]) if cut else []

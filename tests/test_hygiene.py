@@ -278,3 +278,27 @@ def _is_leading_quotient(node) -> bool:
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
             and all(isinstance(side, ast.Subscript) and ast.unparse(side.slice) == "0"
                     for side in (node.left, node.right)))
+
+
+def test_point_counts_only_through_the_sweep():
+    # below Mestre's bound a_p is enumerated (p <= 13) or read from the Hasse
+    # invariant, both inside `ap_sweep`; `kernels` re-exports the enumeration
+    # as the tests' oracle and the tracer's layer
+    assert _package_owners("count_points_mod_p") == {"_kernels_py.ap_sweep",
+                                                      "kernels.<module>"}
+    assert _package_owners("hasse_invariant") == {"_kernels_py.ap_sweep"}
+    # localdata reaches the kernel only as kernels.ap_sweep and kernels.ap_bsgs
+    localdata = _parse(PACKAGE / "localdata.py")
+    assert set(_owners_of(localdata, _is_kernels_attribute)) == {"_good_aps"}
+    assert {node.attr for node in ast.walk(localdata)
+            if _is_kernels_attribute(node)} == {"ap_sweep", "ap_bsgs"}
+    importers = {path.stem for path in PACKAGE.glob("*.py")
+                 for node in ast.walk(_parse(path))
+                 if isinstance(node, ast.ImportFrom) and node.module == "_kernels_py"}
+    assert importers == {"kernels"}
+
+
+def _is_kernels_attribute(node) -> bool:
+    """kernels.<name>, a reference through the kernel's public module."""
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "kernels")

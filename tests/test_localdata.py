@@ -219,6 +219,12 @@ def _order(curve, P):
     return n
 
 
+def _disc(a1, a2, a3, a4, a6):
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
 def _hasse(p):
     w = math.isqrt(4 * p)
     return p + 1 - w, p + 1 + w
@@ -268,9 +274,7 @@ class TestKernel:
         singular = 0
         for _ in range(40):
             a1, a2, a3, a4, a6 = (rng.randint(-40, 40) for _ in range(5))
-            b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
-            b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-            disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+            disc = _disc(a1, a2, a3, a4, a6)
             primes = [p for p in primes_up_to(100) if p < 40 or disc % p == 0]
             for p in primes:
                 per_y = 1 + sum(
@@ -279,6 +283,32 @@ class TestKernel:
                 assert _kernels_py.count_points_mod_p(a1, a2, a3, a4, a6, p) == per_y, (
                     (a1, a2, a3, a4, a6), p)
                 singular += disc % p == 0
+        assert singular >= 40
+
+    def test_hasse_route_matches_enumeration(self):
+        # a_p from the Hasse invariant against p + 1 - #E(F_p) at every prime
+        # of the route, 17 <= p <= 457, and on to 1000 past it; long models
+        # with a1, a3 != 0 and |a_i| up to 10^6, each made singular at one
+        # seeded prime (a point where F, F_x and F_y vanish mod q), the CM
+        # curves y^2 = x^3 + x (c6 = 0) and y^2 = x^3 + 1 (c4 = 0), and
+        # y^2 = x^3, singular everywhere
+        rng = random.Random(29)
+        primes = [p for p in primes_up_to(1000) if p >= 17]
+        models = [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, 0, 0, 0)]
+        for _ in range(40):
+            q = rng.choice(primes)
+            a1, a3 = (rng.choice([-1, 1]) * rng.randint(1, 10**6) for _ in range(2))
+            a2, x0 = rng.randint(-10**6, 10**6), rng.randrange(q)
+            y0 = -(a1 * x0 + a3) * pow(2, -1, q) % q
+            a4 = (a1 * y0 - 3 * x0 * x0 - 2 * a2 * x0) % q
+            a6 = (y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0**3 - a2 * x0 * x0 - a4 * x0) % q
+            shift = 10**6 // q - 1
+            models.append((a1, a2, a3, a4 + q * rng.randint(-shift, shift),
+                           a6 + q * rng.randint(-shift, shift)))
+        for ai in models:
+            assert _kernels_py.ap_sweep(*ai, primes) == [
+                p + 1 - _kernels_py.count_points_mod_p(*ai, p) for p in primes], ai
+        singular = sum(_disc(*ai) % p == 0 for ai in models[3:] for p in primes)
         assert singular >= 40
 
     def test_bsgs_all_matches_brute_force(self):
@@ -366,16 +396,21 @@ class TestAp:
             assert swept[p] == ap(e11, p)
 
     def test_pointwise_uses_the_table_rule_above_threshold(self, monkeypatch):
-        # one counting rule: above BSGS_SWEEP_THRESHOLD, ap() uses BSGS just
-        # as the a_p table does, and never enumerates the prime field
+        # one counting rule: enumeration at p <= 13, the Hasse invariant up
+        # to BSGS_SWEEP_THRESHOLD, BSGS above it; ap() takes the route the
+        # a_p table takes, and neither enumerates F_p for p >= 17
         curve = WeierstrassCurve(0, 0, 1, -1, 0)
         p = next(q for q in primes_up_to(2 * BSGS_SWEEP_THRESHOLD)
                  if q > BSGS_SWEEP_THRESHOLD)
 
-        def refuse(*args):
-            raise AssertionError("enumerated F_p above the switch point")
+        count = _kernels_py.count_points_mod_p
 
-        monkeypatch.setattr(kernels, "count_points_mod_p", refuse)
+        def refuse(a1, a2, a3, a4, a6, p):
+            if p >= 17:
+                raise AssertionError("enumerated F_p above p = 13")
+            return count(a1, a2, a3, a4, a6, p)
+
+        monkeypatch.setattr(_kernels_py, "count_points_mod_p", refuse)
         value = ap(curve, p)
         primes, aps = ap_table(WeierstrassCurve(0, 0, 1, -1, 0), p)
         assert primes[-1] == p and aps[-1] == value
